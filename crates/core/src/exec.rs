@@ -21,9 +21,10 @@
 //!   instances**: a compiled propagation engine whose arena-resident
 //!   domains/trail/worklists are rebound in place
 //!   (`ProgramPropagator::reset_for_instance`) instead of reallocated,
-//!   pooled candidate buffers for the backtracking search, and pooled
-//!   bitsets for the GYO acyclicity test. The per-instance allocation
-//!   profile drops even at `threads = 1`, which is why the sequential
+//!   pooled candidate buffers for the backtracking search, pooled
+//!   bitsets for the GYO acyclicity test, and pooled bag tables for the
+//!   treewidth DP. The per-instance allocation profile drops even at
+//!   `threads = 1`, which is why the sequential
 //!   [`Session::solve_batch`](crate::Session::solve_batch) runs on the
 //!   same worker loop.
 //! * Results are written into pre-sized output slots, so the returned
@@ -59,16 +60,18 @@ use cqcs_pebble::program::{ProgramPropagator, PropProgram};
 use cqcs_pebble::propagator::Propagator;
 use cqcs_structures::{Structure, WorkStealQueue};
 use cqcs_treewidth::acyclic::GyoScratch;
+use cqcs_treewidth::dp::DpScratch;
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
 /// Per-worker state that persists across the instances a worker drains
 /// from the queue: the compiled propagation engine and its arena
 /// (rebound in place per instance, never reallocated), the backtracking
-/// search's candidate buffers, the GYO reduction's bitsets, and a local
-/// statistics accumulator. One scratch serves one template at a time;
-/// handing it instances against a different template transparently
-/// rebuilds the engine (recycling the arena allocation).
+/// search's candidate buffers, the GYO reduction's bitsets, the
+/// treewidth DP's bag tables, and a local statistics accumulator. One
+/// scratch serves one template at a time; handing it instances against
+/// a different template transparently rebuilds the engine (recycling
+/// the arena allocation).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch<'s> {
     /// The compiled engine, for routes that propagate: executes the
@@ -80,6 +83,7 @@ pub(crate) struct WorkerScratch<'s> {
     plain: Option<Propagator<'s>>,
     search: SearchScratch,
     gyo: GyoScratch,
+    dp: DpScratch,
     stats: SearchStats,
 }
 
@@ -107,10 +111,16 @@ impl<'s> WorkerScratch<'s> {
         &mut self.gyo
     }
 
+    /// The pooled treewidth-DP tables.
+    pub(crate) fn dp(&mut self) -> &mut DpScratch {
+        &mut self.dp
+    }
+
     /// The compiled engine rebound to instance `a`, plus the pooled
-    /// search buffers (split borrow, since the generic search needs
-    /// both at once). Reuses the retained engine — arena included —
-    /// whenever it already runs this exact program (`Arc::ptr_eq`);
+    /// search buffers and DP tables (split borrow, since the Auto
+    /// dispatcher holds the engine across the DP and the search).
+    /// Reuses the retained engine — arena included — whenever it
+    /// already runs this exact program (`Arc::ptr_eq`);
     /// otherwise builds one on the new program, recycling the retired
     /// engine's arena so the worker's allocation survives template
     /// switches.
@@ -119,7 +129,11 @@ impl<'s> WorkerScratch<'s> {
         a: &'s Structure,
         b: &'s Structure,
         program: &Arc<PropProgram>,
-    ) -> (&mut ProgramPropagator<'s>, &mut SearchScratch) {
+    ) -> (
+        &mut ProgramPropagator<'s>,
+        &mut SearchScratch,
+        &mut DpScratch,
+    ) {
         match &mut self.prog {
             Some(p) if Arc::ptr_eq(p.program(), program) => p.reset_for_instance(a),
             slot => {
@@ -138,6 +152,7 @@ impl<'s> WorkerScratch<'s> {
         (
             self.prog.as_mut().expect("engine just ensured"),
             &mut self.search,
+            &mut self.dp,
         )
     }
 

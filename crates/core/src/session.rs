@@ -51,7 +51,7 @@ use cqcs_pebble::program::PropProgram;
 use cqcs_structures::{Element, Homomorphism, Structure, SupportIndex};
 use cqcs_treewidth::acyclic::{yannakakis_pooled, GyoScratch};
 use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
-use cqcs_treewidth::dp::solve_with_decomposition;
+use cqcs_treewidth::dp::{solve_with_decomposition_pooled, DpScratch};
 use cqcs_treewidth::heuristics::{decomposition_from_elimination, min_fill_order};
 use cqcs_treewidth::lower_bounds::mmd_lower_bound;
 use std::sync::{Arc, OnceLock};
@@ -67,7 +67,7 @@ pub(crate) struct TemplateFacts {
     /// classifiable).
     schaefer: OnceLock<Option<SchaeferSet>>,
     /// Support index over `B`'s tuples, shared by every propagator the
-    /// template spawns.
+    /// template spawns and read by the treewidth DP's tuple checks.
     support: OnceLock<Arc<SupportIndex>>,
     /// The flat propagation program compiled from the support index —
     /// what every MAC/AC route actually executes. Chained off
@@ -330,7 +330,7 @@ fn solve_on<'s>(
         )),
         Strategy::Acyclic => try_acyclic(a, b, scratch.gyo())
             .ok_or(SolveError::RouteNotApplicable("A is not acyclic")),
-        Strategy::Treewidth => Ok(treewidth_route(a, b)),
+        Strategy::Treewidth => Ok(treewidth_route(a, b, facts.support(b), scratch.dp())),
         Strategy::Generic(opts) => {
             // Hand the search the scratch engine — the template's
             // compiled program when it will establish arc consistency,
@@ -338,7 +338,7 @@ fn solve_on<'s>(
             // (which only read the full domains and must not pay for
             // compiling anything).
             let (h, stats) = if opts.mac || opts.ac_preprocess {
-                let (prop, search) = scratch.compiled_engine(a, b, facts.program(b));
+                let (prop, search, _) = scratch.compiled_engine(a, b, facts.program(b));
                 backtracking_search_scratch(opts, prop, search)
             } else {
                 let (prop, search) = scratch.plain_engine(a, b);
@@ -376,7 +376,7 @@ fn auto_on<'s>(
     // otherwise the same compiled engine (shared program, filtered
     // domains) is handed to the generic search instead of being
     // rebuilt.
-    let (prop, search) = scratch.compiled_engine(a, b, facts.program(b));
+    let (prop, search, dp) = scratch.compiled_engine(a, b, facts.program(b));
     if a.universe() > 0 && b.universe() > 0 && !prop.establish() {
         return Solution {
             homomorphism: None,
@@ -392,7 +392,7 @@ fn auto_on<'s>(
         let order = min_fill_order(&g);
         let td = decomposition_from_elimination(&g, &order);
         if td.width() <= AUTO_TREEWIDTH_BUDGET {
-            let h = solve_with_decomposition(a, b, &td)
+            let h = solve_with_decomposition_pooled(a, b, &td, facts.support(b), dp)
                 .expect("decomposition from A's own Gaifman graph is valid");
             return Solution {
                 homomorphism: h,
@@ -415,7 +415,7 @@ fn auto_on<'s>(
                 bb_treewidth_best_effort_seeded(&g, &order, EXACT_WIDTH_PROBE_NODE_BUDGET);
             if r.width <= AUTO_TREEWIDTH_BUDGET {
                 let td = decomposition_from_elimination(&g, &r.order);
-                let h = solve_with_decomposition(a, b, &td)
+                let h = solve_with_decomposition_pooled(a, b, &td, facts.support(b), dp)
                     .expect("decomposition from a complete order is valid");
                 return Solution {
                     homomorphism: h,
@@ -491,7 +491,12 @@ pub(crate) fn try_acyclic(a: &Structure, b: &Structure, gyo: &mut GyoScratch) ->
     })
 }
 
-fn treewidth_route(a: &Structure, b: &Structure) -> Solution {
+fn treewidth_route(
+    a: &Structure,
+    b: &Structure,
+    support: &SupportIndex,
+    dp: &mut DpScratch,
+) -> Solution {
     let td = if a.universe() == 0 {
         cqcs_treewidth::TreeDecomposition {
             bags: vec![],
@@ -502,7 +507,8 @@ fn treewidth_route(a: &Structure, b: &Structure) -> Solution {
         decomposition_from_elimination(&g, &min_fill_order(&g))
     };
     let width = td.width();
-    let h = solve_with_decomposition(a, b, &td).expect("own decomposition is valid");
+    let h = solve_with_decomposition_pooled(a, b, &td, support, dp)
+        .expect("own decomposition is valid");
     Solution {
         homomorphism: h,
         route: Route::Treewidth(width),

@@ -69,7 +69,7 @@ use cqcs_pebble::program::{ProgramPropagator, SavedPropState};
 use cqcs_structures::{PropArena, Structure, StructureDelta};
 use cqcs_treewidth::acyclic::GyoScratch;
 use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
-use cqcs_treewidth::dp::solve_with_decomposition;
+use cqcs_treewidth::dp::{solve_with_decomposition_pooled, DpScratch};
 use cqcs_treewidth::heuristics::{decomposition_from_elimination, min_fill_order};
 use cqcs_treewidth::lower_bounds::mmd_lower_bound;
 use std::sync::Arc;
@@ -128,6 +128,7 @@ pub struct WatchSession {
     cache: RouteCache,
     search: SearchScratch,
     gyo: GyoScratch,
+    dp: DpScratch,
     stats: WatchStats,
 }
 
@@ -166,6 +167,7 @@ impl WatchSession {
             cache: RouteCache::default(),
             search: SearchScratch::default(),
             gyo: GyoScratch::default(),
+            dp: DpScratch::default(),
             stats: WatchStats::default(),
         };
         watch.resolve(a.clone(), None);
@@ -272,8 +274,14 @@ impl WatchSession {
                     let order = min_fill_order(&g);
                     let td = decomposition_from_elimination(&g, &order);
                     if td.width() <= AUTO_TREEWIDTH_BUDGET {
-                        let h = solve_with_decomposition(a, b, &td)
-                            .expect("decomposition from A's own Gaifman graph is valid");
+                        let h = solve_with_decomposition_pooled(
+                            a,
+                            b,
+                            &td,
+                            template.support(),
+                            &mut self.dp,
+                        )
+                        .expect("decomposition from A's own Gaifman graph is valid");
                         self.saved = Some(prop.into_saved());
                         break 'route Solution {
                             homomorphism: h,
@@ -290,8 +298,14 @@ impl WatchSession {
                             );
                             if r.width <= AUTO_TREEWIDTH_BUDGET {
                                 let td = decomposition_from_elimination(&g, &r.order);
-                                let h = solve_with_decomposition(a, b, &td)
-                                    .expect("decomposition from a complete order is valid");
+                                let h = solve_with_decomposition_pooled(
+                                    a,
+                                    b,
+                                    &td,
+                                    template.support(),
+                                    &mut self.dp,
+                                )
+                                .expect("decomposition from a complete order is valid");
                                 self.saved = Some(prop.into_saved());
                                 break 'route Solution {
                                     homomorphism: h,

@@ -33,6 +33,8 @@ pub enum DecompositionError {
     ElementNotConnected { element: usize },
     /// Some element appears in no bag.
     ElementMissing { element: usize },
+    /// A bag names an element outside the structure's universe.
+    ElementOutOfRange { bag: usize, element: usize },
 }
 
 impl std::fmt::Display for DecompositionError {
@@ -53,6 +55,9 @@ impl std::fmt::Display for DecompositionError {
             }
             DecompositionError::ElementMissing { element } => {
                 write!(f, "element {element} appears in no bag")
+            }
+            DecompositionError::ElementOutOfRange { bag, element } => {
+                write!(f, "bag {bag} names element {element}, outside the universe")
             }
         }
     }
@@ -140,8 +145,17 @@ impl TreeDecomposition {
         Ok(())
     }
 
-    /// Tree shape, element coverage, and subtree-connectedness.
-    fn validate_shape(&self, universe: usize) -> Result<(), DecompositionError> {
+    /// Tree shape, element range, element coverage, and
+    /// subtree-connectedness, in one pass over the bags and edges.
+    ///
+    /// Errors in precedence order: the edges do not form a tree; the
+    /// first bag naming an element outside `0..universe`; the first
+    /// element (ascending) that is missing or whose holders are split.
+    /// Inside a tree the bags holding an element induce a forest, whose
+    /// component count is `holders − edges between holders`, so one
+    /// counter per element decides both element conditions: 0 means
+    /// missing, 1 connected, more split.
+    pub(crate) fn validate_shape(&self, universe: usize) -> Result<(), DecompositionError> {
         let n = self.bags.len();
         if n == 0 {
             return if universe == 0 {
@@ -153,53 +167,51 @@ impl TreeDecomposition {
         if self.edges.len() != n - 1 {
             return Err(DecompositionError::NotATree);
         }
-        let adj = self.adjacency();
-        // Connectivity (with n-1 edges, connected ⟺ tree).
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 0;
-        while let Some(u) = stack.pop() {
-            count += 1;
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
+        // With n − 1 edges, a tree ⟺ no edge closes a cycle.
+        let mut root: Vec<usize> = (0..n).collect();
+        let find = |root: &mut [usize], mut x: usize| {
+            while root[x] != x {
+                root[x] = root[root[x]];
+                x = root[x];
+            }
+            x
+        };
+        for &(u, v) in &self.edges {
+            if u >= n || v >= n {
+                return Err(DecompositionError::NotATree);
+            }
+            let (ru, rv) = (find(&mut root, u), find(&mut root, v));
+            if ru == rv {
+                return Err(DecompositionError::NotATree);
+            }
+            root[ru] = rv;
+        }
+        let mut components = vec![0u32; universe];
+        for (i, bag) in self.bags.iter().enumerate() {
+            for e in bag.iter() {
+                if e >= universe {
+                    return Err(DecompositionError::ElementOutOfRange { bag: i, element: e });
+                }
+                components[e] += 1;
+            }
+        }
+        for &(u, v) in &self.edges {
+            let (bu, bv) = (self.bags[u].words(), self.bags[v].words());
+            for (w, (x, y)) in bu.iter().zip(bv).enumerate() {
+                let mut both = x & y;
+                while both != 0 {
+                    components[w * 64 + both.trailing_zeros() as usize] -= 1;
+                    both &= both - 1;
                 }
             }
         }
-        if count != n {
-            return Err(DecompositionError::NotATree);
+        match components.iter().position(|&c| c != 1) {
+            None => Ok(()),
+            Some(element) if components[element] == 0 => {
+                Err(DecompositionError::ElementMissing { element })
+            }
+            Some(element) => Err(DecompositionError::ElementNotConnected { element }),
         }
-        // Element coverage + subtree connectedness.
-        for e in 0..universe {
-            let holders: Vec<usize> = (0..n).filter(|&i| self.bags[i].contains(e)).collect();
-            if holders.is_empty() {
-                return Err(DecompositionError::ElementMissing { element: e });
-            }
-            // BFS within holder-induced subgraph.
-            let mut inside = vec![false; n];
-            for &h in &holders {
-                inside[h] = true;
-            }
-            let mut seen = vec![false; n];
-            let mut stack = vec![holders[0]];
-            seen[holders[0]] = true;
-            let mut reached = 0;
-            while let Some(u) = stack.pop() {
-                reached += 1;
-                for &v in &adj[u] {
-                    if inside[v] && !seen[v] {
-                        seen[v] = true;
-                        stack.push(v);
-                    }
-                }
-            }
-            if reached != holders.len() {
-                return Err(DecompositionError::ElementNotConnected { element: e });
-            }
-        }
-        Ok(())
     }
 
     /// Lemma 5.1, used as a sanity check: a decomposition of a structure

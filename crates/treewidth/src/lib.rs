@@ -21,7 +21,8 @@
 //!   search prunes against (and the sandwich the property suite pins:
 //!   `mmd ≤ exact ≤ min-fill`);
 //! * [`dp`] — the bounded-treewidth homomorphism solver: dynamic
-//!   programming over bag assignments, polynomial for fixed width;
+//!   programming over bag assignments, polynomial for fixed width,
+//!   compiled into flat bag tables over the template's support index;
 //! * [`fo`] — Lemma 5.2 made executable: the canonical query of a
 //!   structure of treewidth k rendered as an ∃FO^{k+1} formula (at most
 //!   k+1 variable *slots*, reused along the decomposition) with an
@@ -45,7 +46,10 @@ pub use bb::{
     bb_treewidth_with_budget, bb_treewidth_with_budget_seeded, elimination_width, BbResult,
 };
 pub use decomposition::TreeDecomposition;
-pub use dp::{homomorphism_via_treewidth, solve_with_decomposition};
+pub use dp::{
+    homomorphism_via_treewidth, solve_with_decomposition, solve_with_decomposition_pooled,
+    DpScratch,
+};
 pub use exact::{
     exact_decomposition, exact_treewidth, exact_treewidth_budgeted, exact_treewidth_budgeted_seeded,
 };

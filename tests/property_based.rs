@@ -10,11 +10,16 @@ use cqcs::structures::homomorphism::{find_homomorphism, homomorphism_exists};
 use cqcs::structures::product::{direct_product, projections};
 use cqcs::structures::{generators, is_homomorphism, BitSet};
 use cqcs::treewidth::bb::{bb_treewidth, elimination_width};
+use cqcs::treewidth::dp::{
+    solve_with_decomposition, solve_with_decomposition_pooled, solve_with_decomposition_reference,
+    DpScratch,
+};
 use cqcs::treewidth::exact::{dp_treewidth, exact_treewidth};
 use cqcs::treewidth::heuristics::{
     decomposition_from_elimination, min_degree_order, min_fill_order, min_fill_order_reference,
 };
 use cqcs::treewidth::lower_bounds::{mmd_lower_bound, mmd_plus_lower_bound};
+use cqcs::treewidth::TreeDecomposition;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -512,6 +517,44 @@ proptest! {
         prop_assert_eq!(min_fill_order(&g), min_fill_order_reference(&g));
     }
 
+    /// The compiled Theorem 5.4 DP is bit-identical to the hash-map
+    /// reference — verdict and witness — over min-fill, min-degree,
+    /// branch-and-bound and trivial decompositions: on mixed-arity
+    /// pairs, on the same instance against its template with `T`
+    /// emptied (zero-word support bitsets), and on a forest against a
+    /// wide template (support bitsets of several words). Corrupted
+    /// decompositions — a dropped tree edge, an element removed from a
+    /// bag, an out-of-range element added — give the same `Err` (or,
+    /// when a removal leaves the decomposition valid, the same answer).
+    /// One scratch serves every call, so reuse is pinned as well.
+    /// Stress-runnable via `PROPTEST_CASES=5000`.
+    #[test]
+    fn compiled_dp_matches_reference(
+        (a, b) in mixed_arity_pair(6, 3, 6),
+        wide in wide_digraph(),
+        forest in proptest::collection::vec((any::<u32>(), any::<bool>()), 0..=2),
+        cuts in proptest::collection::vec((any::<usize>(), any::<usize>()), 3),
+    ) {
+        use cqcs::structures::SupportIndex;
+        let mut scratch = DpScratch::default();
+        for b in [b.clone(), without_relation(&b, "T")] {
+            let support = SupportIndex::build(&b);
+            for td in dp_decompositions(&a) {
+                dp_parity(&a, &b, &td, &support, &mut scratch)?;
+                for bad in corrupted(&td, a.universe(), &cuts) {
+                    dp_parity(&a, &b, &bad, &support, &mut scratch)?;
+                }
+            }
+        }
+        // Only width-1 decompositions against the wide template: its
+        // |B|^{|bag|} rows stay in the thousands.
+        let a = forest_digraph(&forest);
+        let support = SupportIndex::build(&wide);
+        for td in dp_decompositions(&a).into_iter().filter(|td| td.width() <= 1) {
+            dp_parity(&a, &wide, &td, &support, &mut scratch)?;
+        }
+    }
+
     /// The compiled engine is bit-identical to the interpreted
     /// reference spec and the from-scratch reference refinement on
     /// random mixed-arity templates: establishment verdict, domains,
@@ -821,6 +864,100 @@ fn wide_digraph() -> impl Strategy<Value = cqcs::structures::Structure> {
             }
             b.finish()
         })
+}
+
+/// The four decompositions the DP parity property runs: min-fill,
+/// min-degree, branch-and-bound, and the trivial single bag.
+fn dp_decompositions(a: &cqcs::structures::Structure) -> Vec<TreeDecomposition> {
+    let g = cqcs::structures::gaifman_graph(a);
+    vec![
+        decomposition_from_elimination(&g, &min_fill_order(&g)),
+        decomposition_from_elimination(&g, &min_degree_order(&g)),
+        decomposition_from_elimination(&g, &bb_treewidth(&g).order),
+        TreeDecomposition::trivial(a.universe()),
+    ]
+}
+
+/// `td` with one tree edge dropped, one element removed from a bag, and
+/// one element past `universe` added to a bag (positions from `cuts`).
+fn corrupted(
+    td: &TreeDecomposition,
+    universe: usize,
+    cuts: &[(usize, usize)],
+) -> Vec<TreeDecomposition> {
+    let mut out = Vec::new();
+    if !td.edges.is_empty() {
+        let mut t = td.clone();
+        t.edges.remove(cuts[0].0 % t.edges.len());
+        out.push(t);
+    }
+    let (i, j) = cuts[1];
+    let mut t = td.clone();
+    let n = t.bags.len();
+    let bag = &mut t.bags[i % n];
+    if let Some(e) = bag.iter().nth(j % bag.len().max(1)) {
+        bag.remove(e);
+        out.push(t);
+    }
+    let (i, j) = cuts[2];
+    let mut t = td.clone();
+    let outside = universe + j % 3;
+    let mut bag = BitSet::new(outside + 1);
+    for e in t.bags[i % n].iter() {
+        bag.insert(e);
+    }
+    bag.insert(outside);
+    t.bags[i % n] = bag;
+    out.push(t);
+    out
+}
+
+/// The compiled DP (pooled on `scratch`, and the one-shot wrapper)
+/// answers exactly as the reference, `Err` included.
+fn dp_parity(
+    a: &cqcs::structures::Structure,
+    b: &cqcs::structures::Structure,
+    td: &TreeDecomposition,
+    support: &cqcs::structures::SupportIndex,
+    scratch: &mut DpScratch,
+) -> Result<(), TestCaseError> {
+    let reference = solve_with_decomposition_reference(a, b, td);
+    prop_assert_eq!(
+        solve_with_decomposition_pooled(a, b, td, support, scratch),
+        reference.clone()
+    );
+    prop_assert_eq!(solve_with_decomposition(a, b, td), reference);
+    Ok(())
+}
+
+/// `b` with relation `name` emptied.
+fn without_relation(b: &cqcs::structures::Structure, name: &str) -> cqcs::structures::Structure {
+    let voc = b.vocabulary();
+    let mut out = cqcs::structures::StructureBuilder::new(std::sync::Arc::clone(voc), b.universe());
+    for r in voc.iter().filter(|&r| voc.name(r) != name) {
+        for t in b.relation(r).iter() {
+            let args: Vec<u32> = t.iter().map(|e| e.0).collect();
+            out.add_fact(voc.name(r), &args).unwrap();
+        }
+    }
+    out.finish()
+}
+
+/// A directed forest: vertex `i + 1` gets one edge to an earlier
+/// vertex, in either direction.
+fn forest_digraph(edges: &[(u32, bool)]) -> cqcs::structures::Structure {
+    let n = edges.len() + 1;
+    let mut b = cqcs::structures::StructureBuilder::new(generators::digraph_vocabulary(), n);
+    for (i, &(pick, down)) in edges.iter().enumerate() {
+        let (child, parent) = (i as u32 + 1, pick % (i as u32 + 1));
+        let (x, y) = if down {
+            (parent, child)
+        } else {
+            (child, parent)
+        };
+        b.add_fact("E", &[x, y]).unwrap();
+    }
+    b.finish()
 }
 
 /// One compiled template never rebuilds its support index: across a
