@@ -1,11 +1,10 @@
-//! E16 benches: compiled propagation — the interpreted reference
-//! `Propagator` (pooled `Vec<BitSet>` state) vs the compiled
-//! `ProgramPropagator` (flat `PropProgram` pools, arena-resident
-//! state), and arena reuse vs a fresh arena per instance.
+//! E16 benches: compiled propagation — the `ProgramPropagator` (flat
+//! `PropProgram` pools, arena-resident state) with its arena reused
+//! across a batch vs a fresh arena per instance.
 
 use cqcs_core::solvers::backtracking::backtracking_search_scratch;
 use cqcs_core::{SearchOptions, SearchScratch, Session};
-use cqcs_pebble::{ProgramPropagator, Propagator};
+use cqcs_pebble::ProgramPropagator;
 use cqcs_structures::{generators, Structure};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
@@ -28,20 +27,7 @@ fn bench_compiled_prop(c: &mut Criterion) {
     for &(n, m) in &[(12usize, 24usize), (20, 40)] {
         let batch = instances(n, m, 32);
         let id = format!("32×G({n},{m})→K3");
-        // The PR 5 worker loop: one interpreted propagator over the
-        // shared support index, reset in place per instance.
-        group.bench_with_input(BenchmarkId::new("interpreted", &id), &batch, |bb, batch| {
-            bb.iter(|| {
-                let mut prop =
-                    Propagator::with_support(&batch[0], b, Arc::clone(template.support()));
-                let mut search = SearchScratch::default();
-                for a in batch {
-                    prop.reset_for_instance(a);
-                    std::hint::black_box(backtracking_search_scratch(opts, &mut prop, &mut search));
-                }
-            })
-        });
-        // Today's worker loop: one compiled engine over the shared
+        // The worker loop: one compiled engine over the shared
         // program, its arena rebound in place per instance.
         group.bench_with_input(
             BenchmarkId::new("compiled_arena", &id),

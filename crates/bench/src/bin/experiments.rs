@@ -34,7 +34,7 @@ use cqcs_net::resilient::{ResilientClient, RetryPolicy};
 use cqcs_net::server::{ChaosConfig, Server, ServerConfig};
 use cqcs_net::transport::FaultConfig;
 use cqcs_pebble::game::solve_game;
-use cqcs_pebble::{spoiler_wins, ProgramPropagator, Propagator};
+use cqcs_pebble::{spoiler_wins, ProgramPropagator};
 use cqcs_structures::homomorphism::homomorphism_exists;
 use cqcs_structures::{binary_encode, binary_encode_optimized, generators};
 use cqcs_structures::{Element, Structure, StructureBuilder, StructureDelta};
@@ -995,17 +995,17 @@ fn e16() {
          index into flat CSR-style `u64` pools and `ProgramPropagator` executes \
          it with every piece of per-instance mutable state (domains, trail, \
          worklist ring, revision scratch) living at fixed word offsets in one \
-         arena allocation. Each workload runs the same MRV+MAC search under \
-         three engines: the interpreted reference `Propagator` (pooled \
-         `Vec<BitSet>` state — the PR 5 production route), the compiled engine \
-         with its arena reused across the batch (today's production route in \
-         `Session::solve`/`solve_batch`/`par_solve_batch`), and the compiled \
-         engine rebound on a fresh arena per instance (ablating allocation \
-         reuse). The `identical` column compares witnesses and full search \
-         statistics bit-for-bit against the interpreted engine — a `false` \
-         fails CI via `scripts/check_experiments.sh`. Timing and speedup cells \
-         are machine-dependent (masked in CI) and tracked across PRs in \
-         `EXPERIMENTS_HISTORY.md`.\n"
+         arena allocation. Each workload runs the same MRV+MAC search twice: \
+         on one engine whose arena is reused across the batch (the production \
+         route in `Session::solve`/`solve_batch`/`par_solve_batch`, and the \
+         1.00× row), and on a fresh engine and arena per instance (ablating \
+         allocation reuse). The `identical` column compares the fresh-arena \
+         run's witnesses and full search statistics bit-for-bit against the \
+         reused-arena run — a `false` fails CI via \
+         `scripts/check_experiments.sh`. Timing and speedup cells are \
+         machine-dependent (masked in CI) and tracked across PRs in \
+         `EXPERIMENTS_HISTORY.md`, which also keeps the last ratio against \
+         the interpreted engine earlier versions of this table ran.\n"
     );
     header(&[
         "workload",
@@ -1042,19 +1042,6 @@ fn e16() {
         let template = Session::compile(&k3);
         let template = template.template();
         let b = template.template();
-        // Interpreted reference: one propagator over the shared support
-        // index, reset in place per instance (the PR 5 worker loop).
-        let interpreted = || {
-            let mut prop = Propagator::with_support(&batch[0], b, Arc::clone(template.support()));
-            let mut search = SearchScratch::default();
-            batch
-                .iter()
-                .map(|a| {
-                    prop.reset_for_instance(a);
-                    backtracking_search_scratch(opts, &mut prop, &mut search)
-                })
-                .collect::<Vec<Run>>()
-        };
         // Compiled, arena reused: one engine over the shared program,
         // rebound in place per instance (today's worker loop).
         let compiled = || {
@@ -1081,16 +1068,11 @@ fn e16() {
                 .collect::<Vec<Run>>()
         };
         // Parity on dedicated runs; timings are medians of separate runs.
-        let reference = interpreted();
+        let reference = compiled();
         let hom_yes = reference.iter().filter(|r| r.0.is_some()).count();
-        let t_interp = median_ms(3, interpreted);
+        let t_reused = median_ms(3, compiled);
         for (engine, sols, t) in [
-            ("interpreted (pooled vecs)", reference.clone(), t_interp),
-            (
-                "compiled (arena reused)",
-                compiled(),
-                median_ms(3, compiled),
-            ),
+            ("compiled (arena reused)", reference.clone(), t_reused),
             ("compiled (fresh arena)", fresh(), median_ms(3, fresh)),
         ] {
             row(&[
@@ -1099,7 +1081,7 @@ fn e16() {
                 hom_yes.to_string(),
                 engine.into(),
                 format!("{:.4}", t / count as f64),
-                format!("{:.2}×", t_interp / t),
+                format!("{:.2}×", t_reused / t),
                 identical(&reference, &sols).to_string(),
             ]);
         }

@@ -4,7 +4,7 @@
 //! The affine branch of Theorem 3.3 instantiates the defining equations
 //! of each affine relation per tuple of the left structure and solves
 //! the combined system by Gaussian elimination — "cubic in the length of
-//! φ_A" per the paper [Sch78]. The elimination itself lives in
+//! φ_A" per the paper \[Sch78\]. The elimination itself lives in
 //! [`crate::gf2`]; this module is the solver entry point.
 
 use crate::gf2::LinearSystem;

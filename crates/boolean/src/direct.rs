@@ -13,7 +13,7 @@
 //!   Runs in `O(‖A‖·‖B‖)` using the per-element occurrence lists.
 //! * **Dual Horn** ([`dual_horn_csp`]) — by 0/1 duality.
 //! * **Bijunctive** ([`bijunctive_csp`]) — the paper's emulation of the
-//!   phase-based 2-SAT algorithm [LP97]: pick an unassigned element,
+//!   phase-based 2-SAT algorithm \[LP97\]: pick an unassigned element,
 //!   guess a value, propagate through the `T_{Q',k,i}` tuple sets,
 //!   undo and flip on conflict; both guesses failing means no
 //!   homomorphism.

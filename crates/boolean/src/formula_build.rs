@@ -8,7 +8,7 @@
 //!   with a constant-1 column, compute a basis of the nullspace of the
 //!   resulting matrix over GF(2) by Gaussian elimination; each basis
 //!   vector is one linear equation.
-//! * **Horn / dual Horn** — the paper cites Dechter–Pearl [DP92] for a
+//! * **Horn / dual Horn** — the paper cites Dechter–Pearl \[DP92\] for a
 //!   polynomial-time construction. We implement an *exact* variant that
 //!   enumerates non-models and emits one Horn implicate per refutation,
 //!   with subsumption pruning; it is exponential in the **arity** `k`

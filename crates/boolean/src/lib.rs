@@ -17,7 +17,7 @@
 //!   (Theorem 3.3): `CSP(SC)` in polynomial time;
 //! * [`direct`] — the direct quadratic-time algorithms that skip
 //!   formula building (Theorem 3.4);
-//! * [`booleanize`] — Booleanization of arbitrary CSP instances
+//! * [`booleanize`](mod@booleanize) — Booleanization of arbitrary CSP instances
 //!   (Lemma 3.5) powering Saraiya's two-atom containment (Prop 3.6) and
 //!   the `C₄` example (Example 3.8).
 

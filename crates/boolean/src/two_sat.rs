@@ -1,7 +1,7 @@
 //! Linear-time 2-SAT via strongly connected components.
 //!
 //! The paper's Theorem 3.3 dispatches bijunctive instances to a
-//! linear-time 2-SAT decision [LP97]. We implement the
+//! linear-time 2-SAT decision \[LP97\]. We implement the
 //! Aspvall–Plass–Tarjan method: build the implication graph (each clause
 //! `l₁ ∨ l₂` contributes `¬l₁ → l₂` and `¬l₂ → l₁`), compute SCCs with
 //! an iterative Tarjan, and read a model off the reverse topological

@@ -18,8 +18,9 @@
 //!   with millisecond generic searches stays balanced without any
 //!   up-front cost model.
 //! * Each worker owns a `WorkerScratch` that **persists across
-//!   instances**: a compiled propagation engine whose arena-resident
-//!   domains/trail/worklists are rebound in place
+//!   instances**: the compiled propagation engine (the one engine every
+//!   searching route shares; plain searches leave it unestablished),
+//!   whose arena-resident domains/trail/worklists are rebound in place
 //!   (`ProgramPropagator::reset_for_instance`) instead of reallocated,
 //!   pooled candidate buffers for the backtracking search, pooled
 //!   bitsets for the GYO acyclicity test, and pooled bag tables for the
@@ -57,7 +58,6 @@ use crate::session::{solve_on_template, CompiledTemplate};
 use crate::solvers::backtracking::{SearchScratch, SearchStats};
 use crate::solvers::dispatch::{Solution, SolveError, Strategy};
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
-use cqcs_pebble::propagator::Propagator;
 use cqcs_structures::{Structure, WorkStealQueue};
 use cqcs_treewidth::acyclic::GyoScratch;
 use cqcs_treewidth::dp::DpScratch;
@@ -74,13 +74,11 @@ use std::sync::Arc;
 /// the arena allocation).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch<'s> {
-    /// The compiled engine, for routes that propagate: executes the
-    /// template's shared [`PropProgram`] over this worker's arena.
+    /// The compiled engine, for every route that propagates or
+    /// searches: executes the template's shared [`PropProgram`] over
+    /// this worker's arena. Plain searches (no MAC/AC) never establish
+    /// it and read its full domains.
     prog: Option<ProgramPropagator<'s>>,
-    /// The interpreted engine, index-free, for plain searches (no
-    /// MAC/AC): they never propagate, so they must not pay for a
-    /// support index or a compiled program.
-    plain: Option<Propagator<'s>>,
     search: SearchScratch,
     gyo: GyoScratch,
     dp: DpScratch,
@@ -153,26 +151,6 @@ impl<'s> WorkerScratch<'s> {
             self.prog.as_mut().expect("engine just ensured"),
             &mut self.search,
             &mut self.dp,
-        )
-    }
-
-    /// The interpreted, index-free engine rebound to instance `a`, for
-    /// plain (no MAC/AC) searches: the search only snapshots the full
-    /// domains, so building a support index or compiled program for it
-    /// would be pure waste — and a retained engine that was never
-    /// established must stay index-free across reuse.
-    pub(crate) fn plain_engine(
-        &mut self,
-        a: &'s Structure,
-        b: &'s Structure,
-    ) -> (&mut Propagator<'s>, &mut SearchScratch) {
-        match &mut self.plain {
-            Some(p) if std::ptr::eq(p.right(), b) => p.reset_for_instance(a),
-            slot => *slot = Some(Propagator::new(a, b)),
-        }
-        (
-            self.plain.as_mut().expect("engine just ensured"),
-            &mut self.search,
         )
     }
 }

@@ -332,18 +332,11 @@ fn solve_on<'s>(
             .ok_or(SolveError::RouteNotApplicable("A is not acyclic")),
         Strategy::Treewidth => Ok(treewidth_route(a, b, facts.support(b), scratch.dp())),
         Strategy::Generic(opts) => {
-            // Hand the search the scratch engine — the template's
-            // compiled program when it will establish arc consistency,
-            // and the index-free interpreted engine for plain searches
-            // (which only read the full domains and must not pay for
-            // compiling anything).
-            let (h, stats) = if opts.mac || opts.ac_preprocess {
-                let (prop, search, _) = scratch.compiled_engine(a, b, facts.program(b));
-                backtracking_search_scratch(opts, prop, search)
-            } else {
-                let (prop, search) = scratch.plain_engine(a, b);
-                backtracking_search_scratch(opts, prop, search)
-            };
+            // Every search runs on the scratch's compiled engine over the
+            // template's program; a plain search (`mac = ac_preprocess =
+            // false`) never establishes it, so it reads full domains.
+            let (prop, search, _) = scratch.compiled_engine(a, b, facts.program(b));
+            let (h, stats) = backtracking_search_scratch(opts, prop, search);
             Ok(Solution {
                 homomorphism: h,
                 route: Route::Generic,

@@ -12,7 +12,7 @@
 //! * [`containment`] — Theorem 2.1, all three formulations, routed
 //!   through the `cqcs-core` uniform solver;
 //! * [`evaluation`] — query answers `Q(D)`;
-//! * [`minimize`] — query minimization via cores (the classic
+//! * [`minimize`](mod@minimize) — query minimization via cores (the classic
 //!   Chandra–Merlin application);
 //! * [`saraiya`] — Prop 3.6: two-atom containment through
 //!   Booleanization (the bijunctive route).

@@ -194,7 +194,7 @@ fn naive_source<'a>(atom: &Atom, edb: &'a FactStore, idb: &'a FactStore) -> Atom
 /// Semi-naive evaluation: each round only instantiates rule bodies with
 /// at least one atom taken from the previous round's delta.
 ///
-/// Derived facts live in per-predicate [`IndexedFacts`] — an
+/// Derived facts live in per-predicate `IndexedFacts` — an
 /// append-only vector plus a tuple-membership index — and a round's
 /// delta is just the index range appended by the previous round, read
 /// as a slice. Nothing is cloned between the delta and the full store

@@ -25,7 +25,7 @@
 //!
 //! Bytes move through a [`crate::transport::Transport`], so the same
 //! client code runs over a plain `TcpStream` or a fault-injecting
-//! [`FaultStream`](crate::transport::FaultStream) (see
+//! [`FaultStream`] (see
 //! [`ClientConfig::fault`]). With [`ClientConfig::read_timeout`] set, a
 //! peer that hangs up mid-frame or goes quiet surfaces as the typed
 //! [`ClientError::Timeout`] instead of blocking forever; retries,
@@ -150,7 +150,7 @@ pub struct ClientConfig {
     /// Socket write timeout; `None` blocks forever.
     pub write_timeout: Option<Duration>,
     /// Wrap the connection in a fault-injecting
-    /// [`FaultStream`](crate::transport::FaultStream) — the client half
+    /// [`FaultStream`] — the client half
     /// of a chaos run. `None` is the production path.
     pub fault: Option<FaultConfig>,
 }

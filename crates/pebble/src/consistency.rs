@@ -9,13 +9,12 @@
 //! game. `cqcs-core`'s backtracking solver uses it both as
 //! preprocessing and (in MAC mode) during search.
 //!
-//! The entry points here are one-shot conveniences over the
-//! incremental [`Propagator`](crate::propagator::Propagator); the
-//! original re-scanning fixpoint loop survives as
-//! [`refine_domains_reference`], the executable specification the
-//! property suite checks the engine against.
+//! The entry points here are one-shot conveniences over the compiled
+//! [`ProgramPropagator`]; the original re-scanning fixpoint loop
+//! survives as [`refine_domains_reference`], the executable
+//! specification the property suite checks the engine against.
 
-use crate::propagator::Propagator;
+use crate::program::{ProgramPropagator, PropProgram};
 use cqcs_structures::{BitSet, Structure, SupportIndex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -44,56 +43,25 @@ pub fn arc_consistent_domains(a: &Structure, b: &Structure) -> ArcConsistency {
 
 /// Enforces hyperarc consistency starting from the given domains.
 ///
-/// One-shot wrapper over the incremental
-/// [`Propagator`](crate::propagator::Propagator): builds the support
-/// index, seeds the full worklist, and runs to the fixpoint. Callers
-/// that refine repeatedly (MAC search) should hold a `Propagator` and
-/// use `assign`/`undo` instead.
+/// One-shot wrapper over the compiled [`ProgramPropagator`]: compiles
+/// `b` (support index, then program), narrows the full domains to
+/// `domains`, and runs to the fixpoint. Callers that refine repeatedly
+/// (MAC search) or solve many instances against one template should
+/// hold an engine over a shared [`PropProgram`] and use
+/// `assign`/`undo` or `reset_for_instance` instead.
+///
+/// # Panics
+/// Panics if the structures are over different vocabularies or the
+/// domain vector does not match `a`'s universe.
 pub fn refine_domains(a: &Structure, b: &Structure, domains: Vec<BitSet>) -> ArcConsistency {
-    let mut p = Propagator::with_domains(a, b, domains);
-    finish(p.establish(), p)
-}
-
-/// [`arc_consistent_domains`] over a **prebuilt** support index for
-/// `b`: the one-shot fixpoint without the per-call index construction
-/// that used to dominate it. Callers streaming instances against one
-/// template build the index once (`SupportIndex::build(b)`) and pass it
-/// here per solve.
-///
-/// # Panics
-/// Panics on vocabulary mismatch or an index not matching `b`.
-pub fn arc_consistent_domains_with_support(
-    a: &Structure,
-    b: &Structure,
-    support: &Arc<SupportIndex>,
-) -> ArcConsistency {
-    let full = BitSet::full(b.universe());
-    let domains = vec![full; a.universe()];
-    refine_domains_with_support(a, b, support, domains)
-}
-
-/// [`refine_domains`] over a prebuilt support index (see
-/// [`arc_consistent_domains_with_support`]).
-///
-/// # Panics
-/// Panics on vocabulary mismatch, a domain vector not matching `a`, or
-/// an index not matching `b`.
-pub fn refine_domains_with_support(
-    a: &Structure,
-    b: &Structure,
-    support: &Arc<SupportIndex>,
-    domains: Vec<BitSet>,
-) -> ArcConsistency {
-    let mut p = Propagator::with_domains_and_support(a, b, domains, Arc::clone(support));
-    finish(p.establish(), p)
-}
-
-fn finish(consistent: bool, p: Propagator<'_>) -> ArcConsistency {
-    let deletions = p.deletions();
+    let program = Arc::new(PropProgram::compile(b, &SupportIndex::build(b)));
+    let mut p = ProgramPropagator::new(a, b, program);
+    p.restrict_domains(&domains);
+    let consistent = p.establish();
     ArcConsistency {
-        domains: p.into_domains(),
+        domains: p.domains_vec(),
         consistent,
-        deletions,
+        deletions: p.deletions(),
     }
 }
 
@@ -101,8 +69,8 @@ fn finish(consistent: bool, p: Propagator<'_>) -> ArcConsistency {
 /// tuple of `A`, and rescans every tuple of `R^B` per revision with no
 /// support index.
 ///
-/// Kept as the executable specification that the propagator is tested
-/// against (same fixpoint, verdict, and deletion count whenever
+/// Kept as the executable specification that [`ProgramPropagator`] is
+/// tested against (same fixpoint, verdict, and deletion count whenever
 /// consistent — on wipeout the pruning order, and hence the partially
 /// pruned domains, may differ), and as the baseline the ablation
 /// benches measure the incremental engine's speedup over.
@@ -301,34 +269,6 @@ mod tests {
             assert_eq!(ac.domains[e].len(), 1, "cycle coloring is forced");
             assert_eq!(ac.domains[e].min(), Some(e % 2));
         }
-    }
-
-    #[test]
-    fn prebuilt_index_path_is_a_drop_in() {
-        use cqcs_structures::SupportIndex;
-        use std::sync::Arc;
-        for seed in 0..15u64 {
-            let a = generators::random_structure(5, &[1, 2, 3], 8, seed);
-            let b = generators::random_structure_over(a.vocabulary(), 3, 9, seed + 40);
-            let support = Arc::new(SupportIndex::build(&b));
-            let plain = arc_consistent_domains(&a, &b);
-            let shared = arc_consistent_domains_with_support(&a, &b, &support);
-            assert_eq!(shared.consistent, plain.consistent, "seed {seed}");
-            assert_eq!(shared.domains, plain.domains, "seed {seed}");
-            assert_eq!(shared.deletions, plain.deletions, "seed {seed}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "support index does not match")]
-    fn mismatched_index_is_rejected() {
-        use cqcs_structures::SupportIndex;
-        use std::sync::Arc;
-        let a = generators::undirected_cycle(4);
-        let b = generators::complete_graph(3);
-        let other = generators::complete_graph(2);
-        let support = Arc::new(SupportIndex::build(&other));
-        let _ = arc_consistent_domains_with_support(&a, &b, &support);
     }
 
     #[test]

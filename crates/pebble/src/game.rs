@@ -1,4 +1,4 @@
-//! The existential k-pebble game (Kolaitis–Vardi [KV95], §4.2 of the
+//! The existential k-pebble game (Kolaitis–Vardi \[KV95\], §4.2 of the
 //! paper).
 //!
 //! The Duplicator wins the game on `(A, B)` iff there is a nonempty

@@ -1,9 +1,10 @@
 //! Compiled propagation: flat programs and the arena-resident engine.
 //!
-//! The interpreted [`Propagator`] re-walks generic `Relation`/`BitSet`
-//! structures on every revision: three pointer hops to reach a support
-//! set (`Vec<Vec<Vec<BitSet>>>`), a heap allocation per scratch set, a
-//! `VecDeque` worklist. This module **compiles the template away**:
+//! This is the crate's one (hyper)arc-consistency engine: the
+//! incremental filter behind MAC search in `cqcs-core`, the Auto
+//! dispatcher's refutation prefilter, delta watches, and the one-shot
+//! [`refine_domains`](crate::consistency::refine_domains). It
+//! **compiles the template away**:
 //!
 //! * [`PropProgram`] lowers a [`SupportIndex`] over a fixed template
 //!   `B` into dense CSR-style pools — one flat `u64` slab holding every
@@ -17,93 +18,30 @@
 //!   live at fixed word offsets in a single contiguous allocation,
 //!   reset in O(words) per instance ([`reset_for_instance`]).
 //!
-//! The engine's observable behaviour is **bit-identical** to the
-//! interpreted [`Propagator`] — same fixpoints, same deletion counts,
-//! same trail/undo semantics, same wipeout verdicts — because the
-//! execution order is replicated exactly: the worklist is seeded
-//! relation-major, occurrences enqueue in `A`'s occurrence-list order,
-//! and removals trail in ascending value order per tuple position. The
-//! interpreted engine survives as the executable reference
-//! specification; the property suite pins the two against each other
-//! (and against `refine_domains_reference`) on random mixed-arity
-//! instances.
+//! Compared with re-running the from-scratch refinement at every search
+//! node, the engine computes an `A`-tuple's live witnesses by bitset
+//! unions and intersections over the support slabs instead of
+//! rescanning `R^B`; trails `(element, removed value)` deltas in
+//! per-assignment frames, so `assign`/`undo` cost O(changed); and seeds
+//! its worklist only with the tuples through changed elements. Domains
+//! sit at the arc-consistency fixpoint of the current assignment prefix
+//! (except transiently inside a failed `assign`, which the matching
+//! `undo` repairs), so MRV reads live domain sizes in O(1).
 //!
-//! [`PropagationEngine`] is the small trait the generic search in
-//! `cqcs-core` is written against, so one-shot, session, and batch
-//! paths pick either engine without duplicating the search.
+//! [`refine_domains_reference`](crate::consistency::refine_domains_reference)
+//! is the executable specification: this module's unit tests and the
+//! property suite pin the engine's verdicts to it everywhere, and its
+//! fixpoint domains and deletion counts wherever the instance stays
+//! consistent, after `establish` and after every `assign`/`undo`.
 //!
 //! [`reset_for_instance`]: ProgramPropagator::reset_for_instance
 
 use crate::binding::{plan_delta, DeltaPlan, EngineState, InstanceBinding};
-use crate::propagator::Propagator;
-use cqcs_structures::arena::{all_zero, and_into, fill_ones, or_into, PropArena};
+use cqcs_structures::arena::{
+    all_zero, and_into, count_ones, fill_ones, for_each_set_bit, or_into, PropArena,
+};
 use cqcs_structures::{BitSet, Element, RelId, Structure, StructureDelta, SupportIndex};
 use std::sync::Arc;
-
-/// The engine interface the generic backtracking search runs over:
-/// establish once, then `assign`/`undo` around each search node. Both
-/// the interpreted [`Propagator`] (the reference specification) and the
-/// compiled [`ProgramPropagator`] implement it with bit-identical
-/// observable behaviour.
-pub trait PropagationEngine<'s> {
-    /// The instance's left structure.
-    fn left(&self) -> &'s Structure;
-    /// The instance's right (template) structure.
-    fn right(&self) -> &'s Structure;
-    /// Runs propagation to the arc-consistency fixpoint from the
-    /// current domains; returns whether all domains are nonempty.
-    /// Idempotent after the first call.
-    fn establish(&mut self) -> bool;
-    /// Tentatively assigns `x := v` (opening an undo frame) and
-    /// propagates; returns `false` on wipeout.
-    fn assign(&mut self, x: Element, v: usize) -> bool;
-    /// Rolls back the most recent [`assign`](PropagationEngine::assign).
-    fn undo(&mut self);
-    /// Number of open assignment frames.
-    fn depth(&self) -> usize;
-    /// Monotone count of domain-value deletions performed so far.
-    fn deletions(&self) -> usize;
-    /// Current domain size of `e`, O(1).
-    fn domain_size(&self, e: Element) -> usize;
-    /// Replaces `out` with the current domain of `e`, ascending.
-    fn domain_values_into(&self, e: Element, out: &mut Vec<usize>);
-    /// Whether every domain is nonempty.
-    fn is_consistent(&self) -> bool;
-}
-
-impl<'s> PropagationEngine<'s> for Propagator<'s> {
-    fn left(&self) -> &'s Structure {
-        Propagator::left(self)
-    }
-    fn right(&self) -> &'s Structure {
-        Propagator::right(self)
-    }
-    fn establish(&mut self) -> bool {
-        Propagator::establish(self)
-    }
-    fn assign(&mut self, x: Element, v: usize) -> bool {
-        Propagator::assign(self, x, v)
-    }
-    fn undo(&mut self) {
-        Propagator::undo(self)
-    }
-    fn depth(&self) -> usize {
-        Propagator::depth(self)
-    }
-    fn deletions(&self) -> usize {
-        Propagator::deletions(self)
-    }
-    fn domain_size(&self, e: Element) -> usize {
-        Propagator::domain_size(self, e)
-    }
-    fn domain_values_into(&self, e: Element, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.domain(e).iter());
-    }
-    fn is_consistent(&self) -> bool {
-        Propagator::is_consistent(self)
-    }
-}
 
 /// Per-relation geometry and pool offsets of a compiled program.
 #[derive(Debug, Clone, Copy)]
@@ -298,9 +236,7 @@ struct Layout {
 }
 
 /// The compiled engine: executes a shared [`PropProgram`] over one
-/// owned [`PropArena`], with the same public surface and the same
-/// observable behaviour as the interpreted [`Propagator`]. See the
-/// [module docs](self).
+/// owned [`PropArena`]. See the [module docs](self).
 #[derive(Debug)]
 pub struct ProgramPropagator<'s> {
     a: &'s Structure,
@@ -367,10 +303,10 @@ impl<'s> ProgramPropagator<'s> {
     }
 
     /// Rebinds the engine to a new left structure against the same
-    /// compiled template, reusing the arena allocation — the compiled
-    /// analogue of [`Propagator::reset_for_instance`]. After the call
-    /// the engine is observably identical to a freshly constructed one:
-    /// full domains, empty trail, zero deletions, not yet established.
+    /// compiled template, reusing the arena allocation, so batch loops
+    /// keep a flat per-instance allocation profile. After the call the
+    /// engine is observably identical to a freshly constructed one: full
+    /// domains, empty trail, zero deletions, not yet established.
     ///
     /// # Panics
     /// Panics if `a` is over a different vocabulary than the template.
@@ -436,8 +372,6 @@ impl<'s> ProgramPropagator<'s> {
             established: self.established,
             consistent: self.is_consistent(),
             depth: self.frames.len(),
-            // The arena layout is keyed on |A|; growth re-binds.
-            allow_growth: false,
             bound_universe,
             bound_tuples,
         };
@@ -449,7 +383,7 @@ impl<'s> ProgramPropagator<'s> {
             }
         };
         self.a = a2;
-        // |A| is unchanged (growth was rejected above), so every region
+        // |A| is unchanged (plan_delta rejects growth), so every region
         // up to and including the trail keeps its offset; only the
         // tuple-count-keyed tail (worklist ring + membership bitset)
         // re-dimensions. The queued flags are all-false at a fixpoint,
@@ -646,32 +580,95 @@ impl<'s> ProgramPropagator<'s> {
         self.b
     }
 
+    /// The `|A|`-long domain-size region, one word per element.
+    #[inline]
+    fn sizes(&self) -> &[u64] {
+        let l = self.layout;
+        &self.arena.words()[l.sizes..l.sizes + l.n]
+    }
+
+    /// The `wb` words of `dom(e)`.
+    ///
+    /// # Panics
+    /// Panics if `e` is outside `A`, rather than reading a neighbouring
+    /// region of the arena. The check is explicit because with `|B| = 0`
+    /// a domain is zero words wide and slicing alone would not fail.
+    #[inline]
+    fn domain_words(&self, e: Element) -> &[u64] {
+        let l = self.layout;
+        assert!(e.index() < l.n, "{e:?} is outside A (|A| = {})", l.n);
+        &self.arena.words()[l.domains + e.index() * l.wb..][..l.wb]
+    }
+
     /// Current domain size of an element, O(1).
+    ///
+    /// # Panics
+    /// Panics if `e` is outside `A`.
     #[inline]
     pub fn domain_size(&self, e: Element) -> usize {
-        self.arena.words()[self.layout.sizes + e.index()] as usize
+        self.sizes()[e.index()] as usize
     }
 
     /// Whether `v` is currently in `dom(e)`.
+    ///
+    /// # Panics
+    /// Panics if `e` is outside `A`.
     #[inline]
     pub fn domain_contains(&self, e: Element, v: usize) -> bool {
-        if v >= self.layout.d {
-            return false;
-        }
-        let off = self.layout.domains + e.index() * self.layout.wb + v / 64;
-        self.arena.words()[off] & (1u64 << (v % 64)) != 0
+        let dom = self.domain_words(e);
+        v < self.layout.d && dom[v / 64] & (1u64 << (v % 64)) != 0
+    }
+
+    /// Replaces `out` with the current domain of `e`, ascending — the
+    /// search's per-node candidate snapshot, into a pooled buffer.
+    ///
+    /// # Panics
+    /// Panics if `e` is outside `A`.
+    pub fn domain_values_into(&self, e: Element, out: &mut Vec<usize>) {
+        out.clear();
+        for_each_set_bit(self.domain_words(e), |v| out.push(v));
     }
 
     /// Materialises `dom(e)` as a [`BitSet`] (diagnostics and parity
     /// tests; the hot paths never construct sets).
+    ///
+    /// # Panics
+    /// Panics if `e` is outside `A`.
     pub fn domain_bitset(&self, e: Element) -> BitSet {
-        let l = self.layout;
-        let mut s = BitSet::new(l.d);
-        let dom = &self.arena.words()[l.domains + e.index() * l.wb..][..l.wb];
-        cqcs_structures::arena::for_each_set_bit(dom, |v| {
+        let mut s = BitSet::new(self.layout.d);
+        for_each_set_bit(self.domain_words(e), |v| {
             s.insert(v);
         });
         s
+    }
+
+    /// Narrows the bound domains before propagation starts: each
+    /// `dom(e)` becomes `dom(e) ∩ domains[e]`, untrailed and uncounted,
+    /// so [`establish`](ProgramPropagator::establish) refines from a
+    /// caller-given start (the one-shot
+    /// [`refine_domains`](crate::consistency::refine_domains)). Values
+    /// at or past `|B|` are ignored.
+    ///
+    /// # Panics
+    /// Panics if the engine is already established, or if `domains`
+    /// does not hold exactly one set per element of `A`.
+    pub fn restrict_domains(&mut self, domains: &[BitSet]) {
+        assert!(!self.established, "restrict_domains after establish");
+        let l = self.layout;
+        assert_eq!(
+            domains.len(),
+            l.n,
+            "restrict_domains needs one set per element of A"
+        );
+        let words = self.arena.words_mut();
+        for (e, set) in domains.iter().enumerate() {
+            let dom = &mut words[l.domains + e * l.wb..][..l.wb];
+            for (wi, dw) in dom.iter_mut().enumerate() {
+                *dw &= set.words().get(wi).copied().unwrap_or(0);
+            }
+            let size = count_ones(dom);
+            words[l.sizes + e] = size as u64;
+        }
     }
 
     /// All current domains, materialised (parity tests).
@@ -702,15 +699,13 @@ impl<'s> ProgramPropagator<'s> {
 
     /// Whether every domain is nonempty.
     pub fn is_consistent(&self) -> bool {
-        let l = self.layout;
-        self.arena.words()[l.sizes..l.sizes + l.n]
-            .iter()
-            .all(|&s| s > 0)
+        self.sizes().iter().all(|&s| s > 0)
     }
 
-    /// Runs propagation to the arc-consistency fixpoint, seeding the
-    /// worklist with every tuple of `A` relation-major — exactly
-    /// [`Propagator::establish`]. Idempotent.
+    /// Runs propagation to the arc-consistency fixpoint from the current
+    /// domains, seeding the worklist with every tuple of `A`
+    /// relation-major. Returns whether every domain is still nonempty.
+    /// Idempotent: repeated calls after the first are O(1).
     pub fn establish(&mut self) -> bool {
         if self.established {
             return self.is_consistent();
@@ -754,14 +749,18 @@ impl<'s> ProgramPropagator<'s> {
         self.run_queue() && self.is_consistent()
     }
 
-    /// Tentatively assigns `x := v` — exactly [`Propagator::assign`]:
-    /// opens a trail frame, narrows `dom(x)` to `{v}` (removals trailed
-    /// in ascending value order), propagates from the tuples through
-    /// `x`. Returns `false` on wipeout.
+    /// Tentatively assigns `x := v`: opens a trail frame, narrows
+    /// `dom(x)` to `{v}` (removals trailed in ascending value order),
+    /// and propagates from the tuples through `x` only. Returns `false`
+    /// on wipeout; either way the matching
+    /// [`undo`](ProgramPropagator::undo) restores the pre-assignment
+    /// domains exactly.
     ///
     /// # Panics
     /// Panics if [`establish`](ProgramPropagator::establish) has not
-    /// run, or if `v` is not in `dom(x)`.
+    /// run, if `x` is outside `A`, or if `v` is not in `dom(x)` —
+    /// assigning a pruned value would corrupt the size cache, so the
+    /// checks stay in release builds.
     pub fn assign(&mut self, x: Element, v: usize) -> bool {
         assert!(self.established, "assign before establish");
         assert!(
@@ -834,8 +833,7 @@ impl<'s> ProgramPropagator<'s> {
     }
 
     /// Enqueues every `A`-tuple through `e` not already queued, in
-    /// occurrence-list order — exactly the interpreted engine's
-    /// `enqueue_occurrences`.
+    /// occurrence-list order.
     fn enqueue_occurrences(&mut self, e: Element) {
         let l = self.layout;
         let a = self.a;
@@ -890,12 +888,12 @@ impl<'s> ProgramPropagator<'s> {
         true
     }
 
-    /// Revises one `A`-tuple against the compiled pools — exactly
-    /// [`Propagator`]'s `revise`, word-at-a-time: live witnesses by
-    /// union/intersection over the CSR support slabs (with the cached
-    /// projection fast path while every domain is still full), then
-    /// per-position removals `dom & !supported` trailed in ascending
-    /// order. Returns `false` if a domain emptied.
+    /// Revises one `A`-tuple against the compiled pools, word at a
+    /// time: live witnesses by union/intersection over the CSR support
+    /// slabs (with the cached projection fast path while every domain
+    /// is still full), then per-position removals `dom & !supported`
+    /// trailed in ascending order, enqueueing the tuples through any
+    /// element that shrank. Returns `false` if a domain emptied.
     ///
     /// Dispatches to the scalar specialization when both the domains
     /// and this relation's support sets fit one `u64` each — the
@@ -1150,42 +1148,6 @@ impl SavedPropState {
     }
 }
 
-impl<'s> PropagationEngine<'s> for ProgramPropagator<'s> {
-    fn left(&self) -> &'s Structure {
-        ProgramPropagator::left(self)
-    }
-    fn right(&self) -> &'s Structure {
-        ProgramPropagator::right(self)
-    }
-    fn establish(&mut self) -> bool {
-        ProgramPropagator::establish(self)
-    }
-    fn assign(&mut self, x: Element, v: usize) -> bool {
-        ProgramPropagator::assign(self, x, v)
-    }
-    fn undo(&mut self) {
-        ProgramPropagator::undo(self)
-    }
-    fn depth(&self) -> usize {
-        ProgramPropagator::depth(self)
-    }
-    fn deletions(&self) -> usize {
-        ProgramPropagator::deletions(self)
-    }
-    fn domain_size(&self, e: Element) -> usize {
-        ProgramPropagator::domain_size(self, e)
-    }
-    fn domain_values_into(&self, e: Element, out: &mut Vec<usize>) {
-        out.clear();
-        let l = self.layout;
-        let dom = &self.arena.words()[l.domains + e.index() * l.wb..][..l.wb];
-        cqcs_structures::arena::for_each_set_bit(dom, |v| out.push(v));
-    }
-    fn is_consistent(&self) -> bool {
-        ProgramPropagator::is_consistent(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1196,65 +1158,62 @@ mod tests {
         Arc::new(PropProgram::compile(b, &SupportIndex::build(b)))
     }
 
-    /// Drives both engines through establish and a full sweep of
-    /// single assigns with undo, asserting bit-identical observables
-    /// at every step.
-    fn assert_engines_agree(a: &Structure, b: &Structure, what: &str) {
-        let program = compile_for(b);
-        let mut fast = ProgramPropagator::new(a, b, program);
-        let mut slow = Propagator::new(a, b);
-        let ok = fast.establish();
-        assert_eq!(ok, slow.establish(), "{what}: establish verdict");
-        assert_eq!(fast.deletions(), slow.deletions(), "{what}: deletions");
-        assert_eq!(
-            fast.domains_vec(),
-            slow.domains().to_vec(),
-            "{what}: fixpoint domains"
-        );
+    /// Drives the engine through establish and a full sweep of single
+    /// assigns with undo against the reference scan: the verdict always;
+    /// the domains and deletion count whenever consistent (after an
+    /// assign, those of the reference refinement of the narrowed
+    /// domains); and an exact restore on every undo.
+    fn assert_matches_reference(a: &Structure, b: &Structure, what: &str) {
+        let mut p = ProgramPropagator::new(a, b, compile_for(b));
+        let full = vec![BitSet::full(b.universe()); a.universe()];
+        let reference = refine_domains_reference(a, b, full);
+        let ok = p.establish();
+        assert_eq!(ok, reference.consistent, "{what}: establish verdict");
         if !ok {
             return;
         }
+        assert_eq!(p.domains_vec(), reference.domains, "{what}: fixpoint");
+        assert_eq!(p.deletions(), reference.deletions, "{what}: deletions");
+        let base = p.domains_vec();
         for x in a.elements() {
-            let dom: Vec<usize> = slow.domain(x).iter().collect();
-            for v in dom {
-                assert_eq!(fast.assign(x, v), slow.assign(x, v), "{what} {x:?}:={v}");
-                assert_eq!(
-                    fast.deletions(),
-                    slow.deletions(),
-                    "{what} {x:?}:={v} deletions"
-                );
-                assert_eq!(
-                    fast.domains_vec(),
-                    slow.domains().to_vec(),
-                    "{what} {x:?}:={v} domains"
-                );
-                fast.undo();
-                slow.undo();
-                assert_eq!(
-                    fast.domains_vec(),
-                    slow.domains().to_vec(),
-                    "{what} {x:?}:={v} undo"
-                );
+            for v in base[x.index()].iter() {
+                let mut narrowed = base.clone();
+                narrowed[x.index()].clear();
+                narrowed[x.index()].insert(v);
+                let reference = refine_domains_reference(a, b, narrowed);
+                let before = p.deletions();
+                let ok = p.assign(x, v);
+                assert_eq!(ok, reference.consistent, "{what} {x:?}:={v}");
+                if ok {
+                    assert_eq!(p.domains_vec(), reference.domains, "{what} {x:?}:={v}");
+                    assert_eq!(
+                        p.deletions() - before,
+                        base[x.index()].len() - 1 + reference.deletions,
+                        "{what} {x:?}:={v} deletions"
+                    );
+                }
+                p.undo();
+                assert_eq!(p.domains_vec(), base, "{what} {x:?}:={v} undo");
             }
         }
-        assert_eq!(fast.depth(), 0);
+        assert_eq!(p.depth(), 0);
     }
 
     #[test]
-    fn establish_matches_interpreted_on_digraphs() {
+    fn establish_and_assign_match_reference_on_digraphs() {
         for seed in 0..30u64 {
             let a = generators::random_digraph(7, 0.3, seed);
             let b = generators::random_digraph(4, 0.3, seed + 500);
-            assert_engines_agree(&a, &b, &format!("seed {seed}"));
+            assert_matches_reference(&a, &b, &format!("seed {seed}"));
         }
     }
 
     #[test]
-    fn establish_matches_interpreted_on_mixed_arity() {
+    fn establish_and_assign_match_reference_on_mixed_arity() {
         for seed in 0..20u64 {
             let a = generators::random_structure(5, &[1, 2, 3], 8, seed);
             let b = generators::random_structure_over(a.vocabulary(), 3, 9, seed + 70);
-            assert_engines_agree(&a, &b, &format!("mixed seed {seed}"));
+            assert_matches_reference(&a, &b, &format!("mixed seed {seed}"));
         }
     }
 
@@ -1315,7 +1274,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_ary_wipeout_matches_interpreted() {
+    fn zero_ary_wipeout() {
         use cqcs_structures::{StructureBuilder, Vocabulary};
         let voc = Vocabulary::from_symbols([("S", 0), ("E", 2)])
             .unwrap()
@@ -1576,12 +1535,77 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different vocabularies")]
+    fn reset_for_instance_rejects_vocabulary_mismatch() {
+        let b = generators::complete_graph(3);
+        let a = generators::random_graph_nm(4, 5, 0);
+        let mut p = ProgramPropagator::new(&a, &b, compile_for(&b));
+        let other = generators::random_structure(3, &[3], 2, 0);
+        p.reset_for_instance(&other);
+    }
+
+    #[test]
+    #[should_panic(expected = "different vocabularies")]
+    fn apply_delta_rejects_vocabulary_mismatch() {
+        let b = generators::complete_graph(3);
+        let a = generators::random_graph_nm(4, 5, 0);
+        let mut p = ProgramPropagator::new(&a, &b, compile_for(&b));
+        p.establish();
+        let other = generators::random_structure(3, &[3], 2, 0);
+        let d = StructureDelta::new(&other);
+        p.apply_delta(&other, &d);
+    }
+
+    #[test]
+    fn elements_outside_a_panic() {
+        // Every accessor, `assign` and `restrict_domains` must reject an
+        // element past |A| instead of reading a neighbouring arena
+        // region.
+        let a = generators::random_graph_nm(4, 5, 0);
+        let b = generators::complete_graph(3);
+        let program = compile_for(&b);
+        let outside = Element(4);
+        type Probe = fn(&mut ProgramPropagator<'_>, Element);
+        let probes: [(&str, Probe); 5] = [
+            ("domain_size", |p, e| {
+                p.domain_size(e);
+            }),
+            ("domain_contains", |p, e| {
+                p.domain_contains(e, 0);
+            }),
+            ("domain_bitset", |p, e| {
+                p.domain_bitset(e);
+            }),
+            ("domain_values_into", |p, e| {
+                p.domain_values_into(e, &mut Vec::new());
+            }),
+            ("assign", |p, e| {
+                p.assign(e, 0);
+            }),
+        ];
+        for (what, probe) in probes {
+            let mut p = ProgramPropagator::new(&a, &b, Arc::clone(&program));
+            assert!(p.establish());
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe(&mut p, outside)));
+            assert!(caught.is_err(), "{what} accepted {outside:?}");
+            assert_eq!(p.depth(), 0, "{what} opened a frame");
+        }
+        let mut p = ProgramPropagator::new(&a, &b, program);
+        let one_too_many = vec![BitSet::full(3); a.universe() + 1];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.restrict_domains(&one_too_many)
+        }));
+        assert!(caught.is_err(), "restrict_domains accepted a set past |A|");
+    }
+
+    #[test]
     fn large_template_crosses_word_boundaries() {
         // |B| = 70 forces two domain words; many B-tuples force
         // multi-word support sets.
         let a = generators::random_digraph(9, 0.4, 3);
         let b = generators::random_digraph(70, 0.05, 4);
-        assert_engines_agree(&a, &b, "70-element template");
+        assert_matches_reference(&a, &b, "70-element template");
     }
 
     #[test]
@@ -1589,10 +1613,6 @@ mod tests {
         let voc = generators::digraph_vocabulary();
         let b = cqcs_structures::StructureBuilder::new(voc, 0).finish();
         let a = generators::random_digraph(3, 0.5, 9);
-        let program = compile_for(&b);
-        let mut p = ProgramPropagator::new(&a, &b, program);
-        let mut slow = Propagator::new(&a, &b);
-        assert_eq!(p.establish(), slow.establish());
-        assert_eq!(p.deletions(), slow.deletions());
+        assert_matches_reference(&a, &b, "empty template universe");
     }
 }

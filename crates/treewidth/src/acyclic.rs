@@ -2,8 +2,8 @@
 //! evaluation.
 //!
 //! Queries of width 1 are exactly the acyclic queries (paper §1), the
-//! lineage running from Yannakakis [Yan81] through Chekuri–Rajaraman
-//! [CR97]. The hypergraph of a structure has one hyperedge per tuple
+//! lineage running from Yannakakis \[Yan81\] through Chekuri–Rajaraman
+//! \[CR97\]. The hypergraph of a structure has one hyperedge per tuple
 //! (its set of elements); GYO reduction (remove isolated "ear" vertices,
 //! remove hyperedges contained in others) empties the hypergraph iff it
 //! is α-acyclic, and the containment steps yield a join tree. One

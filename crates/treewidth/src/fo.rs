@@ -8,7 +8,7 @@
 //! leaving scope free theirs for reuse — exactly the paper's
 //! parse-tree/glueing argument. Evaluating the resulting formula
 //! bottom-up with relations over at most `k+1` columns is polynomial in
-//! combined complexity [Var95], which is the alternative proof of
+//! combined complexity \[Var95\], which is the alternative proof of
 //! Theorem 5.4 this module demonstrates (and tests cross-check against
 //! [`crate::dp`]).
 

@@ -70,18 +70,18 @@ if echo "$e15" | grep -qE '\| false \|'; then
   exit 1
 fi
 
-# E16 pins the compiled propagation engine to the interpreted
-# reference: every row's `identical` column must hold (witnesses and
-# full search statistics compared bit for bit between the compiled
-# ProgramPropagator — arena reused and fresh — and the interpreted
-# Propagator on the same MRV+MAC search).
+# E16 pins arena reuse in the compiled propagation engine: every row's
+# `identical` column must hold (witnesses and full search statistics of
+# the same MRV+MAC search compared bit for bit between a fresh engine
+# and arena per instance and one engine whose arena is reused across
+# the batch).
 if ! grep -q '^## E16' "$regen"; then
   echo "E16 compiled-propagation table is missing." >&2
   exit 1
 fi
 e16="$(sed -n '/^## E16/,/^## /p' "$regen")"
 if echo "$e16" | grep -qE '\| false \|'; then
-  echo "E16 reports a compiled/interpreted divergence:" >&2
+  echo "E16 reports a fresh-arena/reused-arena divergence:" >&2
   echo "$e16" | grep -E '\| false \|' >&2
   exit 1
 fi

@@ -5,10 +5,10 @@ use cqcs::boolean::relation::BooleanRelation;
 use cqcs::boolean::schaefer;
 use cqcs::core::{backtracking_search, solve, SearchOptions, Session, Strategy as SolveStrategy};
 use cqcs::pebble::consistency::{arc_consistent_domains, refine_domains, refine_domains_reference};
-use cqcs::pebble::propagator::Propagator;
+use cqcs::pebble::program::{ProgramPropagator, PropProgram};
 use cqcs::structures::homomorphism::{find_homomorphism, homomorphism_exists};
 use cqcs::structures::product::{direct_product, projections};
-use cqcs::structures::{generators, is_homomorphism, BitSet};
+use cqcs::structures::{generators, is_homomorphism, BitSet, Element, SupportIndex};
 use cqcs::treewidth::bb::{bb_treewidth, elimination_width};
 use cqcs::treewidth::dp::{
     solve_with_decomposition, solve_with_decomposition_pooled, solve_with_decomposition_reference,
@@ -224,45 +224,43 @@ proptest! {
         }
     }
 
-    /// Incremental `assign`/`undo` on the propagator reaches exactly
-    /// the fixpoint a from-scratch refinement of the narrowed domains
-    /// reaches, and `undo` restores the previous state bit for bit.
+    /// Incremental `assign`/`undo` on the compiled engine agrees with
+    /// the from-scratch reference refinement on random mixed-arity
+    /// instances: `establish` lands on the reference fixpoint; each
+    /// `assign` reaches the reference refinement of the narrowed domains
+    /// (the verdict always, the domains and deletion count when
+    /// consistent); and every `undo`, immediate or unwound at the end,
+    /// restores the previous domains bit for bit at the right depth.
+    /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
     fn propagator_assign_undo_is_exact(
         (a, b) in mixed_arity_pair(4, 3, 6),
-        picks in proptest::collection::vec((0usize..8, 0usize..8), 1..4),
+        picks in proptest::collection::vec((0usize..8, 0usize..8, any::<bool>()), 0..5),
     ) {
-        let mut prop = Propagator::new(&a, &b);
-        if !prop.establish() {
+        let mut prop = ProgramPropagator::new(&a, &b, compile_for(&b));
+        if !establish_matches_reference(&mut prop)? {
             return Ok(());
         }
-        let mut snapshots: Vec<Vec<BitSet>> = vec![prop.domains().to_vec()];
-        for (xe, vv) in picks {
-            let x = cqcs::structures::Element::new(xe % a.universe());
-            let dom = prop.domain(x);
-            if dom.is_empty() {
-                break;
-            }
-            let v = dom.iter().nth(vv % dom.len()).unwrap();
-            // From-scratch reference on the same narrowing.
-            let mut narrowed = prop.domains().to_vec();
-            narrowed[x.index()].clear();
-            narrowed[x.index()].insert(v);
-            let reference = refine_domains_reference(&a, &b, narrowed);
-            let ok = prop.assign(x, v);
-            prop_assert_eq!(ok, reference.consistent);
-            if !ok {
+        // snapshots[d] holds the domains at depth d.
+        let mut snapshots: Vec<Vec<BitSet>> = vec![prop.domains_vec()];
+        for (xe, vv, undo_now) in picks {
+            let x = Element::new(xe % a.universe());
+            let ok = assign_matches_reference(&mut prop, x, vv)?;
+            prop_assert_eq!(prop.depth(), snapshots.len());
+            if !ok || undo_now {
                 prop.undo();
-                prop_assert_eq!(prop.domains(), &snapshots.last().unwrap()[..]);
-                continue;
+                prop_assert_eq!(prop.depth(), snapshots.len() - 1);
+                prop_assert_eq!(&prop.domains_vec(), snapshots.last().unwrap());
+            } else {
+                snapshots.push(prop.domains_vec());
             }
-            prop_assert_eq!(prop.domains(), &reference.domains[..]);
-            snapshots.push(prop.domains().to_vec());
         }
         while prop.depth() > 0 {
             prop.undo();
+            snapshots.pop();
+            prop_assert_eq!(&prop.domains_vec(), snapshots.last().unwrap());
         }
-        prop_assert_eq!(prop.domains(), &snapshots[0][..]);
+        prop_assert_eq!(&prop.domains_vec(), &snapshots[0]);
     }
 
     /// All eight `SearchOptions` combinations agree with the reference
@@ -555,147 +553,64 @@ proptest! {
         }
     }
 
-    /// The compiled engine is bit-identical to the interpreted
-    /// reference spec and the from-scratch reference refinement on
-    /// random mixed-arity templates: establishment verdict, domains,
-    /// deletion count, and open-frame depth agree after `establish` and
-    /// after arbitrary `assign`/`undo` round-trips (including failed
-    /// assigns, where even the partially pruned domains must match,
-    /// because the compiled engine replays the interpreted pruning
-    /// order exactly). Stress-runnable via `PROPTEST_CASES=5000`.
-    #[test]
-    fn compiled_engine_matches_interpreted_and_reference(
-        (a, b) in mixed_arity_pair(4, 3, 6),
-        picks in proptest::collection::vec((0usize..8, 0usize..8, any::<bool>()), 0..5),
-    ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::SupportIndex;
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
-        let mut interp = Propagator::new(&a, &b);
-        let mut comp = ProgramPropagator::new(&a, &b, std::sync::Arc::clone(&program));
-        let ok = interp.establish();
-        prop_assert_eq!(comp.establish(), ok);
-        prop_assert_eq!(comp.deletions(), interp.deletions());
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-        if ok {
-            // Both engines sit on the reference fixpoint.
-            let full = vec![BitSet::full(b.universe()); a.universe()];
-            let reference = refine_domains_reference(&a, &b, full);
-            prop_assert!(reference.consistent);
-            prop_assert_eq!(&comp.domains_vec()[..], &reference.domains[..]);
-        }
-        for (xe, vv, undo_now) in picks {
-            if !ok || !interp.is_consistent() {
-                break;
-            }
-            let x = cqcs::structures::Element::new(xe % a.universe());
-            let dom = interp.domain(x);
-            if dom.is_empty() {
-                break;
-            }
-            let v = dom.iter().nth(vv % dom.len()).unwrap();
-            let ok_i = interp.assign(x, v);
-            prop_assert_eq!(comp.assign(x, v), ok_i);
-            prop_assert_eq!(comp.deletions(), interp.deletions());
-            prop_assert_eq!(comp.depth(), interp.depth());
-            prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-            if !ok_i || undo_now {
-                interp.undo();
-                comp.undo();
-                prop_assert_eq!(comp.depth(), interp.depth());
-                prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-            }
-        }
-        while interp.depth() > 0 {
-            interp.undo();
-            comp.undo();
-        }
-        prop_assert_eq!(comp.depth(), 0);
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-    }
-
-    /// Same equivalence on templates past the single-word regime
-    /// (universe > 64, often > 64 tuples per relation), forcing the
-    /// compiled engine's multi-word kernels rather than its scalar
-    /// specialization. Stress-runnable via `PROPTEST_CASES=5000`.
+    /// The compiled engine agrees with the reference refinement on
+    /// templates past the single-word regime (universe > 64, often > 64
+    /// tuples per relation), forcing its multi-word kernels rather than
+    /// its scalar specialization: the establish fixpoint, every assign
+    /// along a random path, and the exact restore after unwinding.
+    /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
     fn compiled_engine_matches_interpreted_wide(
         a in digraph(6, 12),
         b in wide_digraph(),
         picks in proptest::collection::vec((0usize..8, 0usize..8), 0..3),
     ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::SupportIndex;
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
-        let mut interp = Propagator::new(&a, &b);
-        let mut comp = ProgramPropagator::new(&a, &b, std::sync::Arc::clone(&program));
-        let ok = interp.establish();
-        prop_assert_eq!(comp.establish(), ok);
-        prop_assert_eq!(comp.deletions(), interp.deletions());
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-        for (xe, vv) in picks {
-            if !ok || !interp.is_consistent() {
-                break;
-            }
-            let x = cqcs::structures::Element::new(xe % a.universe());
-            let dom = interp.domain(x);
-            if dom.is_empty() {
-                break;
-            }
-            let v = dom.iter().nth(vv % dom.len()).unwrap();
-            prop_assert_eq!(comp.assign(x, v), interp.assign(x, v));
-            prop_assert_eq!(comp.deletions(), interp.deletions());
-            prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
+        let mut comp = ProgramPropagator::new(&a, &b, compile_for(&b));
+        if !establish_matches_reference(&mut comp)? {
+            return Ok(());
         }
-        while interp.depth() > 0 {
-            interp.undo();
+        let base = comp.domains_vec();
+        for (xe, vv) in picks {
+            let x = Element::new(xe % a.universe());
+            if !assign_matches_reference(&mut comp, x, vv)? {
+                break;
+            }
+        }
+        while comp.depth() > 0 {
             comp.undo();
         }
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
+        prop_assert_eq!(comp.domains_vec(), base);
     }
 
     /// `apply_delta` is a drop-in for a fresh bind on the post-delta
-    /// instance, for both propagation engines, under arbitrary
-    /// add/retract streams on mixed-arity instances: same establish
-    /// verdict after every step, and whenever consistent the same
-    /// fixpoint domains and deletion count (the repaired trail is the
-    /// fixpoint's complement, so equal domains pin the trail as a
-    /// set). Covers both the incremental repair and the
-    /// too-large-delta / wipeout fallback paths, whichever the
-    /// admission rules pick. Stress-runnable via `PROPTEST_CASES=5000`.
+    /// instance under arbitrary add/retract streams on mixed-arity
+    /// instances: after every step the engine reports the same verdict,
+    /// fixpoint (or partial wipeout) domains and deletion count as a
+    /// freshly bound, freshly established engine, at depth 0. Covers
+    /// both the incremental repair and the too-large-delta / wipeout
+    /// fallback paths, whichever the admission rules pick.
+    /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
     fn apply_delta_matches_fresh_bind_on_both_engines(
         (b, na, script) in delta_stream(4, 4, 5),
     ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::SupportIndex;
         let (structures, deltas) = materialize_stream(na, &script);
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
-        let mut interp = Propagator::new(&structures[0], &b);
+        let program = compile_for(&b);
         let mut comp = ProgramPropagator::new(&structures[0], &b, std::sync::Arc::clone(&program));
-        interp.establish();
         comp.establish();
         for (delta, post) in deltas.iter().zip(&structures[1..]) {
-            let ok_i = interp.apply_delta(post, delta);
-            let ok_c = comp.apply_delta(post, delta);
-            let mut fresh = Propagator::new(post, &b);
-            let ok_f = fresh.establish();
-            prop_assert_eq!(ok_i, ok_f, "interpreted verdict");
-            prop_assert_eq!(ok_c, ok_f, "compiled verdict");
-            if ok_f {
-                prop_assert_eq!(interp.domains(), fresh.domains(), "interpreted domains");
-                prop_assert_eq!(&comp.domains_vec()[..], fresh.domains(), "compiled domains");
-                prop_assert_eq!(interp.deletions(), fresh.deletions(), "interpreted deletions");
-                prop_assert_eq!(comp.deletions(), fresh.deletions(), "compiled deletions");
-            }
-            prop_assert_eq!(interp.depth(), 0);
+            let ok = comp.apply_delta(post, delta);
+            let mut fresh = ProgramPropagator::new(post, &b, std::sync::Arc::clone(&program));
+            prop_assert_eq!(ok, fresh.establish(), "verdict");
+            prop_assert_eq!(comp.domains_vec(), fresh.domains_vec(), "domains");
+            prop_assert_eq!(comp.deletions(), fresh.deletions(), "deletions");
             prop_assert_eq!(comp.depth(), 0);
         }
     }
 
     /// The same pin on a wide template (universe > 64, multi-word
-    /// kernels in the compiled engine) under an additive-then-churning
-    /// digraph stream. Stress-runnable via `PROPTEST_CASES=5000`.
+    /// kernels) under an additive-then-churning digraph stream.
+    /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
     fn apply_delta_matches_fresh_bind_wide_template(
         b in wide_digraph(),
@@ -704,8 +619,7 @@ proptest! {
             proptest::collection::vec((0u32..6, 0u32..6), 1..=3), 1..=6,
         ),
     ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::{StructureDelta, SupportIndex};
+        use cqcs::structures::StructureDelta;
         let voc = generators::digraph_vocabulary();
         let mut facts: HashSet<Vec<u32>> = HashSet::new();
         let build = |facts: &HashSet<Vec<u32>>| {
@@ -727,19 +641,16 @@ proptest! {
             }
             structures.push(build(&facts));
         }
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
+        let program = compile_for(&b);
         let mut comp = ProgramPropagator::new(&structures[0], &b, std::sync::Arc::clone(&program));
         comp.establish();
         for w in structures.windows(2) {
             let delta = StructureDelta::between(&w[0], &w[1]).unwrap();
-            let ok_c = comp.apply_delta(&w[1], &delta);
-            let mut fresh = Propagator::new(&w[1], &b);
-            let ok_f = fresh.establish();
-            prop_assert_eq!(ok_c, ok_f, "wide verdict");
-            if ok_f {
-                prop_assert_eq!(&comp.domains_vec()[..], fresh.domains(), "wide domains");
-                prop_assert_eq!(comp.deletions(), fresh.deletions(), "wide deletions");
-            }
+            let ok = comp.apply_delta(&w[1], &delta);
+            let mut fresh = ProgramPropagator::new(&w[1], &b, std::sync::Arc::clone(&program));
+            prop_assert_eq!(ok, fresh.establish(), "wide verdict");
+            prop_assert_eq!(comp.domains_vec(), fresh.domains_vec(), "wide domains");
+            prop_assert_eq!(comp.deletions(), fresh.deletions(), "wide deletions");
         }
     }
 
@@ -960,12 +871,67 @@ fn forest_digraph(edges: &[(u32, bool)]) -> cqcs::structures::Structure {
     b.finish()
 }
 
+/// The template's propagation program, compiled from a fresh index.
+fn compile_for(b: &cqcs::structures::Structure) -> std::sync::Arc<PropProgram> {
+    std::sync::Arc::new(PropProgram::compile(b, &SupportIndex::build(b)))
+}
+
+/// Establishes `prop` and checks it against the reference fixpoint from
+/// full domains: the verdict always, the domains and deletion count
+/// when consistent. Returns the verdict.
+fn establish_matches_reference(prop: &mut ProgramPropagator<'_>) -> Result<bool, TestCaseError> {
+    let (a, b) = (prop.left(), prop.right());
+    let full = vec![BitSet::full(b.universe()); a.universe()];
+    let reference = refine_domains_reference(a, b, full);
+    let ok = prop.establish();
+    prop_assert_eq!(ok, reference.consistent, "establish verdict");
+    if ok {
+        prop_assert_eq!(prop.domains_vec(), reference.domains, "fixpoint");
+        prop_assert_eq!(prop.deletions(), reference.deletions, "deletions");
+    }
+    Ok(ok)
+}
+
+/// Assigns `x` its `pick`-th live value (mod the domain size) and checks
+/// the result against the reference refinement of the narrowed domains:
+/// the verdict always; when consistent, the domains and the deletion
+/// count, which is the narrowing itself plus the reference's
+/// deletions. Returns the verdict, leaving the frame open.
+fn assign_matches_reference(
+    prop: &mut ProgramPropagator<'_>,
+    x: Element,
+    pick: usize,
+) -> Result<bool, TestCaseError> {
+    let (a, b) = (prop.left(), prop.right());
+    let mut dom = Vec::new();
+    prop.domain_values_into(x, &mut dom);
+    let v = dom[pick % dom.len()];
+    let mut narrowed = prop.domains_vec();
+    narrowed[x.index()].clear();
+    narrowed[x.index()].insert(v);
+    let reference = refine_domains_reference(a, b, narrowed);
+    let before = prop.deletions();
+    let ok = prop.assign(x, v);
+    prop_assert_eq!(ok, reference.consistent, "{:?}:={} verdict", x, v);
+    if ok {
+        prop_assert_eq!(prop.domains_vec(), reference.domains, "{:?}:={}", x, v);
+        prop_assert_eq!(
+            prop.deletions() - before,
+            dom.len() - 1 + reference.deletions,
+            "{:?}:={} deletions",
+            x,
+            v
+        );
+    }
+    Ok(ok)
+}
+
 /// One compiled template never rebuilds its support index: across a
-/// batch of session solves on every route that touches propagation
-/// (the Auto dispatcher's AC prefilter, Generic MAC/AC searches, and
-/// index-free Generic searches), the per-thread build counter moves
-/// exactly once. Guards the regression where the interpreted engine and
-/// the compiled program each lowered their own index for the same `B`.
+/// batch of session solves on every route that runs the propagation
+/// engine (the Auto dispatcher's AC prefilter, Generic MAC/AC searches,
+/// and plain Generic searches, which share the session's program
+/// without establishing it), the per-thread build counter moves exactly
+/// once.
 #[test]
 fn support_index_built_once_per_template() {
     use cqcs::structures::support_builds_on_this_thread;
@@ -986,7 +952,7 @@ fn support_index_built_once_per_template() {
                 ac_preprocess: true,
             }),
         );
-        // The index-free search route must not build an index at all.
+        // A plain search reuses the session's program, never a new one.
         let _ = session.solve_with(
             a,
             SolveStrategy::Generic(SearchOptions {
