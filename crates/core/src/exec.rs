@@ -28,6 +28,19 @@
 //!   `threads = 1`, which is why the sequential
 //!   [`Session::solve_batch`](crate::Session::solve_batch) runs on the
 //!   same worker loop.
+//! * The borrow-free half of that scratch — the engine's arena, the
+//!   search buffers, the GYO buffers and the DP tables — also
+//!   **outlives its batch**: it sits in a per-thread pool that the
+//!   inline worker (`threads ≤ 1`, the path every server batch takes)
+//!   and [`Session::solve_with`](crate::Session::solve_with) take on
+//!   entry and hand back on exit. A long-lived thread — a server shard,
+//!   a caller's solve loop — pays for its scratch once, not once per
+//!   batch or per call. The pool keeps the thread's high-water mark
+//!   (the largest instance it has solved); peak memory does not change,
+//!   since the batch that reached the mark already held it. A panic
+//!   mid-solve drops the scratch and leaves the pool empty, and the
+//!   scoped workers of a parallel batch start empty, as before. Reuse is
+//!   invisible: every buffer is re-dimensioned per instance.
 //! * Results are written into pre-sized output slots, so the returned
 //!   vector is in input order and **bit-identical** to the sequential
 //!   batch — verdicts, routes, witnesses, and search statistics never
@@ -58,11 +71,28 @@ use crate::session::{solve_on_template, CompiledTemplate};
 use crate::solvers::backtracking::{SearchScratch, SearchStats};
 use crate::solvers::dispatch::{Solution, SolveError, Strategy};
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
-use cqcs_structures::{Structure, WorkStealQueue};
+use cqcs_structures::{PropArena, Structure, WorkStealQueue};
 use cqcs_treewidth::acyclic::GyoScratch;
 use cqcs_treewidth::dp::DpScratch;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::Arc;
+
+/// The borrow-free half of a [`WorkerScratch`]: everything that holds
+/// no reference to a template or an instance, so it can outlive them.
+#[derive(Debug, Default)]
+struct Buffers {
+    /// The engine's arena, recycled into the next engine built.
+    arena: PropArena,
+    search: SearchScratch,
+    gyo: GyoScratch,
+    dp: DpScratch,
+}
+
+std::thread_local! {
+    /// This thread's pooled buffers, between [`WorkerScratch::pooled`]
+    /// and [`WorkerScratch::release`].
+    static POOL: Cell<Option<Buffers>> = const { Cell::new(None) };
+}
 
 /// Per-worker state that persists across the instances a worker drains
 /// from the queue: the compiled propagation engine and its arena
@@ -79,9 +109,9 @@ pub(crate) struct WorkerScratch<'s> {
     /// this worker's arena. Plain searches (no MAC/AC) never establish
     /// it and read its full domains.
     prog: Option<ProgramPropagator<'s>>,
-    search: SearchScratch,
-    gyo: GyoScratch,
-    dp: DpScratch,
+    /// The pooled buffers; `arena` is the spare the first engine is
+    /// built on (afterwards the engine owns the arena).
+    bufs: Buffers,
     stats: SearchStats,
 }
 
@@ -89,6 +119,27 @@ impl<'s> WorkerScratch<'s> {
     /// Creates an empty scratch (all pools start unallocated).
     pub(crate) fn new() -> Self {
         WorkerScratch::default()
+    }
+
+    /// A scratch on this thread's pooled buffers (empty ones if the
+    /// pool is empty). Hand it back with
+    /// [`release`](WorkerScratch::release).
+    pub(crate) fn pooled() -> Self {
+        WorkerScratch {
+            bufs: POOL.take().unwrap_or_default(),
+            ..WorkerScratch::default()
+        }
+    }
+
+    /// Returns the buffers to this thread's pool, recovering the arena
+    /// from the engine, and yields the accumulated statistics.
+    pub(crate) fn release(self) -> SearchStats {
+        let mut bufs = self.bufs;
+        if let Some(prog) = self.prog {
+            bufs.arena = prog.into_arena();
+        }
+        POOL.set(Some(bufs));
+        self.stats
     }
 
     /// The statistics accumulated so far across every solution this
@@ -106,12 +157,12 @@ impl<'s> WorkerScratch<'s> {
 
     /// The pooled GYO buffers.
     pub(crate) fn gyo(&mut self) -> &mut GyoScratch {
-        &mut self.gyo
+        &mut self.bufs.gyo
     }
 
     /// The pooled treewidth-DP tables.
     pub(crate) fn dp(&mut self) -> &mut DpScratch {
-        &mut self.dp
+        &mut self.bufs.dp
     }
 
     /// The compiled engine rebound to instance `a`, plus the pooled
@@ -120,8 +171,8 @@ impl<'s> WorkerScratch<'s> {
     /// Reuses the retained engine — arena included — whenever it
     /// already runs this exact program (`Arc::ptr_eq`);
     /// otherwise builds one on the new program, recycling the retired
-    /// engine's arena so the worker's allocation survives template
-    /// switches.
+    /// engine's arena (or the pooled spare) so the worker's allocation
+    /// survives template switches.
     pub(crate) fn compiled_engine(
         &mut self,
         a: &'s Structure,
@@ -135,10 +186,10 @@ impl<'s> WorkerScratch<'s> {
         match &mut self.prog {
             Some(p) if Arc::ptr_eq(p.program(), program) => p.reset_for_instance(a),
             slot => {
-                let arena = slot
-                    .take()
-                    .map(ProgramPropagator::into_arena)
-                    .unwrap_or_default();
+                let arena = match slot.take() {
+                    Some(retired) => retired.into_arena(),
+                    None => std::mem::take(&mut self.bufs.arena),
+                };
                 *slot = Some(ProgramPropagator::with_arena(
                     a,
                     b,
@@ -149,8 +200,8 @@ impl<'s> WorkerScratch<'s> {
         }
         (
             self.prog.as_mut().expect("engine just ensured"),
-            &mut self.search,
-            &mut self.dp,
+            &mut self.bufs.search,
+            &mut self.bufs.dp,
         )
     }
 }
@@ -164,12 +215,13 @@ fn chunk_size(total: usize, threads: usize) -> usize {
 
 /// A reusable parallel batch driver over a fixed thread count.
 ///
-/// The executor itself is stateless between batches (worker scratches
-/// live for one batch), so one executor can serve any number of batches
-/// and templates; construction is free. `threads = 1` runs the worker
-/// loop inline on the caller's thread — no spawn, same scratch reuse —
-/// so a single-threaded executor is never slower than a hand-written
-/// sequential loop.
+/// The executor itself is stateless between batches, so one executor
+/// can serve any number of batches and templates; construction is free.
+/// `threads = 1` runs the worker loop inline on the caller's thread — no
+/// spawn, same scratch reuse, on the thread's pooled buffers (see the
+/// [module docs](self)) — so a single-threaded executor is never slower
+/// than a hand-written sequential loop. Spawned workers of a parallel
+/// batch start with empty scratches that live for that batch.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchExecutor {
     threads: usize,
@@ -263,8 +315,9 @@ impl BatchExecutor {
         let total = instances.len();
         let threads = self.threads.min(total.max(1));
         if threads <= 1 {
-            // Inline worker: same scratch reuse, no spawn overhead.
-            let mut scratch = WorkerScratch::new();
+            // Inline worker: same scratch reuse, no spawn overhead, and
+            // the thread's pooled buffers instead of fresh ones.
+            let mut scratch = WorkerScratch::pooled();
             let mut out = Vec::with_capacity(total);
             for a in instances {
                 let result = solve_on_template(template, a, strategy, &mut scratch);
@@ -273,7 +326,7 @@ impl BatchExecutor {
                 }
                 out.push(result);
             }
-            return (out, scratch.stats());
+            return (out, scratch.release());
         }
         let queue = WorkStealQueue::new(total, threads, chunk_size(total, threads));
         let slots = Slots::new(total);

@@ -15,7 +15,15 @@
 //! fields are `OnceLock`s) and `Sync`, so one compiled template can be
 //! shared across threads or shards via `Arc`; a `Session` is a cheap
 //! handle holding such an `Arc`. All per-solve state (propagator
-//! domains, trails, search stacks) lives inside the solve call.
+//! domains, trails, search stacks) belongs to the solve call, but its
+//! buffers do not have to be allocated per call:
+//! [`Session::solve_with`] and the sequential batch take the calling
+//! thread's pooled scratch on entry and hand it back on exit (see
+//! [`crate::exec`]), so a thread that solves many instances allocates
+//! its arena, search stacks, GYO buffers and DP tables once. The pool
+//! holds only buffers, never a template or an instance, and every buffer
+//! is re-dimensioned per instance, so results do not depend on what the
+//! thread solved before.
 //!
 //! Routing is **identical** to the one-shot dispatcher —
 //! [`solve`](crate::solve) runs the same routing core against the
@@ -217,25 +225,30 @@ impl Session {
     }
 
     /// Solves `hom(a → B)` with an explicit strategy — equivalent to
-    /// [`solve`](crate::solve) with the same strategy.
+    /// [`solve`](crate::solve) with the same strategy. Runs on the
+    /// calling thread's pooled scratch, so back-to-back calls reuse one
+    /// set of buffers (a panic drops them and leaves the pool empty).
     ///
     /// # Panics
     /// Panics if `a` is over a different vocabulary than the template.
     pub fn solve_with(&self, a: &Structure, strategy: Strategy) -> Result<Solution, SolveError> {
-        let mut scratch = WorkerScratch::new();
-        solve_on(
+        let mut scratch = WorkerScratch::pooled();
+        let result = solve_on(
             &self.template.b,
             &self.template.facts,
             a,
             strategy,
             &mut scratch,
-        )
+        );
+        scratch.release();
+        result
     }
 
     /// Solves a batch of instances against the template, in order, on
-    /// one worker scratch — the propagator, search buffers, and GYO
-    /// bitsets are reset per instance instead of reallocated, so the
-    /// allocation profile stays flat across the stream. Output is
+    /// the calling thread's pooled worker scratch — the propagator,
+    /// search buffers, and GYO bitsets are reset per instance instead of
+    /// reallocated, so the allocation profile stays flat across the
+    /// stream and across batches. Output is
     /// bit-identical to per-instance [`solve`](Session::solve) calls
     /// (pinned by experiment E14 in CI).
     ///
@@ -306,9 +319,10 @@ pub(crate) fn solve_on_template<'s>(
 
 /// Routing core shared by [`Session`], the one-shot wrapper, and the
 /// batch executor's workers. All per-solve mutable state comes from
-/// `scratch`; a fresh scratch reproduces the allocation-per-call
-/// behaviour, a worker's long-lived scratch amortizes it across a
-/// stream — the results are bit-identical either way.
+/// `scratch`; a fresh scratch (the one-shot wrapper, a parallel
+/// batch's spawned workers) allocates per call or per batch, a pooled
+/// or long-lived one amortizes that across a stream — the results are
+/// bit-identical either way.
 ///
 /// # Panics
 /// Panics if the structures are over different vocabularies.

@@ -35,7 +35,8 @@
 //! decoded values themselves — and **never panics** on malformed input:
 //! truncated buffers, oversized length prefixes, wrong versions, unknown
 //! kinds, hostile universe claims (a tiny frame declaring billions of
-//! elements — see [`MAX_UNIVERSE`]), and semantically invalid structures
+//! elements, or a batch of instances whose universes add up to that —
+//! see [`MAX_UNIVERSE`], a per-request cap), and semantically invalid structures
 //! (bad arities, elements out of range, duplicate symbols) all surface
 //! as [`DecodeError`]s. The codec property suite mutates valid frames
 //! byte-by-byte to pin this. Encoding is fallible the other way: a
@@ -81,13 +82,17 @@ pub const MAX_SHARDS: usize = 1024;
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// Upper bound on an encoded relation-symbol name.
 pub const MAX_NAME_LEN: usize = 4096;
-/// Upper bound on a decoded structure's universe (and on a decoded
-/// witness map's length). The universe is a client-claimed count, not
-/// backed byte-for-byte by the payload — materializing a structure
-/// allocates per-element bookkeeping, so an unbounded claim (a ~30-byte
-/// frame declaring `u32::MAX` elements) would be a remote-allocation
-/// DoS. Claims beyond this bound are rejected with
-/// [`DecodeError::Oversized`] before any allocation happens.
+/// Upper bound on the universe of a decoded request's structures,
+/// summed over the request (and on a decoded witness map's length).
+/// The universe is a client-claimed count, not backed byte-for-byte by
+/// the payload — materializing a structure allocates per-element
+/// bookkeeping (a few words per element, independent of the arities),
+/// so an unbounded claim (a ~30-byte frame declaring `u32::MAX`
+/// elements) would be a remote-allocation DoS. A `SolveBatch` shares
+/// one allowance across its instances, so a batch cannot multiply the
+/// bound by its instance count. A claim that takes the request's total
+/// past this bound is rejected with [`DecodeError::Oversized`] (carrying
+/// that total) before the structure is built.
 pub const MAX_UNIVERSE: u32 = 1 << 20;
 /// High bit of the correlation id, set by clients on **retry** sends of
 /// an idempotent request. The server echoes ids verbatim (the bit does
@@ -480,7 +485,13 @@ fn encode_structure(out: &mut Vec<u8>, s: &Structure) {
     }
 }
 
-fn decode_structure(r: &mut Reader<'_>) -> Result<Structure, DecodeError> {
+/// Decodes one structure of a request, adding its universe to
+/// `universe_total`, the request's running sum, which must stay within
+/// [`MAX_UNIVERSE`].
+fn decode_structure(
+    r: &mut Reader<'_>,
+    universe_total: &mut u64,
+) -> Result<Structure, DecodeError> {
     let nrels = r.u16()? as usize;
     let mut voc = Vocabulary::new();
     for _ in 0..nrels {
@@ -503,11 +514,12 @@ fn decode_structure(r: &mut Reader<'_>) -> Result<Structure, DecodeError> {
     }
     let voc = voc.into_shared();
     let universe_claim = r.u32()?;
-    if universe_claim > MAX_UNIVERSE {
+    *universe_total += u64::from(universe_claim);
+    if *universe_total > u64::from(MAX_UNIVERSE) {
         // The universe is a bare count, not backed by payload bytes;
         // materializing it allocates per-element, so an unbounded claim
         // is a remote-allocation DoS. Reject before the builder exists.
-        return Err(DecodeError::Oversized(u64::from(universe_claim)));
+        return Err(DecodeError::Oversized(*universe_total));
     }
     let universe = universe_claim as usize;
     let mut builder = StructureBuilder::new(std::sync::Arc::clone(&voc), universe);
@@ -798,14 +810,15 @@ impl Request {
     /// Decodes a request payload whose frame header was already parsed.
     pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Request, DecodeError> {
         let mut r = Reader::new(payload);
+        let mut universe_total = 0u64;
         let req = match kind {
             K_REGISTER => Request::RegisterTemplate {
-                template: decode_structure(&mut r)?,
+                template: decode_structure(&mut r, &mut universe_total)?,
             },
             K_SOLVE => Request::Solve {
                 template_id: r.u64()?,
                 deadline_ms: r.u32()?,
-                instance: decode_structure(&mut r)?,
+                instance: decode_structure(&mut r, &mut universe_total)?,
             },
             K_SOLVE_BATCH => {
                 let template_id = r.u64()?;
@@ -816,7 +829,7 @@ impl Request {
                 }
                 let mut instances = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    instances.push(decode_structure(&mut r)?);
+                    instances.push(decode_structure(&mut r, &mut universe_total)?);
                 }
                 Request::SolveBatch {
                     template_id,
@@ -1308,6 +1321,76 @@ mod tests {
             panic!("wrong kind");
         };
         assert_eq!(template.universe(), MAX_UNIVERSE as usize);
+    }
+
+    /// A `Solve` payload for template 1 whose instance has one
+    /// relation `E` of `arity`, `universe` elements and no tuples.
+    fn empty_instance_payload(arity: u16, universe: u32) -> Vec<u8> {
+        let mut p = Vec::new();
+        put_u64(&mut p, 1); // template id
+        put_u32(&mut p, 0); // no deadline
+        put_u16(&mut p, 1); // one relation
+        put_u16(&mut p, 1);
+        p.extend_from_slice(b"E");
+        put_u16(&mut p, arity);
+        put_u32(&mut p, universe);
+        put_u32(&mut p, 0); // zero tuples
+        p
+    }
+
+    #[test]
+    fn wide_empty_relation_decodes_without_arity_scaled_allocation() {
+        // 27 payload bytes: arity 65535 over 2^20 elements, no tuples.
+        // Decoding must not allocate per (position, element) pair: at
+        // 24 bytes a pair that is ~1.6 TB for this frame.
+        let p = empty_instance_payload(u16::MAX, MAX_UNIVERSE);
+        assert_eq!(p.len(), 27);
+        let (_, Request::Solve { instance, .. }) =
+            Request::decode(&test_frame(K_SOLVE, 0, &p)).unwrap()
+        else {
+            panic!("wrong kind");
+        };
+        assert_eq!(instance.universe(), MAX_UNIVERSE as usize);
+        let e = instance.vocabulary().lookup("E").unwrap();
+        assert_eq!(instance.relation(e).arity(), usize::from(u16::MAX));
+        assert!(instance.relation(e).is_empty());
+    }
+
+    /// A `SolveBatch` payload of empty-instance structures with the
+    /// given universes.
+    fn batch_payload(universes: &[u32]) -> Vec<u8> {
+        let mut p = Vec::new();
+        put_u64(&mut p, 1); // template id
+        put_u32(&mut p, 0); // no deadline
+        put_u32(&mut p, universes.len() as u32);
+        for &n in universes {
+            // Each instance is a Solve payload minus its 12-byte prefix.
+            p.extend_from_slice(&empty_instance_payload(2, n)[12..]);
+        }
+        p
+    }
+
+    #[test]
+    fn batch_universe_is_capped_per_request() {
+        let half = MAX_UNIVERSE / 2;
+        // Each instance is within the bound; together they are not.
+        let buf = test_frame(K_SOLVE_BATCH, 0, &batch_payload(&[half, half, 1]));
+        assert_eq!(
+            Request::decode(&buf).unwrap_err(),
+            DecodeError::Oversized(u64::from(MAX_UNIVERSE) + 1)
+        );
+        let buf = test_frame(K_SOLVE_BATCH, 0, &batch_payload(&[MAX_UNIVERSE; 3]));
+        assert_eq!(
+            Request::decode(&buf).unwrap_err(),
+            DecodeError::Oversized(2 * u64::from(MAX_UNIVERSE))
+        );
+        // Summing to exactly the bound decodes.
+        let buf = test_frame(K_SOLVE_BATCH, 0, &batch_payload(&[half, half - 7, 7, 0]));
+        let (_, Request::SolveBatch { instances, .. }) = Request::decode(&buf).unwrap() else {
+            panic!("wrong kind");
+        };
+        let universes: Vec<usize> = instances.iter().map(Structure::universe).collect();
+        assert_eq!(universes, [half, half - 7, 7, 0].map(|n| n as usize));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! Provided here:
 //! * [`Vocabulary`] / [`Structure`] / [`StructureBuilder`] — interned
-//!   relation symbols, immutable indexed relations;
+//!   relation symbols, immutable flat relations with CSR occurrence
+//!   lists;
 //! * [`homomorphism`] — checking, extension, and a reference backtracking
 //!   search ([`find_homomorphism`]);
 //! * [`sum`] — the `A + B` two-vocabulary encoding of §4.2 of the paper;

@@ -1,13 +1,20 @@
-//! Finite relational structures with immutable, indexed relations.
+//! Finite relational structures with immutable, flat relations.
 //!
 //! A [`Structure`] is built once through a [`StructureBuilder`] and is
-//! immutable afterwards: relations are stored as sorted, deduplicated,
-//! flattened tuple arrays, with per-position inverted indexes
-//! (`position → element → tuple ids`) and a per-element occurrence list
-//! (`element → (relation, tuple id)`). The occurrence list is exactly the
-//! "linked lists that link all occurrences in A of an element a" that the
-//! paper's Theorem 3.4 preprocessing stage builds, and the inverted
-//! indexes are what make homomorphism extension and semijoin passes cheap.
+//! immutable afterwards. Each relation is one sorted, deduplicated,
+//! flattened tuple array and nothing else: there is no per-position
+//! inverted index. The one consumer that needs `(position, value) →
+//! tuples`, [`SupportIndex`](crate::SupportIndex), builds it with a
+//! single scan of the tuples. The per-element occurrence lists
+//! (`element → (relation, tuple id)`) are stored in compressed sparse
+//! row (CSR) form: one `u32` offsets array over the universe and one
+//! flat array of pairs. They are exactly the "linked lists that link
+//! all occurrences in A of an element a" that the paper's Theorem 3.4
+//! preprocessing stage builds.
+//!
+//! A structure therefore costs `O(|A| + ‖A‖)` words — nothing scales
+//! with `arity × |A|` — and cloning one copies a handful of flat
+//! vectors.
 
 use crate::error::{Error, Result};
 use crate::vocabulary::{RelId, Vocabulary};
@@ -43,38 +50,46 @@ impl std::fmt::Display for Element {
     }
 }
 
-/// One relation of a structure: a sorted, deduplicated set of tuples plus
-/// per-position inverted indexes.
+/// One relation of a structure: a sorted, deduplicated set of tuples,
+/// stored back to back in one flat array.
 #[derive(Debug, Clone)]
 pub struct Relation {
     arity: usize,
     ntuples: usize,
     /// Flattened tuples, `ntuples * arity` elements, sorted lexicographically.
     data: Vec<Element>,
-    /// `index[pos][elem] = sorted tuple ids t with tuple(t)[pos] == elem`.
-    index: Vec<Vec<Vec<u32>>>,
 }
 
 impl Relation {
-    fn from_tuples(arity: usize, universe: usize, mut raw: Vec<Vec<Element>>) -> Relation {
-        raw.sort_unstable();
-        raw.dedup();
-        let ntuples = raw.len();
-        let mut data = Vec::with_capacity(ntuples * arity);
-        for t in &raw {
-            data.extend_from_slice(t);
+    /// Sorts and deduplicates `count` tuples laid out back to back in
+    /// `raw`. Sorting goes through a permutation of tuple ids, so each
+    /// tuple is copied once.
+    fn from_flat(arity: usize, count: usize, raw: &[Element]) -> Relation {
+        if arity == 0 {
+            // Every 0-ary tuple is `()`: the relation holds it or not.
+            return Relation {
+                arity,
+                ntuples: count.min(1),
+                data: Vec::new(),
+            };
         }
-        let mut index = vec![vec![Vec::new(); universe]; arity];
-        for (t, tuple) in raw.iter().enumerate() {
-            for (pos, e) in tuple.iter().enumerate() {
-                index[pos][e.index()].push(t as u32);
+        let tuple = |i: usize| &raw[i * arity..(i + 1) * arity];
+        let ids = u32::try_from(count).expect("tuple ids fit in u32");
+        let mut perm: Vec<u32> = (0..ids).collect();
+        perm.sort_unstable_by(|&i, &j| tuple(i as usize).cmp(tuple(j as usize)));
+        let mut data: Vec<Element> = Vec::with_capacity(raw.len());
+        let mut ntuples = 0;
+        for &i in &perm {
+            let t = tuple(i as usize);
+            if ntuples == 0 || data[(ntuples - 1) * arity..] != *t {
+                data.extend_from_slice(t);
+                ntuples += 1;
             }
         }
         Relation {
             arity,
             ntuples,
             data,
-            index,
         }
     }
 
@@ -104,12 +119,6 @@ impl Relation {
     /// Iterates over all tuples in lexicographic order.
     pub fn iter(&self) -> impl Iterator<Item = &[Element]> + '_ {
         (0..self.ntuples).map(move |i| self.tuple(i))
-    }
-
-    /// Sorted ids of tuples whose `pos`-th component equals `elem`.
-    #[inline]
-    pub fn tuples_with(&self, pos: usize, elem: Element) -> &[u32] {
-        &self.index[pos][elem.index()]
     }
 
     /// Membership test by binary search (tuples are sorted).
@@ -145,8 +154,11 @@ pub struct Structure {
     voc: Arc<Vocabulary>,
     universe: usize,
     relations: Vec<Relation>,
-    /// `occurrences[elem] = (relation, tuple id)` pairs, one per occurrence.
-    occurrences: Vec<Vec<(RelId, u32)>>,
+    /// CSR offsets: element `e`'s occurrences are
+    /// `occurrences[occ_start[e]..occ_start[e + 1]]` (`|A| + 1` entries).
+    occ_start: Vec<u32>,
+    /// Every element's `(relation, tuple id)` pairs, element by element.
+    occurrences: Vec<(RelId, u32)>,
 }
 
 impl Structure {
@@ -176,7 +188,8 @@ impl Structure {
     /// per-element linked lists.
     #[inline]
     pub fn occurrences(&self, e: Element) -> &[(RelId, u32)] {
-        &self.occurrences[e.index()]
+        let i = e.index();
+        &self.occurrences[self.occ_start[i] as usize..self.occ_start[i + 1] as usize]
     }
 
     /// Total number of tuples across all relations, `|A|` in the paper's
@@ -302,17 +315,24 @@ impl Structure {
 pub struct StructureBuilder {
     voc: Arc<Vocabulary>,
     universe: usize,
-    tuples: Vec<Vec<Vec<Element>>>,
+    /// Per relation: the added tuples back to back, in insertion order
+    /// (duplicates included).
+    flat: Vec<Vec<Element>>,
+    /// Per relation: how many tuples were added — the only record of a
+    /// 0-ary fact, which adds no elements to `flat`.
+    counts: Vec<usize>,
 }
 
 impl StructureBuilder {
     /// Starts a structure with the given universe size.
     pub fn new(voc: Arc<Vocabulary>, universe: usize) -> Self {
-        let tuples = vec![Vec::new(); voc.len()];
+        let flat = vec![Vec::new(); voc.len()];
+        let counts = vec![0; voc.len()];
         StructureBuilder {
             voc,
             universe,
-            tuples,
+            flat,
+            counts,
         }
     }
 
@@ -345,7 +365,8 @@ impl StructureBuilder {
                 });
             }
         }
-        self.tuples[r.index()].push(tuple.to_vec());
+        self.flat[r.index()].extend_from_slice(tuple);
+        self.counts[r.index()] += 1;
         Ok(())
     }
 
@@ -356,34 +377,77 @@ impl StructureBuilder {
         self.add_tuple(r, &elems)
     }
 
-    /// Finalizes: sorts, deduplicates, and indexes every relation.
+    /// Finalizes: sorts and deduplicates every relation, then lays out
+    /// the occurrence lists.
     pub fn finish(self) -> Structure {
         let universe = self.universe;
         let voc = self.voc;
         let relations: Vec<Relation> = voc
             .iter()
-            .zip(self.tuples)
-            .map(|(r, raw)| Relation::from_tuples(voc.arity(r), universe, raw))
+            .zip(self.flat.into_iter().zip(self.counts))
+            .map(|(r, (raw, count))| Relation::from_flat(voc.arity(r), count, &raw))
             .collect();
-        let mut occurrences = vec![Vec::new(); universe];
-        for r in voc.iter() {
-            let rel = &relations[r.index()];
-            for (t, tuple) in rel.iter().enumerate() {
-                for &e in tuple {
-                    occurrences[e.index()].push((r, t as u32));
-                }
-            }
-        }
-        // An element occurring several times in one tuple should be
-        // processed once per (relation, tuple) pair by propagation loops.
-        for occ in &mut occurrences {
-            occ.dedup();
-        }
+        let (occ_start, occurrences) = occurrence_csr(universe, &relations);
         Structure {
             voc,
             universe,
             relations,
+            occ_start,
             occurrences,
+        }
+    }
+}
+
+/// The CSR occurrence lists of `relations` over a universe of
+/// `universe` elements: offsets and pairs, in relation-then-tuple order
+/// per element.
+fn occurrence_csr(universe: usize, relations: &[Relation]) -> (Vec<u32>, Vec<(RelId, u32)>) {
+    let mut seen = vec![u32::MAX; universe];
+    // Counts, shifted one slot right, then prefix sums: `next[e]` is
+    // where element `e`'s list starts, and then its write cursor.
+    let mut next = vec![0usize; universe + 1];
+    for_each_occurrence(relations, &mut seen, |e, _, _| next[e + 1] += 1);
+    for e in 0..universe {
+        next[e + 1] += next[e];
+    }
+    let occ_start = next
+        .iter()
+        .map(|&o| u32::try_from(o).expect("occurrence offsets fit in u32"))
+        .collect();
+    let mut occurrences = vec![(RelId::from_index(0), 0u32); next[universe]];
+    for_each_occurrence(relations, &mut seen, |e, r, t| {
+        occurrences[next[e]] = (r, t);
+        next[e] += 1;
+    });
+    (occ_start, occurrences)
+}
+
+/// Calls `f(e, r, t)` for every element `e` of every tuple `t` of every
+/// relation `r`, in relation, tuple and position order, skipping an
+/// element already listed for the same tuple: propagation loops process
+/// an element once per `(relation, tuple)` pair. `seen` (one slot per
+/// element) remembers the serial of the last tuple that listed each
+/// element, so a repeat costs O(1) to skip at any arity.
+fn for_each_occurrence(
+    relations: &[Relation],
+    seen: &mut [u32],
+    mut f: impl FnMut(usize, RelId, u32),
+) {
+    let tuples = relations.iter().map(Relation::len).sum::<usize>();
+    // Serials run below `tuples`, so they never collide with the
+    // `u32::MAX` sentinel.
+    assert!(tuples < u32::MAX as usize, "tuple counts fit in u32");
+    seen.fill(u32::MAX);
+    let mut serial = 0u32;
+    for (r, rel) in relations.iter().enumerate() {
+        for (t, tuple) in rel.iter().enumerate() {
+            for &e in tuple {
+                if seen[e.index()] != serial {
+                    seen[e.index()] = serial;
+                    f(e.index(), RelId::from_index(r), t as u32);
+                }
+            }
+            serial += 1;
         }
     }
 }
@@ -423,19 +487,6 @@ mod tests {
             .map(|t| t.iter().map(|x| x.0).collect())
             .collect();
         assert_eq!(tuples, vec![vec![0, 2], vec![1, 1], vec![2, 0]]);
-    }
-
-    #[test]
-    fn positional_index() {
-        let s = digraph(&[(0, 1), (0, 2), (1, 2)], 3);
-        let e = s.vocabulary().lookup("E").unwrap();
-        let rel = s.relation(e);
-        assert_eq!(rel.tuples_with(0, Element(0)).len(), 2);
-        assert_eq!(rel.tuples_with(1, Element(2)).len(), 2);
-        assert_eq!(rel.tuples_with(0, Element(2)).len(), 0);
-        for &t in rel.tuples_with(1, Element(2)) {
-            assert_eq!(rel.tuple(t as usize)[1], Element(2));
-        }
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! question "which tuples of `R^B` have value `v` at position `p`?" —
 //! as a [`BitSet`] over tuple ids, so that propagation engines can
 //! compute the *live witnesses* of a constraint by bitwise union and
-//! intersection instead of rescanning `R^B`. This is the same data as
-//! [`Relation::tuples_with`](crate::Relation::tuples_with) in set form,
-//! built once per solve next to the per-element `occurrences` lists the
+//! intersection instead of rescanning `R^B`. Structures keep no
+//! positional index of their own, so [`SupportIndex::build`] makes this
+//! one with a single scan over each relation's flat tuple array, once
+//! per template, next to the per-element `occurrences` lists the
 //! paper's Theorem 3.4 preprocessing stage constructs.
 
 use crate::bitset::BitSet;
-use crate::structure::{Element, Structure};
+use crate::structure::Structure;
 use crate::vocabulary::RelId;
 
 /// Bitset-valued inverted index: `(relation, position, value) → tuple
@@ -58,21 +59,14 @@ impl SupportIndex {
         for r in s.vocabulary().iter() {
             let rel = s.relation(r);
             let ntuples = rel.len();
-            let mut positions = Vec::with_capacity(rel.arity());
-            let mut projs = Vec::with_capacity(rel.arity());
-            for p in 0..rel.arity() {
-                let mut by_value = vec![BitSet::new(ntuples); universe];
-                let mut proj = BitSet::new(universe);
-                for (v, bits) in by_value.iter_mut().enumerate() {
-                    for &t in rel.tuples_with(p, Element::new(v)) {
-                        bits.insert(t as usize);
-                    }
-                    if !bits.is_empty() {
-                        proj.insert(v);
-                    }
+            // One scan over the tuples fills every position's bitsets.
+            let mut positions = vec![vec![BitSet::new(ntuples); universe]; rel.arity()];
+            let mut projs = vec![BitSet::new(universe); rel.arity()];
+            for (t, tuple) in rel.iter().enumerate() {
+                for (p, v) in tuple.iter().enumerate() {
+                    positions[p][v.index()].insert(t);
+                    projs[p].insert(v.index());
                 }
-                positions.push(by_value);
-                projs.push(proj);
             }
             per_rel.push(positions);
             tuple_counts.push(ntuples);
@@ -119,23 +113,22 @@ impl SupportIndex {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::Element;
 
     #[test]
-    fn index_agrees_with_tuples_with() {
-        let s = generators::random_digraph(6, 0.4, 11);
+    fn index_agrees_with_tuple_scan() {
+        let s = generators::random_structure(6, &[1, 2, 3], 9, 11);
         let idx = SupportIndex::build(&s);
         for r in s.vocabulary().iter() {
             let rel = s.relation(r);
             assert_eq!(idx.tuple_count(r), rel.len());
             for p in 0..rel.arity() {
                 for v in 0..s.universe() {
-                    let from_vec: Vec<usize> = rel
-                        .tuples_with(p, Element::new(v))
-                        .iter()
-                        .map(|&t| t as usize)
+                    let scanned: Vec<usize> = (0..rel.len())
+                        .filter(|&t| rel.tuple(t)[p] == Element::new(v))
                         .collect();
                     let from_bits: Vec<usize> = idx.supports(r, p, v).iter().collect();
-                    assert_eq!(from_bits, from_vec, "relation {r:?} pos {p} value {v}");
+                    assert_eq!(from_bits, scanned, "relation {r:?} pos {p} value {v}");
                 }
             }
         }

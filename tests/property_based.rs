@@ -9,6 +9,7 @@ use cqcs::pebble::program::{ProgramPropagator, PropProgram};
 use cqcs::structures::homomorphism::{find_homomorphism, homomorphism_exists};
 use cqcs::structures::product::{direct_product, projections};
 use cqcs::structures::{generators, is_homomorphism, BitSet, Element, SupportIndex};
+use cqcs::treewidth::acyclic::{is_acyclic, yannakakis};
 use cqcs::treewidth::bb::{bb_treewidth, elimination_width};
 use cqcs::treewidth::dp::{
     solve_with_decomposition, solve_with_decomposition_pooled, solve_with_decomposition_reference,
@@ -744,6 +745,175 @@ proptest! {
         prop_assert_eq!(inc.stats().incremental_updates as usize, structures.len() - 1);
     }
 
+    /// A structure stores each relation as its sorted, deduplicated
+    /// tuples and lists each element's `(relation, tuple)` occurrences
+    /// in relation-then-tuple order, once per tuple however often the
+    /// element repeats in it — both checked against a naive scan of the
+    /// input, on mixed arities 0–3 with repeated elements and duplicate
+    /// facts. Stress-runnable via `PROPTEST_CASES=5000`.
+    #[test]
+    fn flat_layout_matches_naive_scan(
+        n in 1usize..=6,
+        facts in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec(0u32..8, 3)),
+            0..=16,
+        ),
+        repeats in 0usize..=8,
+    ) {
+        // Duplicate a prefix of the facts, out of order.
+        let mut all: Vec<(usize, Vec<u32>)> = facts
+            .iter()
+            .map(|(which, args)| {
+                let arity = *which as usize;
+                (arity, args[..arity].iter().map(|&v| v % n as u32).collect())
+            })
+            .collect();
+        let dups: Vec<_> = all.iter().take(repeats).rev().cloned().collect();
+        all.extend(dups);
+        let voc = cqcs::structures::Vocabulary::from_symbols([("Z", 0), ("U", 1), ("E", 2), ("T", 3)])
+            .unwrap()
+            .into_shared();
+        let mut b = cqcs::structures::StructureBuilder::new(voc.clone(), n);
+        for (arity, args) in &all {
+            b.add_fact(["Z", "U", "E", "T"][*arity], args).unwrap();
+        }
+        let s = b.finish();
+        for r in voc.iter() {
+            let expected: std::collections::BTreeSet<Vec<u32>> = all
+                .iter()
+                .filter(|(arity, _)| *arity == r.index())
+                .map(|(_, args)| args.clone())
+                .collect();
+            let got: Vec<Vec<u32>> = s
+                .relation(r)
+                .iter()
+                .map(|t| t.iter().map(|e| e.0).collect())
+                .collect();
+            prop_assert_eq!(&got, &expected.into_iter().collect::<Vec<_>>(), "relation {:?}", r);
+        }
+        for e in s.elements() {
+            let mut naive = Vec::new();
+            for r in voc.iter() {
+                for (t, tuple) in s.relation(r).iter().enumerate() {
+                    if tuple.contains(&e) {
+                        naive.push((r, t as u32));
+                    }
+                }
+            }
+            prop_assert_eq!(s.occurrences(e), naive.as_slice(), "element {:?}", e);
+        }
+    }
+
+    /// The forest pre-check ahead of GYO is exact: on digraphs and on
+    /// arity-≤2 mixed structures (0-ary and unary facts, self-loops,
+    /// both directions of an edge) the structure is α-acyclic exactly
+    /// when the simple graph of its two-element tuples is a forest,
+    /// i.e. has `|A| − components` edges. Stress-runnable via
+    /// `PROPTEST_CASES=5000`.
+    #[test]
+    fn acyclic_iff_graph_is_forest(
+        d in digraph(9, 14),
+        n in 1usize..=9,
+        facts in proptest::collection::vec((0u8..4, 0u32..9, 0u32..9, any::<bool>()), 0..=14),
+    ) {
+        let mixed = build_low_arity(n, &facts);
+        for a in [d, mixed] {
+            let mut g = cqcs::structures::UndirectedGraph::new(a.universe());
+            for r in a.vocabulary().iter() {
+                if a.vocabulary().arity(r) == 2 {
+                    for t in a.relation(r).iter() {
+                        if t[0] != t[1] {
+                            g.add_edge(t[0].index(), t[1].index());
+                        }
+                    }
+                }
+            }
+            let forest = g.num_edges() == a.universe() - g.components().len();
+            prop_assert_eq!(is_acyclic(&a), forest);
+        }
+    }
+
+    /// Forests bypass the pre-check and run the full reduction: the
+    /// Yannakakis route still applies to every directed forest and
+    /// agrees with the reference homomorphism test, with a valid witness.
+    #[test]
+    fn yannakakis_decides_forests(
+        forest in proptest::collection::vec((any::<u32>(), any::<bool>()), 0..=10),
+        b in digraph(4, 7),
+    ) {
+        let a = forest_digraph(&forest);
+        let verdict = yannakakis(&a, &b);
+        prop_assert!(verdict.is_some(), "a forest is acyclic");
+        let h = verdict.unwrap();
+        prop_assert_eq!(h.is_some(), homomorphism_exists(&a, &b));
+        if let Some(h) = &h {
+            prop_assert!(is_homomorphism(h.as_slice(), &a, &b));
+        }
+    }
+
+    /// The per-thread scratch pool is invisible: on one thread, a
+    /// stream of `Session::solve`, `solve_batch` and
+    /// `par_solve_batch(_, 1)` calls over K3 and C4, on instances that
+    /// grow and shrink, interrupted once by a caught vocabulary-mismatch
+    /// panic (which empties the pool), gives bit-for-bit the solutions
+    /// the same call gives on a freshly spawned thread. Stress-runnable
+    /// via `PROPTEST_CASES=5000`.
+    #[test]
+    fn scratch_pool_is_invisible(
+        ops in proptest::collection::vec(
+            (
+                0u8..3,
+                any::<bool>(),
+                proptest::collection::vec((1usize..=12, 0u8..=100, any::<u64>(), any::<bool>()), 1..=4),
+            ),
+            1..=8,
+        ),
+        panic_at in 0usize..=8,
+    ) {
+        let sessions = [
+            Session::compile(&generators::complete_graph(3)),
+            Session::compile(&generators::directed_cycle(4)),
+        ];
+        let run = |kind: u8, session: &Session, batch: &[cqcs::structures::Structure]| match kind {
+            0 => vec![session.solve(&batch[0])],
+            1 => session.solve_batch(batch),
+            _ => session.par_solve_batch(batch, 1),
+        };
+        for (i, (kind, c4, specs)) in ops.iter().enumerate() {
+            if i == panic_at {
+                let bad = generators::random_structure(3, &[3], 2, 0);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    sessions[0].solve(&bad)
+                }));
+                prop_assert!(caught.is_err(), "vocabulary mismatch panics");
+            }
+            let batch: Vec<_> = specs
+                .iter()
+                .map(|&(n, density, seed, symmetric)| {
+                    if symmetric {
+                        let m = (n * (n - 1) / 2) * density as usize / 100;
+                        generators::random_graph_nm(n, m, seed)
+                    } else {
+                        generators::random_digraph(n, density as f64 / 200.0, seed)
+                    }
+                })
+                .collect();
+            let session = &sessions[usize::from(*c4)];
+            let here = run(*kind, session, &batch);
+            let fresh = std::thread::scope(|s| s.spawn(|| run(*kind, session, &batch)).join().unwrap());
+            prop_assert_eq!(here.len(), fresh.len());
+            for (h, f) in here.iter().zip(&fresh) {
+                prop_assert_eq!(
+                    h.homomorphism.as_ref().map(|w| w.as_slice().to_vec()),
+                    f.homomorphism.as_ref().map(|w| w.as_slice().to_vec()),
+                    "witness, op {}", i
+                );
+                prop_assert_eq!(h.route, f.route, "route, op {}", i);
+                prop_assert_eq!(h.stats, f.stats, "stats, op {}", i);
+            }
+        }
+    }
+
     /// Exact treewidth reproduces the textbook values on known
     /// families: paths 1, cycles 2, cliques k-1, grids min(r, c).
     #[test]
@@ -867,6 +1037,31 @@ fn forest_digraph(edges: &[(u32, bool)]) -> cqcs::structures::Structure {
             (child, parent)
         };
         b.add_fact("E", &[x, y]).unwrap();
+    }
+    b.finish()
+}
+
+/// Builds an arity-≤2 structure over `{Z/0, U/1, E/2, F/2}`: each fact
+/// `(which, x, y, both)` adds `Z()`, `U(x)`, or an `E`/`F` edge `(x, y)`
+/// (a self-loop when `x = y`), plus `(y, x)` when `both`.
+fn build_low_arity(n: usize, facts: &[(u8, u32, u32, bool)]) -> cqcs::structures::Structure {
+    let voc = cqcs::structures::Vocabulary::from_symbols([("Z", 0), ("U", 1), ("E", 2), ("F", 2)])
+        .unwrap()
+        .into_shared();
+    let mut b = cqcs::structures::StructureBuilder::new(voc, n);
+    for &(which, x, y, both) in facts {
+        let (x, y) = (x % n as u32, y % n as u32);
+        match which {
+            0 => b.add_fact("Z", &[]).unwrap(),
+            1 => b.add_fact("U", &[x]).unwrap(),
+            _ => {
+                let name = if which == 2 { "E" } else { "F" };
+                b.add_fact(name, &[x, y]).unwrap();
+                if both {
+                    b.add_fact(name, &[y, x]).unwrap();
+                }
+            }
+        }
     }
     b.finish()
 }
