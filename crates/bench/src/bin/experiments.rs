@@ -1372,13 +1372,14 @@ fn validated(g: &UndirectedGraph, r: &cqcs_treewidth::BbResult) -> String {
 fn e18() {
     println!("## E18 — Network front end: serving throughput, latency, and wire parity\n");
     println!(
-        "An in-process `cqcs-net` server on an ephemeral port (default config, \
-         no coalesce window), K3 registered once, driven by concurrent client \
-         connections each issuing blocking solves over seeded G(8,12) instances. \
-         Throughput and latency cells are machine-dependent (masked in CI) and \
-         tracked in `EXPERIMENTS_HISTORY.md`; the `cpus` column carries the \
-         1-CPU-container caveat — with one core, client counts beyond 1 measure \
-         queueing at the executor, not parallel serving. The `identical` column \
+        "An in-process `cqcs-net` server on an ephemeral port (default config), \
+         K3 registered once, driven by concurrent client connections each \
+         issuing blocking solves over seeded G(8,12) instances; the server \
+         answers each connection on its own thread. Throughput and latency \
+         cells are machine-dependent (masked in CI) and tracked in \
+         `EXPERIMENTS_HISTORY.md`; the `cpus` column carries the core-count \
+         caveat — with more clients than cores, the extra clients measure \
+         connection threads sharing cores, not parallel serving. The `identical` column \
          compares every networked solution **bit for bit** (verdict, witness, \
          route, search stats) against a direct in-process `Session::solve` of \
          the same instance; a `false` fails CI via \
@@ -1581,7 +1582,7 @@ fn pipelined_with_latencies(
 }
 
 fn e19() {
-    println!("## E19 — Pipelined serving: depth sweep, shard sweep, pooled-buffer evidence\n");
+    println!("## E19 — Pipelined serving: depth sweep and pooled-buffer evidence\n");
     println!(
         "The pipelined data plane measured end to end. **Depth sweep:** one \
          client drives tiny directed-path instances (2–4 nodes, solve cost a \
@@ -1589,9 +1590,10 @@ fn e19() {
          instances chosen light on purpose, so the wire/scheduling overhead \
          the pipeline amortizes dominates the cell, unlike E18's \
          solver-bound G(8,12) workload. Depth k keeps k requests in flight: \
-         the client submits a window in one buffered write, the server's \
-         reader drains it in one read, the executor coalesces it into one \
-         batch, and the writer answers it in one write. `speedup` is \
+         the client submits a window in one buffered write, and the \
+         server's connection thread drains it in one read, answers its \
+         frames in order, and writes every reply in one write before it \
+         reads again. `speedup` is \
          throughput over the depth-1 row (best of 3 passes each); the \
          committed depth-8 value is CI-gated ≥ 1.5× by \
          `scripts/check_experiments.sh`. `buf growths` counts pooled \
@@ -1627,135 +1629,49 @@ fn e19() {
         "buf growths",
         "identical",
     ]);
-    {
-        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-        let mut c = Client::connect(server.local_addr()).expect("connect");
-        let id = c.register_template(&template).expect("register");
-        let direct = Session::compile(&template);
-        let mut base_rps = 0.0f64;
-        for depth in [1usize, 4, 8] {
-            // Warmup sizes every pooled buffer on both sides before the
-            // growth counter is snapshotted.
-            let _ = pipelined_with_latencies(&mut c, id, &instances, depth);
-            let growths_before = frame_buf_growths();
-            let mut best = f64::MAX;
-            let mut last = None;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                let pass = pipelined_with_latencies(&mut c, id, &instances, depth);
-                best = best.min(t0.elapsed().as_secs_f64());
-                last = Some(pass);
-            }
-            let growth_delta = frame_buf_growths() - growths_before;
-            let (sols, mut lats) = last.expect("three passes ran");
-            let identical = sols
-                .iter()
-                .zip(&instances)
-                .all(|(s, a)| solutions_identical(s, &direct.solve(a)));
-            lats.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            let rps = requests as f64 / best;
-            if depth == 1 {
-                base_rps = rps;
-            }
-            row(&[
-                depth.to_string(),
-                requests.to_string(),
-                "3".into(),
-                format!("{:.1}", rps),
-                format!("{:.4}", percentile(&lats, 0.50)),
-                format!("{:.4}", percentile(&lats, 0.95)),
-                format!("{:.4}", percentile(&lats, 0.99)),
-                format!("{:.2}×", rps / base_rps),
-                growth_delta.to_string(),
-                identical.to_string(),
-            ]);
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let id = c.register_template(&template).expect("register");
+    let direct = Session::compile(&template);
+    let mut base_rps = 0.0f64;
+    for depth in [1usize, 4, 8] {
+        // Warmup sizes every pooled buffer on both sides before the
+        // growth counter is snapshotted.
+        let _ = pipelined_with_latencies(&mut c, id, &instances, depth);
+        let growths_before = frame_buf_growths();
+        let mut best = f64::MAX;
+        let mut last = None;
+        for _ in 0..3 {
+            let t0 = std::time::Instant::now();
+            let pass = pipelined_with_latencies(&mut c, id, &instances, depth);
+            best = best.min(t0.elapsed().as_secs_f64());
+            last = Some(pass);
         }
-        server.shutdown();
-    }
-    println!();
-    println!(
-        "**Shard sweep:** four concurrent clients, each with its own \
-         registered template (K3/K4 alternating), pipelining at depth 4 \
-         against servers with 1/2/4 executor shards. Routing is by \
-         template-id hash, so different templates stop serializing behind \
-         one executor queue as shards grow — but the `cpus` column keeps \
-         this honest: with one core the sweep measures isolation overhead \
-         only, and no parallel speedup is claimable. Parity still must \
-         hold on every row.\n"
-    );
-    header(&[
-        "shards",
-        "clients",
-        "templates",
-        "requests",
-        "cpus",
-        "req/s",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "identical",
-    ]);
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let clients = 4usize;
-    let per_client = requests / clients;
-    for shards in [1usize, 2, 4] {
-        let cfg = ServerConfig {
-            executor_shards: shards,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-        let addr = server.local_addr();
-        let start = std::time::Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|ci| {
-                let instances: Vec<Structure> = (0..per_client)
-                    .map(|i| generators::directed_path(2 + (ci + i) % 3))
-                    .collect();
-                std::thread::spawn(move || {
-                    let template = generators::complete_graph(3 + ci % 2);
-                    let mut c = Client::connect(addr).expect("connect");
-                    let id = c.register_template(&template).expect("register");
-                    let direct = Session::compile(&template);
-                    // One warmup window, then the measured run.
-                    let _ = pipelined_with_latencies(
-                        &mut c,
-                        id,
-                        &instances[..8.min(instances.len())],
-                        4,
-                    );
-                    let (sols, lats) = pipelined_with_latencies(&mut c, id, &instances, 4);
-                    let identical = sols
-                        .iter()
-                        .zip(&instances)
-                        .all(|(s, a)| solutions_identical(s, &direct.solve(a)));
-                    (lats, identical)
-                })
-            })
-            .collect();
-        let mut lats = Vec::new();
-        let mut identical = true;
-        for h in handles {
-            let (l, ok) = h.join().expect("client thread");
-            lats.extend(l);
-            identical &= ok;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        server.shutdown();
+        let growth_delta = frame_buf_growths() - growths_before;
+        let (sols, mut lats) = last.expect("three passes ran");
+        let identical = sols
+            .iter()
+            .zip(&instances)
+            .all(|(s, a)| solutions_identical(s, &direct.solve(a)));
         lats.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let total = clients * per_client;
+        let rps = requests as f64 / best;
+        if depth == 1 {
+            base_rps = rps;
+        }
         row(&[
-            shards.to_string(),
-            clients.to_string(),
-            clients.to_string(),
-            total.to_string(),
-            format!("cpus={cpus}"),
-            format!("{:.1}", total as f64 / elapsed),
+            depth.to_string(),
+            requests.to_string(),
+            "3".into(),
+            format!("{:.1}", rps),
             format!("{:.4}", percentile(&lats, 0.50)),
             format!("{:.4}", percentile(&lats, 0.95)),
             format!("{:.4}", percentile(&lats, 0.99)),
+            format!("{:.2}×", rps / base_rps),
+            growth_delta.to_string(),
             identical.to_string(),
         ]);
     }
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -1769,8 +1685,8 @@ fn e20() {
          [`cqcs_net::FaultStream`] injecting short reads/writes, latency, \
          stalls, and mid-frame disconnects at the row's per-operation \
          `fault rate`; a quarter of that rate resets connections at accept \
-         time; every 13th executor batch panics inside the containment \
-         boundary and every 17th kills its executor thread outright. The \
+         time; every 13th solve panics inside the per-request containment \
+         boundary and every 17th kills its connection outright. The \
          client side wraps its own stream at half the row's rate and \
          drives everything through [`cqcs_net::ResilientClient`] — capped \
          exponential backoff with seeded jitter, reconnect + registration \
@@ -1781,8 +1697,8 @@ fn e20() {
          answered exactly once), `identical` (every successful solution is \
          bit-identical to a direct in-process `Session::solve` — chaos \
          may slow answers, never change them). The volatile cell counts \
-         the machinery working (retries, reconnects, panics caught, shards \
-         respawned, accept faults, injected faults) and varies with \
+         the machinery working (retries, reconnects, panics caught, \
+         connections crashed, accept faults, injected faults) and varies with \
          scheduling, so the rot check masks it like a timing cell. The \
          zero-rate row pins the production path: no faults, no retries, \
          no chaos machinery on the wire.\n"
@@ -1864,12 +1780,12 @@ fn e20() {
             (lost as u64 + client.duplicates()).to_string(),
             identical.to_string(),
             format!(
-                "ok={ok} err={typed_err} retries={} reconnects={} panics={} respawns={} \
+                "ok={ok} err={typed_err} retries={} reconnects={} panics={} crashes={} \
                  accept_faults={} client_retries={} faults={}",
                 client.retries(),
                 client.reconnects(),
                 status.panics_caught,
-                status.shards_respawned,
+                status.connections_crashed,
                 status.accept_faults,
                 status.client_retries,
                 cqcs_net::faults_injected(),

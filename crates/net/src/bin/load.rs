@@ -1,8 +1,7 @@
 //! `cqcs-load` — load the server and report latency percentiles.
 //!
 //! ```text
-//! cqcs-load [--clients N] [--requests N] [--window-ms N] [--shards N]
-//!           [--pipeline K] [--cpus N]
+//! cqcs-load [--clients N] [--requests N] [--pipeline K] [--cpus N]
 //!           [--chaos-seed S] [--fault-rate R]
 //!           [--initial-rps R --increment-rps R --target-rps R [--step-secs S]]
 //! ```
@@ -26,9 +25,10 @@
 //!
 //! With `--fault-rate R > 0` the fixed mode becomes a **chaos run**:
 //! the server wraps every accepted connection in a seeded
-//! [`cqcs_net::FaultStream`] (plus accept-time resets and scheduled
-//! executor panics/crashes), each client wraps its own stream at half
-//! the rate, and the drivers switch to [`cqcs_net::ResilientClient`].
+//! [`cqcs_net::FaultStream`] (plus accept-time resets, scheduled
+//! solve panics and connection crashes), each client wraps its own
+//! stream at half the rate, and the client threads switch to
+//! [`cqcs_net::ResilientClient`].
 //! The run then checks the failure-model contract, not just parity:
 //! every request must terminate in a solution or a typed error, none
 //! may be lost or answered twice, and every successful answer must
@@ -233,8 +233,6 @@ fn ramp_step(
 fn main() {
     let mut clients = 4usize;
     let mut requests = 64usize;
-    let mut window = Duration::ZERO;
-    let mut shards = ServerConfig::default().executor_shards;
     let mut pipeline = 1usize;
     let mut cpus: Option<usize> = None;
     let mut chaos_seed = 0xC0A5u64;
@@ -249,10 +247,6 @@ fn main() {
         match arg.as_str() {
             "--clients" => clients = parse_value(&mut args, "--clients"),
             "--requests" => requests = parse_value(&mut args, "--requests"),
-            "--window-ms" => {
-                window = Duration::from_millis(parse_value(&mut args, "--window-ms"));
-            }
-            "--shards" => shards = parse_value(&mut args, "--shards"),
             "--pipeline" => pipeline = parse_value(&mut args, "--pipeline"),
             "--cpus" => cpus = Some(parse_value(&mut args, "--cpus")),
             "--chaos-seed" => chaos_seed = parse_value(&mut args, "--chaos-seed"),
@@ -263,8 +257,8 @@ fn main() {
             "--step-secs" => step_secs = parse_value(&mut args, "--step-secs"),
             _ => {
                 eprintln!(
-                    "usage: cqcs-load [--clients N] [--requests N] [--window-ms N] [--shards N] \
-                     [--pipeline K] [--cpus N] [--chaos-seed S] [--fault-rate R] \
+                    "usage: cqcs-load [--clients N] [--requests N] [--pipeline K] [--cpus N] \
+                     [--chaos-seed S] [--fault-rate R] \
                      [--initial-rps R --increment-rps R --target-rps R [--step-secs S]]"
                 );
                 std::process::exit(2);
@@ -288,8 +282,6 @@ fn main() {
         std::process::exit(2);
     }
     let cfg = ServerConfig {
-        coalesce_window: window,
-        executor_shards: shards,
         chaos: (fault_rate > 0.0).then(|| ChaosConfig {
             seed: chaos_seed,
             fault_rate,
@@ -322,7 +314,7 @@ fn main() {
     if let Some((initial, increment, target)) = ramp {
         println!(
             "cqcs-load ramp: {initial}→{target} rps by {increment}, {step_secs} s/step, \
-             pipeline {pipeline}, shards {shards}, cpus={cpus}{honesty}"
+             pipeline {pipeline}, cpus={cpus}{honesty}"
         );
         let mut c = Client::connect(addr).expect("connect");
         let direct = Session::compile(&template);
@@ -363,7 +355,7 @@ fn main() {
     } else if fault_rate > 0.0 {
         println!(
             "cqcs-load chaos: {clients} clients x {requests} requests, fault rate {fault_rate}, \
-             seed {chaos_seed:#x}, pipeline {pipeline}, shards {shards}, cpus={cpus}{honesty}"
+             seed {chaos_seed:#x}, pipeline {pipeline}, cpus={cpus}{honesty}"
         );
         let handles: Vec<_> = (0..clients)
             .map(|ci| {
@@ -474,8 +466,8 @@ fn main() {
         elapsed = wire_elapsed;
         total = clients * requests;
         println!(
-            "cqcs-load: {total} solves over {clients} clients (pipeline {pipeline}, \
-             shards {shards}) in {:.3} s  ({:.1} req/s)  cpus={cpus}{honesty}",
+            "cqcs-load: {total} solves over {clients} clients (pipeline {pipeline}) \
+             in {:.3} s  ({:.1} req/s)  cpus={cpus}{honesty}",
             elapsed.as_secs_f64(),
             total as f64 / elapsed.as_secs_f64()
         );
@@ -507,10 +499,10 @@ fn main() {
     );
     if fault_rate > 0.0 {
         println!(
-            "server failure ledger: {} panics caught, {} shards respawned, \
+            "server failure ledger: {} panics caught, {} connections crashed, \
              {} accept faults, {} transient / {} fatal accept errors, {} retry-flagged requests",
             status.panics_caught,
-            status.shards_respawned,
+            status.connections_crashed,
             status.accept_faults,
             status.accept_transient_errors,
             status.accept_fatal_errors,
@@ -518,19 +510,13 @@ fn main() {
         );
     }
     println!(
-        "server: {} batches for {} solves, max {} jobs coalesced, {} overloaded, \
-         {} idle wakeups, shard batches [{}]",
-        status.batches,
+        "server: {} solves answered in {} writes, at most {} per write, {} overloaded, \
+         {} idle wakeups",
         status.solves,
+        status.batches,
         status.max_coalesced_jobs,
         status.overloaded,
         status.idle_wakeups,
-        status
-            .shards
-            .iter()
-            .map(|s| s.batches.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
     );
     if mismatches == 0 {
         println!("parity: all {total} networked solutions identical to direct solves");

@@ -1,8 +1,7 @@
 //! `cqcs-serve` — run a template-serving server on a TCP address.
 //!
 //! ```text
-//! cqcs-serve [ADDR] [--capacity N] [--queue N] [--threads N] [--shards N]
-//!            [--window-ms N] [--idle-ms N]
+//! cqcs-serve [ADDR] [--capacity N] [--queue N] [--idle-ms N]
 //! ```
 //!
 //! `ADDR` defaults to `127.0.0.1:7878`; use port 0 for an ephemeral
@@ -13,10 +12,7 @@ use cqcs_net::server::{Server, ServerConfig};
 use std::time::Duration;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: cqcs-serve [ADDR] [--capacity N] [--queue N] [--threads N] [--shards N] \
-         [--window-ms N] [--idle-ms N]"
-    );
+    eprintln!("usage: cqcs-serve [ADDR] [--capacity N] [--queue N] [--idle-ms N]");
     std::process::exit(2);
 }
 
@@ -40,11 +36,6 @@ fn main() {
         match arg.as_str() {
             "--capacity" => cfg.registry_capacity = parse_value(&mut args, "--capacity"),
             "--queue" => cfg.max_queue_depth = parse_value(&mut args, "--queue"),
-            "--threads" => cfg.batch_threads = parse_value(&mut args, "--threads"),
-            "--shards" => cfg.executor_shards = parse_value(&mut args, "--shards"),
-            "--window-ms" => {
-                cfg.coalesce_window = Duration::from_millis(parse_value(&mut args, "--window-ms"));
-            }
             "--idle-ms" => {
                 cfg.idle_poll_interval = Duration::from_millis(parse_value(&mut args, "--idle-ms"));
             }

@@ -409,11 +409,11 @@ impl Client {
     /// solutions in **submission order** (correlation ids do the
     /// reordering — the server answers in completion order).
     ///
-    /// Depth 1 degrades to strict request/response; depth `k` overlaps
-    /// the client's encode/write and the server's read/decode with
-    /// solving, and lets the server coalesce the in-flight window into
-    /// fewer executor passes. The first server-side error aborts with
-    /// [`ClientError::Server`].
+    /// Depth 1 degrades to strict request/response; depth `k` sends
+    /// the window in one write, which the server reads in one read and
+    /// answers in one write, so the per-request syscall and wakeup
+    /// costs are shared across the window. The first server-side error
+    /// aborts with [`ClientError::Server`].
     pub fn solve_pipelined(
         &mut self,
         template_id: u64,
@@ -446,9 +446,9 @@ impl Client {
             // what flushes the refills, as one write) and drain every
             // other response that came back with it. Draining before
             // the next refill is what keeps the batching self-
-            // sustaining: the server coalesces the k submissions that
-            // went out together, answers them in one write, and the
-            // drain turns that into the next k-frame submission.
+            // sustaining: the server reads the k submissions that went
+            // out together in one read, answers them in one write, and
+            // the drain turns that into the next k-frame submission.
             while next < instances.len() && pending.len() < depth {
                 let id = self.submit(&Request::Solve {
                     template_id,

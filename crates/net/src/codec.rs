@@ -46,9 +46,17 @@
 //!
 //! Encoding is allocation-conscious: [`Request::encode_into`] /
 //! [`Response::encode_into`] append a complete frame to a caller-owned
-//! `Vec<u8>`, so the server's writer half and the client reuse one
+//! `Vec<u8>`, so each server connection and each client reuse one
 //! scratch buffer across every frame on a connection (the owning
 //! `encode` methods are thin wrappers that allocate a fresh vector).
+//!
+//! The `Status` reply is a fixed run of counters ([`StatusInfo`]). Its
+//! layout changed once under protocol v2: the trailing per-shard list
+//! (a `u16` count, then one entry per executor shard) was dropped when
+//! the server stopped running executor shards, and the slot that
+//! counted respawned shards now counts crashed connections. Nothing
+//! outside this repository decodes `Status`, so the version byte did
+//! not move.
 //!
 //! Solutions cross the wire losslessly: verdict, witness, route (with
 //! treewidth width), and full search statistics round-trip into the very
@@ -73,10 +81,6 @@ pub const LEGACY_VERSION: u8 = 1;
 /// Frame-header size of the retired v1 protocol (magic, version, kind,
 /// payload length — no request id).
 pub const LEGACY_HEADER_LEN: usize = 8;
-/// Upper bound on the executor-shard count a Status payload may claim
-/// (each claimed shard decodes into per-shard counters, so an unbounded
-/// claim would be a remote-allocation vector like [`MAX_UNIVERSE`]).
-pub const MAX_SHARDS: usize = 1024;
 /// Upper bound on a frame's payload length; longer prefixes are
 /// rejected before any allocation happens.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
@@ -330,28 +334,30 @@ pub struct StatusInfo {
     pub requests: u64,
     /// Instances solved since startup.
     pub solves: u64,
-    /// Executor batches run since startup.
+    /// Reply writes that carried at least one solve reply, since
+    /// startup (a pipelined window's replies leave in one write).
     pub batches: u64,
-    /// Solve jobs that shared an executor batch with at least one
-    /// other job (the coalescer's work product).
+    /// Solve replies that shared their write with at least one other
+    /// solve reply.
     pub coalesced_jobs: u64,
-    /// Largest number of jobs ever coalesced into one executor batch.
+    /// Most solve replies one write has carried.
     pub max_coalesced_jobs: u32,
     /// Requests refused at admission since startup.
     pub overloaded: u64,
-    /// Requests expired in the queue since startup.
+    /// Requests whose deadline expired before their solve started,
+    /// since startup.
     pub deadline_expired: u64,
-    /// Idle read-timeout wakeups across all connection readers since
+    /// Idle read-timeout wakeups across all connections since
     /// startup — a connection with no bytes pending should barely move
     /// this (see `ServerConfig::idle_poll_interval`).
     pub idle_wakeups: u64,
-    /// Solve-job panics caught (and answered as `Internal`) since
-    /// startup — each would have been a dead shard without
-    /// `catch_unwind`.
+    /// Request panics caught (and answered as `Internal`) since
+    /// startup — each would have been a dead connection without the
+    /// per-request `catch_unwind`.
     pub panics_caught: u64,
-    /// Executor shard threads respawned by the supervisor since
-    /// startup.
-    pub shards_respawned: u64,
+    /// Connection threads ended by a panic outside the per-request
+    /// boundary since startup; each cost only its own connection.
+    pub connections_crashed: u64,
     /// Accept-time connection resets injected by the chaos layer since
     /// startup.
     pub accept_faults: u64,
@@ -364,20 +370,6 @@ pub struct StatusInfo {
     /// ([`RETRY_ID_BIT`]) seen since startup — how often clients had to
     /// resend.
     pub client_retries: u64,
-    /// Per-shard executor counters, one entry per configured shard.
-    pub shards: Vec<ShardStatus>,
-}
-
-/// Per-shard executor counters inside [`StatusInfo`]: jobs are routed
-/// to shards by template-id hash, so these show how traffic spreads.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStatus {
-    /// Solve jobs admitted to this shard and not yet answered.
-    pub queue_depth: u32,
-    /// Executor batches this shard has run since startup.
-    pub batches: u64,
-    /// Largest number of jobs this shard ever coalesced into one batch.
-    pub max_coalesced: u32,
 }
 
 // ---------------------------------------------------------------------
@@ -895,17 +887,11 @@ impl Response {
                 put_u64(out, info.deadline_expired);
                 put_u64(out, info.idle_wakeups);
                 put_u64(out, info.panics_caught);
-                put_u64(out, info.shards_respawned);
+                put_u64(out, info.connections_crashed);
                 put_u64(out, info.accept_faults);
                 put_u64(out, info.accept_transient_errors);
                 put_u64(out, info.accept_fatal_errors);
                 put_u64(out, info.client_retries);
-                put_u16(out, info.shards.len() as u16);
-                for s in &info.shards {
-                    put_u32(out, s.queue_depth);
-                    put_u64(out, s.batches);
-                    put_u32(out, s.max_coalesced);
-                }
                 K_STATUS_R
             }
             Response::Error { code, message } => {
@@ -956,44 +942,28 @@ impl Response {
                     v => return Err(DecodeError::Invalid(format!("bad bool {v}"))),
                 },
             },
-            K_STATUS_R => {
-                let mut info = StatusInfo {
-                    protocol_version: r.u8()?,
-                    templates: r.u32()?,
-                    registry_capacity: r.u32()?,
-                    evictions: r.u64()?,
-                    queue_depth: r.u32()?,
-                    max_queue_depth: r.u32()?,
-                    requests: r.u64()?,
-                    solves: r.u64()?,
-                    batches: r.u64()?,
-                    coalesced_jobs: r.u64()?,
-                    max_coalesced_jobs: r.u32()?,
-                    overloaded: r.u64()?,
-                    deadline_expired: r.u64()?,
-                    idle_wakeups: r.u64()?,
-                    panics_caught: r.u64()?,
-                    shards_respawned: r.u64()?,
-                    accept_faults: r.u64()?,
-                    accept_transient_errors: r.u64()?,
-                    accept_fatal_errors: r.u64()?,
-                    client_retries: r.u64()?,
-                    shards: Vec::new(),
-                };
-                let nshards = r.u16()? as usize;
-                if nshards > MAX_SHARDS {
-                    return Err(DecodeError::Oversized(nshards as u64));
-                }
-                info.shards.reserve_exact(nshards);
-                for _ in 0..nshards {
-                    info.shards.push(ShardStatus {
-                        queue_depth: r.u32()?,
-                        batches: r.u64()?,
-                        max_coalesced: r.u32()?,
-                    });
-                }
-                Response::Status(info)
-            }
+            K_STATUS_R => Response::Status(StatusInfo {
+                protocol_version: r.u8()?,
+                templates: r.u32()?,
+                registry_capacity: r.u32()?,
+                evictions: r.u64()?,
+                queue_depth: r.u32()?,
+                max_queue_depth: r.u32()?,
+                requests: r.u64()?,
+                solves: r.u64()?,
+                batches: r.u64()?,
+                coalesced_jobs: r.u64()?,
+                max_coalesced_jobs: r.u32()?,
+                overloaded: r.u64()?,
+                deadline_expired: r.u64()?,
+                idle_wakeups: r.u64()?,
+                panics_caught: r.u64()?,
+                connections_crashed: r.u64()?,
+                accept_faults: r.u64()?,
+                accept_transient_errors: r.u64()?,
+                accept_fatal_errors: r.u64()?,
+                client_retries: r.u64()?,
+            }),
             K_ERROR => {
                 let raw = r.u8()?;
                 let code = ErrorCode::from_u8(raw)
@@ -1231,42 +1201,17 @@ mod tests {
             deadline_expired: 2,
             idle_wakeups: 7,
             panics_caught: 4,
-            shards_respawned: 1,
+            connections_crashed: 1,
             accept_faults: 9,
             accept_transient_errors: 3,
             accept_fatal_errors: 1,
             client_retries: 12,
-            shards: vec![
-                ShardStatus {
-                    queue_depth: 1,
-                    batches: 6,
-                    max_coalesced: 3,
-                },
-                ShardStatus {
-                    queue_depth: 0,
-                    batches: 5,
-                    max_coalesced: 1,
-                },
-            ],
         };
         let bytes = Response::Status(info.clone()).encode(3).unwrap();
         let (_, Response::Status(back)) = Response::decode(&bytes).unwrap() else {
             panic!("wrong kind");
         };
         assert_eq!(info, back);
-    }
-
-    #[test]
-    fn hostile_shard_count_claim_is_rejected() {
-        // A Status payload claiming more shard entries than MAX_SHARDS
-        // must be refused before the per-shard vector is reserved.
-        let mut p = Response::Status(StatusInfo::default()).encode(0).unwrap();
-        let shard_count_at = p.len() - 2; // the trailing u16 of an empty shard list
-        p[shard_count_at..].copy_from_slice(&(MAX_SHARDS as u16 + 1).to_le_bytes());
-        assert_eq!(
-            Response::decode(&p).unwrap_err(),
-            DecodeError::Oversized(MAX_SHARDS as u64 + 1)
-        );
     }
 
     #[test]

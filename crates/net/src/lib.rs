@@ -23,15 +23,17 @@
 //!   experiment E19).
 //! * [`registry`] — the template registry: compile **and warm** once,
 //!   share by `Arc`, evict least-recently-used beyond a capacity bound.
-//! * [`server`] — the serving loop: one acceptor; per connection a
-//!   reader thread (decode → enqueue) and a writer thread (mpsc-fed,
-//!   completion order); and N executor shards partitioned by
-//!   template-id hash, each coalescing concurrent solve jobs on the
-//!   same template into a single
-//!   [`par_solve_batch`](cqcs_core::Session::par_solve_batch) pass.
-//!   Admission control bounds the outstanding jobs (`Overloaded`),
-//!   per-request deadlines expire stale work (`DeadlineExceeded`), and
-//!   shutdown drains every admitted job before returning. A
+//! * [`server`] — the serving loop: one acceptor, and one thread per
+//!   connection that answers each request on the thread that read it,
+//!   in arrival order, through
+//!   [`solve_batch`](cqcs_core::Session::solve_batch) on the thread's
+//!   pooled scratch. A pipelined window arrives in one read and its
+//!   replies leave in one write, made just before the next read that
+//!   could block — so a peer that stops reading stops being read.
+//!   Admission control bounds the solves in flight (`Overloaded`),
+//!   per-request deadlines expire stale work (`DeadlineExceeded`), a
+//!   panic costs one request and a crash one connection, and shutdown
+//!   answers every request already read before returning. A
 //!   v1-versioned peer gets a typed `UnsupportedVersion` refusal in the
 //!   legacy framing it can decode — never a desync.
 //! * [`client`] — a client speaking the same codec: blocking
@@ -50,7 +52,7 @@
 //! The server's responses are pinned **bit-identical** (verdict,
 //! witness, route, search stats) to direct [`cqcs_core::Session::solve`]
 //! calls — the integration suite and experiments E18/E19 assert it, at
-//! every pipeline depth and shard count — so moving a workload behind
+//! every pipeline depth and client count — so moving a workload behind
 //! the socket changes where the work runs, not what it answers.
 //!
 //! ```no_run
@@ -78,7 +80,7 @@ pub mod transport;
 pub use client::{Client, ClientConfig, ClientError};
 pub use codec::{
     solutions_identical, structures_identical, DecodeError, EncodeError, ErrorCode, Request,
-    Response, ShardStatus, StatusInfo, LEGACY_VERSION, MAX_PAYLOAD, MAX_UNIVERSE, PROTOCOL_VERSION,
+    Response, StatusInfo, LEGACY_VERSION, MAX_PAYLOAD, MAX_UNIVERSE, PROTOCOL_VERSION,
     RETRY_ID_BIT,
 };
 pub use pool::frame_buf_growths;

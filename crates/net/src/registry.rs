@@ -183,7 +183,7 @@ mod tests {
             support_builds_on_this_thread() > before,
             "register pays for the support build on the registering thread"
         );
-        // A solve on a *different* thread (the executor, in the server)
+        // A solve on a *different* thread (another connection, in the server)
         // must find everything pre-built: its thread-local build
         // counter stays at zero.
         let template = reg.get(id).expect("registered");

@@ -1,10 +1,10 @@
 //! Byte-stream abstraction with deterministic fault injection.
 //!
-//! Everything above this module — [`crate::server`]'s per-connection
-//! reader/writer threads and [`crate::client`]'s blocking calls — moves
-//! bytes through a [`Transport`]: the handful of socket operations the
+//! Everything above this module — [`crate::server`]'s connection
+//! threads and [`crate::client`]'s blocking calls — moves bytes
+//! through a [`Transport`]: the handful of socket operations the
 //! serving stack actually uses (read, write, peek, timeouts,
-//! nonblocking toggle, shutdown, half duplication). `TcpStream`
+//! nonblocking toggle, shutdown). `TcpStream`
 //! implements it by direct delegation, so the production path is the
 //! zero-fault instantiation: one virtual dispatch per syscall, no
 //! wrapper state, no dead code.
@@ -28,10 +28,9 @@
 //! The plan draws from the vendored [`rand::rngs::StdRng`] (xoshiro
 //! seeded via SplitMix64), so a chaos run replays **bit-identically**
 //! from its seed: same seed ⇒ same [`FaultAction`] sequence, proven by
-//! a proptest in `tests/transport_proptests.rs`. The two halves of a
-//! duplicated stream ([`Transport::try_clone_box`]) share one plan
-//! behind a mutex, so a reader and writer thread interleave draws from
-//! a single schedule rather than forking it.
+//! a proptest in `tests/transport_proptests.rs`. Each stream is owned
+//! by one thread, so its reads and writes draw from one schedule in
+//! the order that thread makes them.
 //!
 //! Injected (non-pass) actions also bump a global counter,
 //! [`faults_injected`], mirroring `pool::frame_buf_growths` — chaos
@@ -41,7 +40,6 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -66,9 +64,6 @@ pub trait Transport: Read + Write + Send {
     fn set_nodelay(&self, nodelay: bool) -> io::Result<()>;
     /// Shut down one or both halves of the connection.
     fn shutdown(&self, how: Shutdown) -> io::Result<()>;
-    /// Duplicate the stream (reader/writer halves share the socket —
-    /// and, for [`FaultStream`], the fault plan).
-    fn try_clone_box(&self) -> io::Result<Box<dyn Transport>>;
 }
 
 impl Transport for TcpStream {
@@ -89,9 +84,6 @@ impl Transport for TcpStream {
     }
     fn shutdown(&self, how: Shutdown) -> io::Result<()> {
         TcpStream::shutdown(self, how)
-    }
-    fn try_clone_box(&self) -> io::Result<Box<dyn Transport>> {
-        Ok(Box::new(self.try_clone()?))
     }
 }
 
@@ -191,42 +183,34 @@ impl FaultPlan {
     }
 }
 
-struct FaultShared {
+/// A `TcpStream` wrapper that injects the seeded fault schedule of its
+/// [`FaultPlan`] into every read and write. See the module docs for
+/// the fault taxonomy.
+pub struct FaultStream {
+    inner: TcpStream,
     plan: FaultPlan,
     /// Set once an injected disconnect has severed the socket; all
     /// later reads see EOF and writes see `BrokenPipe`.
     cut: bool,
 }
 
-/// A `TcpStream` wrapper that injects the seeded fault schedule of its
-/// [`FaultPlan`] into every read and write. See the module docs for
-/// the fault taxonomy; see [`Transport::try_clone_box`] for how the
-/// reader and writer halves share one schedule.
-pub struct FaultStream {
-    inner: TcpStream,
-    shared: Arc<Mutex<FaultShared>>,
-}
-
 impl FaultStream {
     pub fn new(inner: TcpStream, cfg: FaultConfig) -> FaultStream {
         FaultStream {
             inner,
-            shared: Arc::new(Mutex::new(FaultShared {
-                plan: FaultPlan::new(cfg),
-                cut: false,
-            })),
+            plan: FaultPlan::new(cfg),
+            cut: false,
         }
     }
 
     /// Draw the next action, or report the stream already severed.
-    fn draw(&self) -> Result<FaultAction, ()> {
-        let mut shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
-        if shared.cut {
+    fn draw(&mut self) -> Result<FaultAction, ()> {
+        if self.cut {
             return Err(());
         }
-        let action = shared.plan.next_action();
+        let action = self.plan.next_action();
         if action == FaultAction::Disconnect {
-            shared.cut = true;
+            self.cut = true;
         }
         if action != FaultAction::Pass {
             FAULTS.fetch_add(1, Ordering::Relaxed);
@@ -307,11 +291,7 @@ impl Transport for FaultStream {
     fn peek(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         // The probe itself is not fault-injected (it is a client-local
         // readiness check), but a severed stream still reads as EOF.
-        let cut = {
-            let shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
-            shared.cut
-        };
-        if cut {
+        if self.cut {
             return Ok(0);
         }
         self.inner.peek(buf)
@@ -330,12 +310,6 @@ impl Transport for FaultStream {
     }
     fn shutdown(&self, how: Shutdown) -> io::Result<()> {
         self.inner.shutdown(how)
-    }
-    fn try_clone_box(&self) -> io::Result<Box<dyn Transport>> {
-        Ok(Box::new(FaultStream {
-            inner: self.inner.try_clone()?,
-            shared: Arc::clone(&self.shared),
-        }))
     }
 }
 
@@ -409,21 +383,5 @@ mod tests {
         assert_eq!(fs.read(&mut buf).unwrap(), 0, "severed stream stays EOF");
         let err = fs.write(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-    }
-
-    #[test]
-    fn clones_share_one_schedule() {
-        let (client, _server) = socket_pair();
-        let cfg = FaultConfig::new(11, 0.5);
-        let reference = FaultPlan::schedule(cfg.clone(), 2);
-        let fs = FaultStream::new(client, cfg);
-        let clone = fs.try_clone_box().unwrap();
-        drop(clone);
-        // Two draws from the original must walk the same schedule a
-        // fresh plan produces — the clone shares state rather than
-        // restarting the rng.
-        let mut shared = fs.shared.lock().unwrap();
-        assert_eq!(shared.plan.next_action(), reference[0]);
-        assert_eq!(shared.plan.next_action(), reference[1]);
     }
 }

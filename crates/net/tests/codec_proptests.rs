@@ -21,8 +21,8 @@
 
 use cqcs_core::{Route, SearchStats, Solution};
 use cqcs_net::codec::{
-    solutions_identical, structures_identical, DecodeError, Request, Response, ShardStatus,
-    StatusInfo, HEADER_LEN, LEGACY_VERSION, MAX_PAYLOAD, MAX_UNIVERSE, PROTOCOL_VERSION,
+    solutions_identical, structures_identical, DecodeError, Request, Response, StatusInfo,
+    HEADER_LEN, LEGACY_VERSION, MAX_PAYLOAD, MAX_UNIVERSE, PROTOCOL_VERSION,
 };
 use cqcs_structures::{Element, Homomorphism, Structure, StructureBuilder, Vocabulary};
 use proptest::prelude::*;
@@ -208,7 +208,7 @@ proptest! {
         prop_assert_eq!(b2, q2);
     }
 
-    /// Status snapshots round-trip field-for-field, shard list included.
+    /// Status snapshots round-trip field-for-field.
     #[test]
     fn status_round_trips(
         (templates, capacity, queue, maxq, maxco) in
@@ -216,10 +216,8 @@ proptest! {
         (evictions, requests, solves, batches, coalesced) in
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (overloaded, expired, idle) in (any::<u64>(), any::<u64>(), any::<u64>()),
-        (panics, respawns, afaults) in (any::<u64>(), any::<u64>(), any::<u64>()),
+        (panics, crashes, afaults) in (any::<u64>(), any::<u64>(), any::<u64>()),
         (atransient, afatal, retries) in (any::<u64>(), any::<u64>(), any::<u64>()),
-        shards in proptest::collection::vec(
-            (any::<u32>(), any::<u64>(), any::<u32>()), 0..6),
     ) {
         let info = StatusInfo {
             protocol_version: PROTOCOL_VERSION,
@@ -237,19 +235,11 @@ proptest! {
             deadline_expired: expired,
             idle_wakeups: idle,
             panics_caught: panics,
-            shards_respawned: respawns,
+            connections_crashed: crashes,
             accept_faults: afaults,
             accept_transient_errors: atransient,
             accept_fatal_errors: afatal,
             client_retries: retries,
-            shards: shards
-                .into_iter()
-                .map(|(queue_depth, batches, max_coalesced)| ShardStatus {
-                    queue_depth,
-                    batches,
-                    max_coalesced,
-                })
-                .collect(),
         };
         let (_, Response::Status(back)) =
             Response::decode(&Response::Status(info.clone()).encode(5).unwrap()).unwrap() else {

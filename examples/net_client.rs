@@ -1,9 +1,9 @@
-//! Concurrent clients sharing one server: coalescing and pipelining.
+//! Concurrent clients sharing one server, and a pipelined window.
 //!
 //! Four client threads hammer the same registered template at once,
-//! then a single connection pipelines a batch at depth 8. The server's
-//! coalescer merges concurrent (and in-flight-window) requests into
-//! shared `par_solve_batch` passes — visible in the
+//! each on its own connection and so on its own server thread; then a
+//! single connection pipelines a batch at depth 8. The server reads a
+//! window in one read and answers it in one write — visible in the
 //! `max_coalesced_jobs` statistic — while every response stays
 //! bit-identical to a direct in-process solve, which this example
 //! checks.
@@ -14,16 +14,9 @@ use cqcs::net::codec::solutions_identical;
 use cqcs::net::server::{Server, ServerConfig};
 use cqcs::structures::generators;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            coalesce_window: Duration::from_millis(50),
-            ..ServerConfig::default()
-        },
-    )?;
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default())?;
     let addr = server.local_addr();
     let template = generators::complete_graph(3);
     let id = Client::connect(addr)?.register_template(&template)?;
@@ -56,17 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = clients * per_client;
     println!("{agreements}/{total} networked solutions bit-identical to direct solves");
 
-    let status = Client::connect(addr)?.status()?;
-    println!(
-        "{} solves ran in {} executor batches; up to {} jobs coalesced into one pass",
-        status.solves, status.batches, status.max_coalesced_jobs
-    );
     assert_eq!(agreements, total);
 
     // Pipelining: one connection, eight requests in flight. The window
-    // travels as one buffered write, the server coalesces it into few
-    // batches, and correlation ids bring the answers back in
-    // submission order.
+    // travels as one buffered write, the server answers it in one
+    // write, and correlation ids bring the answers back in submission
+    // order.
     let mut c = Client::connect(addr)?;
     let direct = Session::compile(&template);
     let instances: Vec<_> = (0..16)
@@ -83,6 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         instances.len()
     );
     assert_eq!(piped_agree, instances.len());
+
+    let status = c.status()?;
+    println!(
+        "{} solves answered; up to {} solve replies shared one write",
+        status.solves, status.max_coalesced_jobs
+    );
 
     server.shutdown();
     Ok(())

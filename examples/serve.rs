@@ -3,24 +3,16 @@
 //! The real deployment runs the `cqcs-serve` binary and connects from
 //! other processes; this example keeps both ends in one program so
 //! `cargo run --example serve` is self-contained. It binds an
-//! ephemeral port, registers two templates, and shows the registry and
-//! coalescing statistics the server exposes over `Status`.
+//! ephemeral port, registers two templates, pipelines a window of
+//! solves, and shows the registry and write statistics the server
+//! exposes over `Status`.
 
 use cqcs::net::client::Client;
 use cqcs::net::server::{Server, ServerConfig};
 use cqcs::structures::generators;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A small coalesce window: concurrent solves on the same template
-    // are merged into one shared batch-executor pass.
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            coalesce_window: Duration::from_millis(5),
-            ..ServerConfig::default()
-        },
-    )?;
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default())?;
     println!("serving on {}", server.local_addr());
 
     let mut client = Client::connect(server.local_addr())?;
@@ -49,14 +41,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("C{n} → K2: {}", sol.homomorphism.is_some());
     }
 
+    // A pipelined window: eight solves leave in one write, the server's
+    // connection thread reads them together and answers them in one
+    // write, and correlation ids put the answers back in order.
+    let cycles: Vec<_> = (4..12).map(generators::undirected_cycle).collect();
+    let colorable = client
+        .solve_pipelined(k3, &cycles, 8)?
+        .iter()
+        .filter(|sol| sol.homomorphism.is_some())
+        .count();
+    println!(
+        "pipelined C4..C11 → K3: {colorable}/{} 3-colorable",
+        cycles.len()
+    );
+
     // Containment queries ride the same connection.
     let contained = client.containment("Q(X) :- E(X, Y), E(Y, X).", "Q(X) :- E(X, Y).")?;
     println!("symmetric-edge query ⊑ edge query: {contained}");
 
     let status = client.status()?;
     println!(
-        "server answered {} requests, {} solves in {} batches, {} templates resident",
-        status.requests, status.solves, status.batches, status.templates
+        "server answered {} requests and {} solves, {} templates resident; \
+         up to {} solve replies shared one write",
+        status.requests, status.solves, status.templates, status.max_coalesced_jobs
     );
 
     server.shutdown();

@@ -14,7 +14,7 @@ cargo run -q -p cqcs-bench --release --bin experiments > "$regen"
 
 mask() {
   sed -E 's/[0-9]+\.[0-9]+/<float>/g; s/cpus=[0-9]+/cpus=<n>/g;
-          s/(ok|err|retries|reconnects|panics|respawns|accept_faults|client_retries|stale_dropped|faults)=[0-9]+/\1=<n>/g' "$1"
+          s/(ok|err|retries|reconnects|panics|crashes|accept_faults|client_retries|stale_dropped|faults)=[0-9]+/\1=<n>/g' "$1"
 }
 if ! diff -u <(mask EXPERIMENTS.md) <(mask "$regen"); then
   echo >&2
@@ -156,7 +156,7 @@ fi
 # `identical` must be true and `lost`/`dup` zero on every row — every
 # request ends in a solution or a typed error, each is answered exactly
 # once, and chaos never changes an answer, only its latency. The
-# retry/respawn counters are scheduling-dependent and masked; the
+# retry/crash counters are scheduling-dependent and masked; the
 # invariants are not.
 if ! grep -q '^## E20' "$regen"; then
   echo "E20 chaos table is missing." >&2

@@ -23,7 +23,8 @@
 //!   minimization, Saraiya's two-atom case;
 //! * [`net`] — the network front end: compiled templates served behind
 //!   a TCP socket (length-prefixed wire protocol, LRU template
-//!   registry, coalescing serving loop, blocking client).
+//!   registry, a serving loop that answers each connection on its own
+//!   thread, blocking and pipelining client).
 //!
 //! ## Quickstart
 //!
