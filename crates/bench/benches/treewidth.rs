@@ -1,9 +1,11 @@
 //! E8 bench: the bounded-treewidth DP (Theorem 5.4) vs generic search,
 //! and the ∃FO^{k+1} evaluation route of Lemma 5.2; plus the exact
-//! treewidth oracles (E13): subset DP vs branch and bound, and the
-//! cached min-fill order vs its from-scratch reference.
+//! treewidth oracles (E13): subset DP vs branch and bound, the cached
+//! min-fill order vs its from-scratch reference, and the whole
+//! Theorem 5.4 route through a session on the served instance family,
+//! G(8,12) → K3, next to MAC search on the same instances.
 
-use cqcs_core::{backtracking_search, SearchOptions};
+use cqcs_core::{backtracking_search, SearchOptions, Session, Strategy};
 use cqcs_structures::{gaifman_graph, generators};
 use cqcs_treewidth::bb::bb_treewidth;
 use cqcs_treewidth::dp::homomorphism_via_treewidth;
@@ -80,8 +82,9 @@ fn bench_exact_oracles(c: &mut Criterion) {
 fn bench_min_fill_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("min_fill_order");
     group.sample_size(10);
-    for n in [40usize, 80] {
-        let g = gaifman_graph(&generators::random_graph_nm(n, 3 * n, 5));
+    // The served size, G(8,12), then two larger graphs.
+    for (n, m) in [(8usize, 12usize), (40, 120), (80, 240)] {
+        let g = gaifman_graph(&generators::random_graph_nm(n, m, 5));
         group.bench_with_input(BenchmarkId::new("cached", n), &g, |bench, g| {
             bench.iter(|| min_fill_order(g))
         });
@@ -92,11 +95,34 @@ fn bench_min_fill_cache(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_treewidth_route(c: &mut Criterion) {
+    let mut group = c.benchmark_group("treewidth_route");
+    group.sample_size(10);
+    let session = Session::compile(&generators::complete_graph(3));
+    let batch: Vec<_> = (0..64u64)
+        .map(|seed| generators::random_graph_nm(8, 12, seed))
+        .collect();
+    for (name, strategy) in [
+        ("dp_g8_12_x64", Strategy::Treewidth),
+        ("mac_g8_12_x64", Strategy::Generic(SearchOptions::default())),
+    ] {
+        group.bench_function(name, |bench| {
+            bench.iter(|| {
+                for a in &batch {
+                    session.solve_with(a, strategy).unwrap();
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dp_vs_search,
     bench_fo_route,
     bench_exact_oracles,
-    bench_min_fill_cache
+    bench_min_fill_cache,
+    bench_treewidth_route
 );
 criterion_main!(benches);

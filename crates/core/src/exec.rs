@@ -23,13 +23,14 @@
 //!   whose arena-resident domains/trail/worklists are rebound in place
 //!   (`ProgramPropagator::reset_for_instance`) instead of reallocated,
 //!   pooled candidate buffers for the backtracking search, pooled
-//!   bitsets for the GYO acyclicity test, and pooled bag tables for the
-//!   treewidth DP. The per-instance allocation profile drops even at
-//!   `threads = 1`, which is why the sequential
+//!   bitsets for the GYO acyclicity test, and the Theorem 5.4 route's
+//!   `DpScratch`: the min-fill elimination's word rows, the lowered bag
+//!   tables and the row-set masks. The per-instance allocation profile
+//!   drops even at `threads = 1`, which is why the sequential
 //!   [`Session::solve_batch`](crate::Session::solve_batch) runs on the
 //!   same worker loop.
 //! * The borrow-free half of that scratch — the engine's arena, the
-//!   search buffers, the GYO buffers and the DP tables — also
+//!   search buffers, the GYO buffers and the `DpScratch` — also
 //!   **outlives its batch**: it sits in a per-thread pool that the
 //!   inline worker (`threads ≤ 1`, the path every server batch takes)
 //!   and [`Session::solve_with`](crate::Session::solve_with) take on
@@ -98,7 +99,8 @@ std::thread_local! {
 /// from the queue: the compiled propagation engine and its arena
 /// (rebound in place per instance, never reallocated), the backtracking
 /// search's candidate buffers, the GYO reduction's bitsets, the
-/// treewidth DP's bag tables, and a local statistics accumulator. One
+/// Theorem 5.4 route's elimination rows and bag tables, and a local
+/// statistics accumulator. One
 /// scratch serves one template at a time; handing it instances against
 /// a different template transparently rebuilds the engine (recycling
 /// the arena allocation).
@@ -160,7 +162,7 @@ impl<'s> WorkerScratch<'s> {
         &mut self.bufs.gyo
     }
 
-    /// The pooled treewidth-DP tables.
+    /// The pooled Theorem 5.4 buffers: elimination rows and DP tables.
     pub(crate) fn dp(&mut self) -> &mut DpScratch {
         &mut self.bufs.dp
     }

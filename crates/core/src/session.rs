@@ -59,8 +59,9 @@ use cqcs_pebble::program::PropProgram;
 use cqcs_structures::{Element, Homomorphism, Structure, SupportIndex};
 use cqcs_treewidth::acyclic::{yannakakis_pooled, GyoScratch};
 use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
-use cqcs_treewidth::dp::{solve_with_decomposition_pooled, DpScratch};
-use cqcs_treewidth::heuristics::{decomposition_from_elimination, min_fill_order};
+use cqcs_treewidth::dp::{
+    solve_min_fill_pooled, solve_with_order_pooled, DpScratch, MinFillOutcome,
+};
 use cqcs_treewidth::lower_bounds::mmd_lower_bound;
 use std::sync::{Arc, OnceLock};
 
@@ -395,17 +396,13 @@ fn auto_on<'s>(
         };
     }
     if a.universe() > 0 {
-        let g = cqcs_structures::gaifman_graph(a);
-        let order = min_fill_order(&g);
-        let td = decomposition_from_elimination(&g, &order);
-        if td.width() <= AUTO_TREEWIDTH_BUDGET {
-            let h = solve_with_decomposition_pooled(a, b, &td, facts.support(b), dp)
-                .expect("decomposition from A's own Gaifman graph is valid");
-            return Solution {
-                homomorphism: h,
-                route: Route::Treewidth(td.width()),
-                stats: None,
-            };
+        let support = facts.support(b);
+        if let MinFillOutcome::Solved {
+            width,
+            homomorphism,
+        } = solve_min_fill_pooled(a, b, support, AUTO_TREEWIDTH_BUDGET, dp)
+        {
+            return treewidth_solution(width, homomorphism);
         }
         // The heuristic overshot the budget. On small graphs, ask the
         // branch and bound (bounded effort, seeded with the min-fill
@@ -416,19 +413,15 @@ fn auto_on<'s>(
         // bound gates the probe: when it already proves the treewidth
         // exceeds the budget, no order can rescue the DP route and the
         // search starts immediately.
-        if g.len() <= EXACT_WIDTH_PROBE_MAX_VERTICES && mmd_lower_bound(&g) <= AUTO_TREEWIDTH_BUDGET
-        {
-            let (r, _optimal) =
-                bb_treewidth_best_effort_seeded(&g, &order, EXACT_WIDTH_PROBE_NODE_BUDGET);
-            if r.width <= AUTO_TREEWIDTH_BUDGET {
-                let td = decomposition_from_elimination(&g, &r.order);
-                let h = solve_with_decomposition_pooled(a, b, &td, facts.support(b), dp)
-                    .expect("decomposition from a complete order is valid");
-                return Solution {
-                    homomorphism: h,
-                    route: Route::Treewidth(r.width),
-                    stats: None,
-                };
+        if a.universe() <= EXACT_WIDTH_PROBE_MAX_VERTICES {
+            let g = cqcs_structures::gaifman_graph(a);
+            if mmd_lower_bound(&g) <= AUTO_TREEWIDTH_BUDGET {
+                let (r, _optimal) =
+                    bb_treewidth_best_effort_seeded(&g, dp.order(), EXACT_WIDTH_PROBE_NODE_BUDGET);
+                if r.width <= AUTO_TREEWIDTH_BUDGET {
+                    let h = solve_with_order_pooled(a, b, &r.order, support, dp);
+                    return treewidth_solution(r.width, h);
+                }
             }
         }
     }
@@ -498,26 +491,27 @@ pub(crate) fn try_acyclic(a: &Structure, b: &Structure, gyo: &mut GyoScratch) ->
     })
 }
 
+/// The forced Theorem 5.4 route: `A`'s min-fill decomposition, at any
+/// width.
 fn treewidth_route(
     a: &Structure,
     b: &Structure,
     support: &SupportIndex,
     dp: &mut DpScratch,
 ) -> Solution {
-    let td = if a.universe() == 0 {
-        cqcs_treewidth::TreeDecomposition {
-            bags: vec![],
-            edges: vec![],
-        }
-    } else {
-        let g = cqcs_structures::gaifman_graph(a);
-        decomposition_from_elimination(&g, &min_fill_order(&g))
-    };
-    let width = td.width();
-    let h = solve_with_decomposition_pooled(a, b, &td, support, dp)
-        .expect("own decomposition is valid");
+    match solve_min_fill_pooled(a, b, support, usize::MAX, dp) {
+        MinFillOutcome::Solved {
+            width,
+            homomorphism,
+        } => treewidth_solution(width, homomorphism),
+        MinFillOutcome::OverBudget { .. } => unreachable!("no width exceeds usize::MAX"),
+    }
+}
+
+/// A Theorem 5.4 answer over a decomposition of width `width`.
+pub(crate) fn treewidth_solution(width: usize, homomorphism: Option<Homomorphism>) -> Solution {
     Solution {
-        homomorphism: h,
+        homomorphism,
         route: Route::Treewidth(width),
         stats: None,
     }
@@ -639,6 +633,49 @@ mod tests {
     }
 
     #[test]
+    fn treewidth_route_matches_the_reference_pipeline_on_served_instances() {
+        // The served family, G(8,12) → K3: the word-row front end and the
+        // row-set DP must pick the reference pipeline's width and witness
+        // (BitSet min-fill → BitSet bags → hash-map DP), both under Auto
+        // and on the forced route.
+        use cqcs_treewidth::dp::solve_with_decomposition_reference;
+        use cqcs_treewidth::heuristics::{
+            decomposition_from_elimination_reference, min_fill_order_reference,
+        };
+        let k3 = generators::complete_graph(3);
+        let session = Session::compile(&k3);
+        let mut treewidth_routes = 0;
+        for seed in 0..1024u64 {
+            let a = generators::random_graph_nm(8, 12, seed);
+            let g = cqcs_structures::gaifman_graph(&a);
+            let td = decomposition_from_elimination_reference(&g, &min_fill_order_reference(&g));
+            let want = solve_with_decomposition_reference(&a, &k3, &td).unwrap();
+            let want = want.as_ref().map(Homomorphism::as_slice);
+            let forced = session.solve_with(&a, Strategy::Treewidth).unwrap();
+            assert_eq!(forced.route, Route::Treewidth(td.width()), "seed {seed}");
+            assert_eq!(
+                forced.homomorphism.as_ref().map(Homomorphism::as_slice),
+                want,
+                "seed {seed}"
+            );
+            let auto = session.solve(&a);
+            if let Route::Treewidth(w) = auto.route {
+                treewidth_routes += 1;
+                assert_eq!(w, td.width(), "seed {seed}");
+                assert_eq!(
+                    auto.homomorphism.as_ref().map(Homomorphism::as_slice),
+                    want,
+                    "seed {seed}"
+                );
+            }
+        }
+        assert!(
+            treewidth_routes > 1000,
+            "{treewidth_routes} Treewidth routes"
+        );
+    }
+
+    #[test]
     fn empty_universes() {
         let voc = generators::digraph_vocabulary();
         let empty = cqcs_structures::StructureBuilder::new(voc, 0).finish();
@@ -647,6 +684,25 @@ mod tests {
         assert!(session.solve(&empty).homomorphism.is_some());
         let session = Session::compile(&empty);
         assert!(session.solve(&k3).homomorphism.is_none());
+        // An empty A with a 0-ary fact has no bags to hold it: the forced
+        // Treewidth route answers from the 0-ary precondition alone.
+        use cqcs_structures::{StructureBuilder, Vocabulary};
+        let voc = Vocabulary::from_symbols([("P", 0), ("E", 2)])
+            .unwrap()
+            .into_shared();
+        let mut ab = StructureBuilder::new(Arc::clone(&voc), 0);
+        ab.add_fact("P", &[]).unwrap();
+        let a = ab.finish();
+        let mut with_p = StructureBuilder::new(Arc::clone(&voc), 2);
+        with_p.add_fact("P", &[]).unwrap();
+        let without_p = StructureBuilder::new(voc, 2).finish();
+        for (b, holds) in [(with_p.finish(), true), (without_p, false)] {
+            let sol = Session::compile(&b)
+                .solve_with(&a, Strategy::Treewidth)
+                .unwrap();
+            assert_eq!(sol.route, Route::Treewidth(0));
+            assert_eq!(sol.homomorphism.is_some(), holds);
+        }
     }
 
     #[test]

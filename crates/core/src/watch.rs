@@ -61,7 +61,7 @@
 //! `cqcs_datalog::incremental::DatalogWatch`.
 
 use crate::analysis::{EXACT_WIDTH_PROBE_MAX_VERTICES, EXACT_WIDTH_PROBE_NODE_BUDGET};
-use crate::session::{try_acyclic, try_booleanize, try_schaefer, Session};
+use crate::session::{treewidth_solution, try_acyclic, try_booleanize, try_schaefer, Session};
 use crate::solvers::backtracking::{backtracking_search_scratch, SearchOptions, SearchScratch};
 use crate::solvers::dispatch::{Route, Solution, AUTO_TREEWIDTH_BUDGET};
 use crate::CompiledTemplate;
@@ -69,8 +69,9 @@ use cqcs_pebble::program::{ProgramPropagator, SavedPropState};
 use cqcs_structures::{PropArena, Structure, StructureDelta};
 use cqcs_treewidth::acyclic::GyoScratch;
 use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
-use cqcs_treewidth::dp::{solve_with_decomposition_pooled, DpScratch};
-use cqcs_treewidth::heuristics::{decomposition_from_elimination, min_fill_order};
+use cqcs_treewidth::dp::{
+    solve_min_fill_pooled, solve_with_order_pooled, DpScratch, MinFillOutcome,
+};
 use cqcs_treewidth::lower_bounds::mmd_lower_bound;
 use std::sync::Arc;
 
@@ -270,48 +271,37 @@ impl WatchSession {
                 if additions_only && self.cache.tw_exceeds_budget {
                     self.stats.treewidth_skips += 1;
                 } else {
-                    let g = cqcs_structures::gaifman_graph(a);
-                    let order = min_fill_order(&g);
-                    let td = decomposition_from_elimination(&g, &order);
-                    if td.width() <= AUTO_TREEWIDTH_BUDGET {
-                        let h = solve_with_decomposition_pooled(
-                            a,
-                            b,
-                            &td,
-                            template.support(),
-                            &mut self.dp,
-                        )
-                        .expect("decomposition from A's own Gaifman graph is valid");
+                    if let MinFillOutcome::Solved {
+                        width,
+                        homomorphism,
+                    } = solve_min_fill_pooled(
+                        a,
+                        b,
+                        template.support(),
+                        AUTO_TREEWIDTH_BUDGET,
+                        &mut self.dp,
+                    ) {
                         self.saved = Some(prop.into_saved());
-                        break 'route Solution {
-                            homomorphism: h,
-                            route: Route::Treewidth(td.width()),
-                            stats: None,
-                        };
+                        break 'route treewidth_solution(width, homomorphism);
                     }
+                    let g = cqcs_structures::gaifman_graph(a);
                     if g.len() <= EXACT_WIDTH_PROBE_MAX_VERTICES {
                         if mmd_lower_bound(&g) <= AUTO_TREEWIDTH_BUDGET {
                             let (r, optimal) = bb_treewidth_best_effort_seeded(
                                 &g,
-                                &order,
+                                self.dp.order(),
                                 EXACT_WIDTH_PROBE_NODE_BUDGET,
                             );
                             if r.width <= AUTO_TREEWIDTH_BUDGET {
-                                let td = decomposition_from_elimination(&g, &r.order);
-                                let h = solve_with_decomposition_pooled(
+                                let h = solve_with_order_pooled(
                                     a,
                                     b,
-                                    &td,
+                                    &r.order,
                                     template.support(),
                                     &mut self.dp,
-                                )
-                                .expect("decomposition from a complete order is valid");
+                                );
                                 self.saved = Some(prop.into_saved());
-                                break 'route Solution {
-                                    homomorphism: h,
-                                    route: Route::Treewidth(r.width),
-                                    stats: None,
-                                };
+                                break 'route treewidth_solution(r.width, h);
                             }
                             // The probe ran to completion: r.width is
                             // the exact treewidth, and it exceeds the

@@ -470,8 +470,11 @@ fn transfer_polled(
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Which read timeout is currently installed on the socket — tracked so
-/// mode changes (one `setsockopt`) happen only at idle/busy
-/// transitions, not per frame.
+/// a `setsockopt` happens only when the mode changes: at each idle/busy
+/// transition. With one request in flight, every frame is such a
+/// transition (idle while waiting for its first byte, polled once it
+/// arrives), so each request pays two `setsockopt` calls; a pipelined
+/// window pays two per window.
 #[derive(PartialEq, Clone, Copy)]
 enum TimeoutMode {
     Unset,

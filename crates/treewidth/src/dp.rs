@@ -8,28 +8,52 @@
 //! parents through projections onto shared elements; a homomorphism is
 //! reconstructed top-down.
 //!
-//! [`solve_with_decomposition_pooled`] runs that DP compiled: the
-//! decomposition is lowered once per call into flat arrays in a
-//! reusable [`DpScratch`] (bag elements, each `A`-tuple as a relation
-//! plus bag positions checked at the first bag holding it, each
-//! child's positions shared with its parent, the tree order), a tuple
-//! check is an AND of the template's [`SupportIndex`] bitsets, and each
-//! child's table is a mixed-radix array over its projection onto the
-//! parent bag, holding the first kept row per projection.
-//! [`solve_with_decomposition_reference`] is the hash-map DP it
-//! replaced, kept as the parity oracle: both enumerate every bag in
-//! odometer order (position 0 fastest) and let the first kept row
-//! represent its projection, so verdicts and witnesses are identical.
+//! The DP runs compiled, on a reusable [`DpScratch`]:
+//!
+//! * **Front end.** [`solve_min_fill_pooled`] builds `A`'s Gaifman
+//!   graph as word rows straight from `A`'s tuples and eliminates it in
+//!   min-fill order ([`crate::heuristics`]'s elimination core), which
+//!   emits the bags as word rows and the tree edges. Those rows are
+//!   lowered directly: no graph, no `BitSet` bag and no
+//!   [`TreeDecomposition`] is built, and a decomposition the solver
+//!   built itself is not re-validated. [`solve_with_order_pooled`] does
+//!   the same for a given elimination order, and
+//!   [`solve_with_decomposition_pooled`] validates a caller's
+//!   decomposition and loads it into the same rows, so there is one
+//!   lowering.
+//! * **Lowering.** Flat arrays: bag elements, each `A`-tuple as a
+//!   relation plus bag positions checked at the first bag holding it
+//!   (found by AND-ing per-element rows of holder bags), each child's
+//!   positions shared with its parent, the tree order. Each child's
+//!   table is a mixed-radix array over its projection onto the parent
+//!   bag, holding the first kept row per projection.
+//! * **Fill.** A bag with `|B|^{|bag|} ≤ 128` rows is filled as one row
+//!   set, a `u128` over its rows: the AND of one mask per tuple check
+//!   (the union, over the `B`-tuples, of the rows agreeing with one) and
+//!   one per child table (the union, over the child's kept projections,
+//!   of the rows projecting onto one), all built from cached position
+//!   masks (the rows with value `v` at position `p`). Its kept rows are
+//!   read off in ascending row order, which is the odometer order.
+//!   Larger bags walk the odometer (position 0 fastest), testing each
+//!   row's tuples as an AND of the template's [`SupportIndex`] bitsets
+//!   and probing each child's table.
+//!
+//! [`solve_with_decomposition_reference`] is the hash-map DP the
+//! compiled one replaced, kept as the parity oracle: both enumerate
+//! every bag in odometer order and let the first kept row represent its
+//! projection, so verdicts and witnesses are identical.
 
 use crate::decomposition::{DecompositionError, TreeDecomposition};
-use crate::heuristics;
-use cqcs_structures::{
-    gaifman_graph, BitSet, Element, Homomorphism, RelId, Structure, SupportIndex,
-};
+use crate::heuristics::{holds, members, rank, Elimination};
+use cqcs_structures::{Element, Homomorphism, RelId, Structure, SupportIndex};
 use std::collections::HashMap;
 
 /// An empty child-table slot, and the root's parent.
 const NONE: u32 = u32::MAX;
+
+/// Bags with at most this many rows (`|B|^{|bag|}`) are filled as one
+/// row set, a `u128` mask over the rows.
+const ROW_SET_ROWS: usize = 128;
 
 /// One lowered tree node.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,15 +94,125 @@ struct Check {
     arity: u32,
 }
 
-/// Reusable buffers for [`solve_with_decomposition_pooled`]: the
-/// lowered decomposition and the flat bag tables. A batch worker keeps
-/// one next to its propagation arena so the DP allocates nothing once
-/// the buffers reach the batch's high-water mark; a fresh (default)
-/// scratch gives the same answers.
+/// The row-set tables for one `|B| ≥ 2`, for every bag size `k` with
+/// `|B|^k ≤ ROW_SET_ROWS`. Row `r` of a `k`-element bag assigns
+/// position `p` the value `(r / |B|^p) mod |B|`, so ascending rows are
+/// the odometer order.
+#[derive(Debug, Default)]
+struct RowSets {
+    /// `|B|` the tables describe (0 before the first build).
+    base: usize,
+    /// Per bag size `k`: where its masks and digits start.
+    at: Vec<(usize, usize)>,
+    /// `masks[at[k].0 + p * base + v]`: the rows with value `v` at
+    /// position `p`.
+    masks: Vec<u128>,
+    /// `digits[at[k].1 + r * k..][..k]`: row `r`'s values, position 0
+    /// first.
+    digits: Vec<u32>,
+}
+
+impl RowSets {
+    /// Builds the tables for `m = |B| ≥ 2`, unless they describe it
+    /// already.
+    fn prepare(&mut self, m: usize) {
+        if self.base == m {
+            return;
+        }
+        self.base = m;
+        self.at.clear();
+        self.masks.clear();
+        self.digits.clear();
+        let (mut k, mut rows) = (0, 1);
+        while rows <= ROW_SET_ROWS {
+            let masks = self.masks.len();
+            self.at.push((masks, self.digits.len()));
+            self.masks.resize(masks + k * m, 0);
+            for r in 0..rows {
+                let mut x = r;
+                for p in 0..k {
+                    self.masks[masks + p * m + x % m] |= 1 << r;
+                    self.digits.push((x % m) as u32);
+                    x /= m;
+                }
+            }
+            k += 1;
+            rows *= m;
+        }
+    }
+
+    /// Whether a `k`-element bag over `m = |B|` is filled as a row set.
+    #[inline]
+    fn covers(&self, m: usize, k: usize) -> bool {
+        m >= 2 && k < self.at.len()
+    }
+
+    /// Every row of a `k`-element bag.
+    #[inline]
+    fn all(&self, k: usize) -> u128 {
+        u128::MAX >> (128 - self.base.pow(k as u32))
+    }
+
+    #[inline]
+    fn mask(&self, k: usize, p: usize, v: usize) -> u128 {
+        self.masks[self.at[k].0 + p * self.base + v]
+    }
+
+    #[inline]
+    fn digits(&self, k: usize, r: usize) -> &[u32] {
+        let at = self.at[k].1 + r * k;
+        &self.digits[at..at + k]
+    }
+
+    /// The rows of a `k`-element bag that map a check's tuple onto a
+    /// tuple of `B`: the union, over `B`'s tuples, of the rows agreeing
+    /// with one.
+    fn check(&self, k: usize, args: &[u32], rel: &cqcs_structures::Relation) -> u128 {
+        rel.iter().fold(0, |set, t| {
+            set | args.iter().zip(t).fold(u128::MAX, |acc, (&p, v)| {
+                acc & self.mask(k, p as usize, v.index())
+            })
+        })
+    }
+
+    /// The rows of a `k`-element bag whose projection onto a child's
+    /// shared elements (`shared`, as parent positions) has a kept row in
+    /// the child's `table`.
+    fn supported(&self, k: usize, shared: &[(u32, u32)], table: &[u32]) -> u128 {
+        let s = shared.len();
+        table
+            .iter()
+            .enumerate()
+            .filter(|&(_, &row)| row != NONE)
+            .fold(0, |set, (slot, _)| {
+                // The first shared element is the slot's most
+                // significant digit.
+                let digits = self.digits(s, slot).iter().rev();
+                set | shared
+                    .iter()
+                    .zip(digits)
+                    .fold(u128::MAX, |acc, (&(q, _), &d)| {
+                        acc & self.mask(k, q as usize, d as usize)
+                    })
+            })
+    }
+}
+
+/// Reusable buffers for the compiled DP: the elimination core's rows,
+/// the lowered decomposition, the flat bag tables and the row-set
+/// tables. A batch worker keeps one next to its propagation arena so
+/// the route allocates nothing once the buffers reach the batch's
+/// high-water mark; a fresh (default) scratch gives the same answers.
 #[derive(Debug, Default)]
 pub struct DpScratch {
+    /// `A`'s Gaifman graph as word rows and its elimination's bags and
+    /// tree edges, or a caller's decomposition loaded into the same rows.
+    elim: Elimination,
     nodes: Vec<Node>,
     bag_elems: Vec<u32>,
+    /// `holders[e * words..][..words]`: the bags holding element `e`, as
+    /// a word row over bag indices.
+    holders: Vec<u64>,
     checks: Vec<Check>,
     arg_pos: Vec<u32>,
     /// Tree edges in both directions, sorted by source node.
@@ -91,6 +225,26 @@ pub struct DpScratch {
     rows: Vec<u32>,
     /// The odometer: the bag assignment being enumerated.
     vals: Vec<u32>,
+    sets: RowSets,
+}
+
+/// What [`solve_min_fill_pooled`] did with one instance.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MinFillOutcome {
+    /// `A`'s min-fill decomposition has width `width`, within the
+    /// budget, and the DP over it answered.
+    Solved {
+        /// The width of the decomposition the DP ran on.
+        width: usize,
+        /// A homomorphism, or `None` when there is none.
+        homomorphism: Option<Homomorphism>,
+    },
+    /// The min-fill width exceeds the budget; the DP did not run.
+    /// [`DpScratch::order`] holds the min-fill order.
+    OverBudget {
+        /// The min-fill width.
+        width: usize,
+    },
 }
 
 /// Solves `hom(A → B)` using the supplied tree decomposition of `A`.
@@ -111,7 +265,9 @@ pub fn solve_with_decomposition(
 }
 
 /// [`solve_with_decomposition`] against a prebuilt support index over
-/// `b`, on caller-pooled buffers (identical output).
+/// `b`, on caller-pooled buffers (identical output). The decomposition
+/// is validated, then loaded into the same bag rows an elimination
+/// emits.
 ///
 /// # Panics
 /// Panics if the structures are over different vocabularies.
@@ -126,42 +282,71 @@ pub fn solve_with_decomposition_pooled(
         a.same_vocabulary(b),
         "homomorphism across different vocabularies"
     );
-    debug_assert_eq!(support.universe(), b.universe(), "index over another B");
     td.validate_shape(a.universe())?;
-    scratch.lower(a, td)?;
+    scratch.elim.load_decomposition(td, a.universe());
+    scratch.lower(a)?;
+    Ok(scratch.solve_lowered(a, b, support))
+}
 
-    // Global 0-ary preconditions.
-    for r in a.vocabulary().iter() {
-        if a.vocabulary().arity(r) == 0 && !a.relation(r).is_empty() && b.relation(r).is_empty() {
-            return Ok(None);
-        }
+/// The Theorem 5.4 route in one step: eliminates `A`'s Gaifman graph,
+/// built straight from `A`'s tuples, in min-fill order, and when the
+/// width is at most `max_width` runs the DP over the elimination's bags
+/// against a prebuilt support index over `b`. The answer is identical
+/// to [`solve_with_decomposition`] on
+/// `decomposition_from_elimination(&gaifman_graph(a), &min_fill_order(..))`.
+///
+/// # Panics
+/// Panics if the structures are over different vocabularies.
+pub fn solve_min_fill_pooled(
+    a: &Structure,
+    b: &Structure,
+    support: &SupportIndex,
+    max_width: usize,
+    scratch: &mut DpScratch,
+) -> MinFillOutcome {
+    assert!(
+        a.same_vocabulary(b),
+        "homomorphism across different vocabularies"
+    );
+    scratch.elim.load_structure(a);
+    scratch.elim.run(None);
+    let width = scratch.elim.width();
+    if width > max_width {
+        return MinFillOutcome::OverBudget { width };
     }
-    if a.universe() == 0 {
-        return Ok(Some(Homomorphism::from_map(Vec::new())));
+    MinFillOutcome::Solved {
+        width,
+        homomorphism: scratch.solve_eliminated(a, b, support),
     }
-    if b.universe() == 0 {
-        return Ok(None);
-    }
-    scratch.link(td, b.universe());
-    if !scratch.fill_tables(support, b.universe()) {
-        return Ok(None);
-    }
-    let h = scratch.witness(a.universe(), b.universe());
-    debug_assert!(cqcs_structures::is_homomorphism(&h, a, b));
-    Ok(Some(Homomorphism::from_map(h)))
+}
+
+/// [`solve_min_fill_pooled`] on a given elimination order of `A`'s
+/// Gaifman graph (a permutation of `A`'s elements), with no width
+/// budget.
+///
+/// # Panics
+/// Panics if the structures are over different vocabularies, or if
+/// `order` is not a permutation of `A`'s elements.
+pub fn solve_with_order_pooled(
+    a: &Structure,
+    b: &Structure,
+    order: &[usize],
+    support: &SupportIndex,
+    scratch: &mut DpScratch,
+) -> Option<Homomorphism> {
+    assert!(
+        a.same_vocabulary(b),
+        "homomorphism across different vocabularies"
+    );
+    scratch.elim.load_structure(a);
+    scratch.elim.run(Some(order));
+    scratch.solve_eliminated(a, b, support)
 }
 
 /// `pool[start..start + len]`.
 #[inline]
 fn span<T>(pool: &[T], start: u32, len: u32) -> &[T] {
     &pool[start as usize..(start + len) as usize]
-}
-
-/// Position of element `e` in `bag`'s ascending order.
-fn rank(bag: &BitSet, e: usize) -> u32 {
-    let words = bag.words();
-    let below: u32 = words[..e / 64].iter().map(|w| w.count_ones()).sum();
-    below + (words[e / 64] & ((1u64 << (e % 64)) - 1)).count_ones()
 }
 
 /// Mixed-radix slot of the projection of `vals` onto `positions`.
@@ -200,44 +385,162 @@ fn tuples_hold(vals: &[u32], checks: &[Check], arg_pos: &[u32], support: &Suppor
     })
 }
 
+/// Where one bag's kept rows go, offered in ascending row order: the
+/// root keeps its first row, every other node the first row for each
+/// projection onto its parent's bag.
+struct Keep<'s> {
+    /// The node's (parent position, own position) pairs.
+    shared: &'s [(u32, u32)],
+    root: bool,
+    table: usize,
+    /// Projections onto the parent's bag: `|B|^shared`.
+    capacity: usize,
+    m: usize,
+    kept: usize,
+    /// The root's kept row.
+    chosen: u32,
+}
+
+impl Keep<'_> {
+    /// Offers a row that passed every check; `true` once the node needs
+    /// no more rows.
+    #[inline]
+    fn offer(&mut self, vals: &[u32], slots: &mut [u32], rows: &mut Vec<u32>) -> bool {
+        let row = u32::try_from(rows.len()).expect("kept rows fit u32 offsets");
+        if self.root {
+            rows.extend_from_slice(vals);
+            self.chosen = row;
+            self.kept = 1;
+            return true;
+        }
+        let slot = &mut slots[self.table + slot_of(vals, self.shared.iter().map(|s| s.1), self.m)];
+        if *slot != NONE {
+            return false;
+        }
+        *slot = row;
+        rows.extend_from_slice(vals);
+        self.kept += 1;
+        self.kept == self.capacity // every projection has its row
+    }
+}
+
+/// The answer when one is decided without the DP: a failed 0-ary
+/// precondition, an empty `A`, or an empty `B`.
+fn trivial_answer(a: &Structure, b: &Structure) -> Option<Option<Homomorphism>> {
+    for r in a.vocabulary().iter() {
+        if a.vocabulary().arity(r) == 0 && !a.relation(r).is_empty() && b.relation(r).is_empty() {
+            return Some(None);
+        }
+    }
+    if a.universe() == 0 {
+        return Some(Some(Homomorphism::from_map(Vec::new())));
+    }
+    (b.universe() == 0).then_some(None)
+}
+
 impl DpScratch {
-    /// Lowers the bags and assigns every `A`-tuple to the first bag
-    /// holding all of its elements. A tuple no bag holds is the
-    /// decomposition's coverage error, reported here in vocabulary and
-    /// tuple order, so coverage is scanned once.
-    fn lower(&mut self, a: &Structure, td: &TreeDecomposition) -> Result<(), DecompositionError> {
-        self.nodes.clear();
-        self.bag_elems.clear();
-        self.checks.clear();
-        self.arg_pos.clear();
-        for bag in &td.bags {
-            let start = self.bag_elems.len() as u32;
-            self.bag_elems.extend(bag.iter().map(|e| e as u32));
-            self.nodes.push(Node {
+    /// The elimination order of the last [`solve_min_fill_pooled`] or
+    /// [`solve_with_order_pooled`] call on this scratch (empty after
+    /// [`solve_with_decomposition_pooled`]).
+    pub fn order(&self) -> &[usize] {
+        self.elim.order()
+    }
+
+    /// Lowers and solves the elimination the core just ran on `a`.
+    fn solve_eliminated(
+        &mut self,
+        a: &Structure,
+        b: &Structure,
+        support: &SupportIndex,
+    ) -> Option<Homomorphism> {
+        // An empty `A` has no bags (and needs none: `trivial_answer`).
+        if a.universe() > 0 {
+            self.lower(a)
+                .expect("the bags of an elimination of A's Gaifman graph cover every tuple");
+        }
+        self.solve_lowered(a, b, support)
+    }
+
+    /// Runs the DP over the lowered bags.
+    fn solve_lowered(
+        &mut self,
+        a: &Structure,
+        b: &Structure,
+        support: &SupportIndex,
+    ) -> Option<Homomorphism> {
+        debug_assert_eq!(support.universe(), b.universe(), "index over another B");
+        if let Some(answer) = trivial_answer(a, b) {
+            return answer;
+        }
+        let m = b.universe();
+        self.link(m);
+        if !self.fill_tables(b, support, m) {
+            return None;
+        }
+        let h = self.witness(a.universe(), m);
+        debug_assert!(cqcs_structures::is_homomorphism(&h, a, b));
+        Some(Homomorphism::from_map(h))
+    }
+
+    /// Lowers the bag rows and assigns every `A`-tuple to the first bag
+    /// holding all of its elements: the lowest set bit of the AND of its
+    /// elements' holder rows. A tuple no bag holds is the decomposition's
+    /// coverage error, reported here in vocabulary and tuple order, so
+    /// coverage is scanned once.
+    fn lower(&mut self, a: &Structure) -> Result<(), DecompositionError> {
+        let DpScratch {
+            elim,
+            nodes,
+            bag_elems,
+            holders,
+            checks,
+            arg_pos,
+            ..
+        } = self;
+        let count = elim.bag_count();
+        let hw = count.div_ceil(64).max(1);
+        nodes.clear();
+        bag_elems.clear();
+        checks.clear();
+        arg_pos.clear();
+        holders.clear();
+        holders.resize(a.universe() * hw, 0);
+        for i in 0..count {
+            let start = bag_elems.len() as u32;
+            for e in members(elim.bag(i)) {
+                bag_elems.push(e as u32);
+                holders[e * hw + i / 64] |= 1 << (i % 64);
+            }
+            nodes.push(Node {
                 bag: start,
-                len: self.bag_elems.len() as u32 - start,
+                len: bag_elems.len() as u32 - start,
                 ..Node::default()
             });
         }
         let voc = a.vocabulary();
         for r in voc.iter() {
             for (ti, tuple) in a.relation(r).iter().enumerate() {
-                let holder = td
-                    .bags
-                    .iter()
-                    .position(|bag| tuple.iter().all(|e| bag.contains(e.index())))
-                    .ok_or_else(|| DecompositionError::TupleNotCovered {
-                        relation: voc.name(r).to_owned(),
-                        tuple_index: ti,
-                    })?;
+                let holder = if tuple.is_empty() {
+                    (count > 0).then_some(0) // every bag holds a 0-ary tuple
+                } else {
+                    (0..hw).find_map(|k| {
+                        let common = tuple
+                            .iter()
+                            .fold(u64::MAX, |acc, e| acc & holders[e.index() * hw + k]);
+                        (common != 0).then(|| k * 64 + common.trailing_zeros() as usize)
+                    })
+                };
+                let holder = holder.ok_or_else(|| DecompositionError::TupleNotCovered {
+                    relation: voc.name(r).to_owned(),
+                    tuple_index: ti,
+                })?;
                 if tuple.is_empty() {
                     continue; // 0-ary: a global precondition, not a bag check
                 }
-                let args = self.arg_pos.len() as u32;
-                let bag = &td.bags[holder];
-                self.arg_pos
-                    .extend(tuple.iter().map(|e| rank(bag, e.index())));
-                self.checks.push(Check {
+                let args = arg_pos.len() as u32;
+                let bag = elim.bag(holder);
+                arg_pos.extend(tuple.iter().map(|e| rank(bag, e.index())));
+                checks.push(Check {
                     node: holder as u32,
                     rel: r,
                     args,
@@ -245,11 +548,11 @@ impl DpScratch {
                 });
             }
         }
-        self.checks.sort_unstable_by_key(|c| c.node);
+        checks.sort_unstable_by_key(|c| c.node);
         let mut c = 0;
-        for (u, node) in self.nodes.iter_mut().enumerate() {
+        for (u, node) in nodes.iter_mut().enumerate() {
             node.checks = c as u32;
-            while self.checks.get(c).is_some_and(|ch| ch.node as usize == u) {
+            while checks.get(c).is_some_and(|ch| ch.node as usize == u) {
                 c += 1;
             }
             node.checks_len = c as u32 - node.checks;
@@ -260,62 +563,72 @@ impl DpScratch {
     /// Roots the tree at node 0 and sizes each child's table over its
     /// projection onto the parent bag: `|B|^{shared}` slots, never more
     /// than the child's own `|B|^{|bag|}` enumeration.
-    fn link(&mut self, td: &TreeDecomposition, m: usize) {
-        self.adj.clear();
-        self.adj.extend(
-            td.edges
-                .iter()
-                .flat_map(|&(u, v)| [(u as u32, v as u32), (v as u32, u as u32)]),
-        );
-        self.adj.sort_unstable();
-        self.order.clear();
-        self.order.push(0);
-        self.nodes[0].parent = NONE;
+    fn link(&mut self, m: usize) {
+        let DpScratch {
+            elim,
+            nodes,
+            bag_elems,
+            adj,
+            order,
+            shared,
+            slots,
+            ..
+        } = self;
+        adj.clear();
+        adj.extend(elim.edges().iter().flat_map(|&(u, v)| [(u, v), (v, u)]));
+        adj.sort_unstable();
+        order.clear();
+        order.push(0);
+        nodes[0].parent = NONE;
         let mut next = 0;
-        while let Some(&u) = self.order.get(next) {
+        while let Some(&u) = order.get(next) {
             next += 1;
-            let from = self.adj.partition_point(|&(x, _)| x < u);
-            let to = from + self.adj[from..].partition_point(|&(x, _)| x == u);
-            let node = &mut self.nodes[u as usize];
+            let from = adj.partition_point(|&(x, _)| x < u);
+            let to = from + adj[from..].partition_point(|&(x, _)| x == u);
+            let node = &mut nodes[u as usize];
             (node.nbrs, node.nbrs_len) = (from as u32, (to - from) as u32);
             let parent = node.parent;
-            for &(_, v) in &self.adj[from..to] {
+            for &(_, v) in &adj[from..to] {
                 if v != parent {
-                    self.nodes[v as usize].parent = u;
-                    self.order.push(v);
+                    nodes[v as usize].parent = u;
+                    order.push(v);
                 }
             }
         }
-        self.shared.clear();
+        shared.clear();
         let mut table = 0usize;
-        for &c in &self.order[1..] {
-            let node = &mut self.nodes[c as usize];
-            let parent_bag = &td.bags[node.parent as usize];
-            let start = self.shared.len();
-            for (i, &e) in span(&self.bag_elems, node.bag, node.len).iter().enumerate() {
-                if parent_bag.contains(e as usize) {
-                    self.shared.push((rank(parent_bag, e as usize), i as u32));
+        for &c in &order[1..] {
+            let node = &mut nodes[c as usize];
+            let parent_bag = elim.bag(node.parent as usize);
+            let start = shared.len();
+            for (i, &e) in span(bag_elems, node.bag, node.len).iter().enumerate() {
+                if holds(parent_bag, e as usize) {
+                    shared.push((rank(parent_bag, e as usize), i as u32));
                 }
             }
             node.shared = start as u32;
-            node.shared_len = (self.shared.len() - start) as u32;
+            node.shared_len = (shared.len() - start) as u32;
             node.table = table;
             table = m
                 .checked_pow(node.shared_len)
                 .and_then(|slots| table.checked_add(slots))
                 .expect("bag tables exceed the address space");
         }
-        self.slots.clear();
-        self.slots.resize(table, NONE);
+        slots.clear();
+        slots.resize(table, NONE);
     }
 
-    /// Fills every bag's table, children first: enumerates the bag's
-    /// assignments in odometer order and keeps a row when its tuples
-    /// hold in `B` and every child's table has a row for its
+    /// Fills every bag's table, children first, keeping a row when its
+    /// tuples hold in `B` and every child's table has a row for its
     /// projection — the first such row per projection onto the parent,
-    /// and at the root the first one overall. `false` when some bag
+    /// and at the root the first one overall. Small bags are filled as
+    /// row sets, larger ones by the odometer; both offer rows in
+    /// odometer order, so they keep the same rows. `false` when some bag
     /// keeps nothing (no homomorphism).
-    fn fill_tables(&mut self, support: &SupportIndex, m: usize) -> bool {
+    fn fill_tables(&mut self, b: &Structure, support: &SupportIndex, m: usize) -> bool {
+        if m >= 2 {
+            self.sets.prepare(m);
+        }
         let DpScratch {
             nodes,
             checks,
@@ -326,53 +639,65 @@ impl DpScratch {
             slots,
             rows,
             vals,
+            sets,
             ..
         } = self;
         rows.clear();
         for &u in order.iter().rev() {
             let node = nodes[u as usize];
             let own_checks = span(checks, node.checks, node.checks_len);
-            let nbrs = span(adj, node.nbrs, node.nbrs_len);
-            let own_shared = span(shared, node.shared, node.shared_len);
-            let capacity = m.pow(node.shared_len);
-            let mut kept = 0;
-            vals.clear();
-            vals.resize(node.len as usize, 0);
-            loop {
-                let ok = tuples_hold(vals, own_checks, arg_pos, support)
-                    && nbrs.iter().all(|&(_, c)| {
-                        c == node.parent || {
-                            let child = nodes[c as usize];
-                            let sh = span(shared, child.shared, child.shared_len);
-                            slots[child.table + slot_of(vals, sh.iter().map(|s| s.0), m)] != NONE
-                        }
-                    });
-                if ok {
-                    let row = u32::try_from(rows.len()).expect("kept rows fit u32 offsets");
-                    if node.parent == NONE {
-                        rows.extend_from_slice(vals);
-                        nodes[u as usize].chosen = row;
-                        kept = 1;
+            let children = span(adj, node.nbrs, node.nbrs_len)
+                .iter()
+                .map(|&(_, c)| nodes[c as usize])
+                .filter(|c| c.parent == u);
+            let mut keep = Keep {
+                shared: span(shared, node.shared, node.shared_len),
+                root: node.parent == NONE,
+                table: node.table,
+                capacity: m.pow(node.shared_len),
+                m,
+                kept: 0,
+                chosen: NONE,
+            };
+            let k = node.len as usize;
+            if sets.covers(m, k) {
+                let mut set = sets.all(k);
+                for c in own_checks {
+                    set &= sets.check(k, span(arg_pos, c.args, c.arity), b.relation(c.rel));
+                }
+                for child in children {
+                    let sh = span(shared, child.shared, child.shared_len);
+                    let table = &slots[child.table..child.table + m.pow(child.shared_len)];
+                    set &= sets.supported(k, sh, table);
+                }
+                while set != 0 {
+                    let r = set.trailing_zeros() as usize;
+                    set &= set - 1;
+                    if keep.offer(sets.digits(k, r), slots, rows) {
                         break;
                     }
-                    let slot =
-                        &mut slots[node.table + slot_of(vals, own_shared.iter().map(|s| s.1), m)];
-                    if *slot == NONE {
-                        *slot = row;
-                        rows.extend_from_slice(vals);
-                        kept += 1;
-                        if kept == capacity {
-                            break; // every projection has its row
-                        }
+                }
+            } else {
+                vals.clear();
+                vals.resize(k, 0);
+                loop {
+                    let ok = tuples_hold(vals, own_checks, arg_pos, support)
+                        && children.clone().all(|child| {
+                            let sh = span(shared, child.shared, child.shared_len);
+                            slots[child.table + slot_of(vals, sh.iter().map(|s| s.0), m)] != NONE
+                        });
+                    if ok && keep.offer(vals, slots, rows) {
+                        break;
+                    }
+                    if !advance(vals, m as u32) {
+                        break;
                     }
                 }
-                if !advance(vals, m as u32) {
-                    break;
-                }
             }
-            if kept == 0 {
+            if keep.kept == 0 {
                 return false;
             }
+            nodes[u as usize].chosen = keep.chosen;
         }
         true
     }
@@ -605,25 +930,27 @@ fn assignment_ok(
     true
 }
 
-/// Convenience pipeline: Gaifman graph → min-fill decomposition → DP.
-/// Returns the homomorphism (if any) and the decomposition width used.
+/// Convenience pipeline: `A`'s min-fill decomposition → DP, with a
+/// fresh support index and scratch. Returns the homomorphism (if any)
+/// and the decomposition width used.
 pub fn homomorphism_via_treewidth(a: &Structure, b: &Structure) -> (Option<Homomorphism>, usize) {
-    let g = gaifman_graph(a);
-    let mut td = heuristics::min_fill_decomposition(&g);
-    if td.is_empty() && a.universe() > 0 {
-        td = TreeDecomposition::trivial(a.universe());
+    let support = SupportIndex::build(b);
+    match solve_min_fill_pooled(a, b, &support, usize::MAX, &mut DpScratch::default()) {
+        MinFillOutcome::Solved {
+            width,
+            homomorphism,
+        } => (homomorphism, width),
+        MinFillOutcome::OverBudget { .. } => unreachable!("no width exceeds usize::MAX"),
     }
-    let width = td.width();
-    let result = solve_with_decomposition(a, b, &td)
-        .expect("decomposition built from A's own Gaifman graph is valid");
-    (result, width)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqcs_structures::generators;
+    use crate::heuristics;
     use cqcs_structures::homomorphism::homomorphism_exists;
+    use cqcs_structures::{gaifman_graph, generators, BitSet};
+    use std::sync::Arc;
 
     #[test]
     fn cycles_and_colorings() {
@@ -807,6 +1134,149 @@ mod tests {
                 assert_all_agree(&a, &b, &td).unwrap();
             }
         }
+    }
+
+    /// The compiled DP on `A`'s min-fill decomposition, every min-fill
+    /// path and, while its one bag has at most 2^16 rows, the trivial
+    /// decomposition must agree with the reference, witness included;
+    /// returns the verdict.
+    fn assert_fill_agrees(a: &Structure, b: &Structure, what: &str) -> bool {
+        let g = gaifman_graph(a);
+        let order = heuristics::min_fill_order(&g);
+        let td = heuristics::decomposition_from_elimination(&g, &order);
+        let reference = solve_with_decomposition_reference(a, b, &td).unwrap();
+        let support = SupportIndex::build(b);
+        let mut scratch = DpScratch::default();
+        assert_eq!(
+            solve_with_decomposition_pooled(a, b, &td, &support, &mut scratch).unwrap(),
+            reference,
+            "{what}: pooled"
+        );
+        let MinFillOutcome::Solved {
+            width,
+            homomorphism,
+        } = solve_min_fill_pooled(a, b, &support, usize::MAX, &mut scratch)
+        else {
+            unreachable!()
+        };
+        assert_eq!(
+            (width, &homomorphism),
+            (td.width(), &reference),
+            "{what}: min-fill"
+        );
+        assert_eq!(
+            solve_with_order_pooled(a, b, &order, &support, &mut scratch),
+            reference,
+            "{what}: order"
+        );
+        let rows = b.universe().checked_pow(a.universe() as u32);
+        if rows.is_some_and(|rows| rows <= 1 << 16) {
+            assert_all_agree(a, b, &TreeDecomposition::trivial(a.universe())).unwrap();
+        }
+        reference.is_some()
+    }
+
+    #[test]
+    fn row_sets_match_reference_on_both_sides_of_the_bound() {
+        let k2 = generators::complete_graph(2);
+        let k5 = generators::complete_graph(5);
+        // K7 and K8 give one bag of 7 and 8 elements: 128 rows (a row
+        // set at the bound) and 256 rows (the odometer) against K2.
+        for n in [7usize, 8] {
+            assert!(!assert_fill_agrees(
+                &generators::complete_graph(n),
+                &k2,
+                "K{n} → K2"
+            ));
+        }
+        // K3 and K4 against K5: 125 rows (a row set) and 625 (the
+        // odometer), with injective witnesses.
+        for n in [3usize, 4] {
+            assert!(assert_fill_agrees(
+                &generators::complete_graph(n),
+                &k5,
+                "K{n} → K5"
+            ));
+        }
+        // Only the last row of a 7- or 8-element bag survives: every
+        // element is forced to 1, so dropping the top row flips the
+        // verdict.
+        use cqcs_structures::{StructureBuilder, Vocabulary};
+        let voc = Vocabulary::from_symbols([("E", 2), ("U", 1)])
+            .unwrap()
+            .into_shared();
+        let mut bb = StructureBuilder::new(Arc::clone(&voc), 2);
+        bb.add_fact("E", &[1, 1]).unwrap();
+        bb.add_fact("U", &[1]).unwrap();
+        let b = bb.finish();
+        for n in [7u32, 8] {
+            let mut ab = StructureBuilder::new(Arc::clone(&voc), n as usize);
+            for x in 0..n {
+                ab.add_fact("U", &[x]).unwrap();
+                for y in x + 1..n {
+                    ab.add_fact("E", &[x, y]).unwrap();
+                }
+            }
+            let a = ab.finish();
+            assert!(assert_fill_agrees(&a, &b, &format!("forced K{n}")));
+        }
+        // A ternary relation over 3 and 5 elements (bags of 27–81 and
+        // 125–625 rows).
+        for seed in 0..12u64 {
+            let a = generators::random_structure(6, &[3], 4, seed);
+            for m in [3usize, 5] {
+                let b = generators::random_structure_over(a.vocabulary(), m, 3 * m, seed + 50);
+                assert_fill_agrees(&a, &b, &format!("ternary seed {seed} |B| {m}"));
+            }
+        }
+        // An empty relation: in B it refutes every bag that checks it, in
+        // A it checks nothing.
+        let voc = Vocabulary::from_symbols([("E", 2), ("F", 2)])
+            .unwrap()
+            .into_shared();
+        let mut bb = StructureBuilder::new(Arc::clone(&voc), 3);
+        for (x, y) in [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)] {
+            bb.add_fact("E", &[x, y]).unwrap();
+        }
+        let b = bb.finish();
+        let mut ab = StructureBuilder::new(Arc::clone(&voc), 5);
+        for (x, y) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)] {
+            ab.add_fact("E", &[x, y]).unwrap();
+        }
+        let a = ab.finish();
+        assert!(assert_fill_agrees(&a, &b, "empty F in A and B"));
+        ab = StructureBuilder::new(Arc::clone(&voc), 5);
+        for (x, y) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
+            ab.add_fact("E", &[x, y]).unwrap();
+        }
+        ab.add_fact("F", &[4, 0]).unwrap();
+        assert!(!assert_fill_agrees(&ab.finish(), &b, "F in A, empty in B"));
+    }
+
+    #[test]
+    fn word_rows_match_reference_across_word_boundaries() {
+        // A's Gaifman rows and the bags' holder rows span one to three
+        // words: cycles on 63, 64, 65, 128 and 129 elements, and 130
+        // elements whose isolated ones sit at and around the boundary.
+        let k3 = generators::complete_graph(3);
+        for n in [63usize, 64, 65, 128, 129] {
+            let c = generators::undirected_cycle(n);
+            assert!(assert_fill_agrees(&c, &k3, &format!("C{n} → K3")));
+        }
+        let mut edges: Vec<(u32, u32)> = (1..61).map(|v| (v, v + 1)).collect();
+        edges.extend((65..128).map(|v| (v, v + 1)));
+        edges.extend([(61, 65), (1, 128), (30, 100), (2, 127)]);
+        let mut builder =
+            cqcs_structures::StructureBuilder::new(generators::digraph_vocabulary(), 130);
+        for (x, y) in edges {
+            builder.add_fact("E", &[x, y]).unwrap();
+            builder.add_fact("E", &[y, x]).unwrap();
+        }
+        assert!(assert_fill_agrees(
+            &builder.finish(),
+            &k3,
+            "isolated at the boundary"
+        ));
     }
 
     #[test]

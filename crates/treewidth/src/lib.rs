@@ -8,8 +8,8 @@
 //! * [`decomposition`] — tree decompositions of structures and graphs,
 //!   validated against the paper's three conditions; width;
 //! * [`heuristics`] — elimination-order decompositions (min-degree,
-//!   min-fill with cached fill-in counts), the standard way to *obtain*
-//!   decompositions;
+//!   min-fill with cached fill-in counts, on `u64` word rows), the
+//!   standard way to *obtain* decompositions;
 //! * [`exact`] — the exact-treewidth oracle: subset dynamic programming
 //!   up to 24 vertices, QuickBB-style branch and bound above;
 //! * [`bb`] — that branch and bound: elimination-order search seeded by
@@ -22,7 +22,8 @@
 //!   `mmd ≤ exact ≤ min-fill`);
 //! * [`dp`] — the bounded-treewidth homomorphism solver: dynamic
 //!   programming over bag assignments, polynomial for fixed width,
-//!   compiled into flat bag tables over the template's support index;
+//!   lowered straight from the min-fill elimination's rows into flat bag
+//!   tables, small bags filled as row sets;
 //! * [`fo`] — Lemma 5.2 made executable: the canonical query of a
 //!   structure of treewidth k rendered as an ∃FO^{k+1} formula (at most
 //!   k+1 variable *slots*, reused along the decomposition) with an
@@ -47,8 +48,8 @@ pub use bb::{
 };
 pub use decomposition::TreeDecomposition;
 pub use dp::{
-    homomorphism_via_treewidth, solve_with_decomposition, solve_with_decomposition_pooled,
-    DpScratch,
+    homomorphism_via_treewidth, solve_min_fill_pooled, solve_with_decomposition,
+    solve_with_decomposition_pooled, solve_with_order_pooled, DpScratch, MinFillOutcome,
 };
 pub use exact::{
     exact_decomposition, exact_treewidth, exact_treewidth_budgeted, exact_treewidth_budgeted_seeded,
