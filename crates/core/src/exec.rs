@@ -80,13 +80,14 @@ use std::sync::Arc;
 
 /// The borrow-free half of a [`WorkerScratch`]: everything that holds
 /// no reference to a template or an instance, so it can outlive them.
+/// A `WatchSession` keeps one set for its whole stream.
 #[derive(Debug, Default)]
-struct Buffers {
+pub(crate) struct Buffers {
     /// The engine's arena, recycled into the next engine built.
-    arena: PropArena,
-    search: SearchScratch,
-    gyo: GyoScratch,
-    dp: DpScratch,
+    pub(crate) arena: PropArena,
+    pub(crate) search: SearchScratch,
+    pub(crate) gyo: GyoScratch,
+    pub(crate) dp: DpScratch,
 }
 
 std::thread_local! {

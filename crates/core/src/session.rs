@@ -48,14 +48,16 @@
 
 use crate::analysis::{EXACT_WIDTH_PROBE_MAX_VERTICES, EXACT_WIDTH_PROBE_NODE_BUDGET};
 use crate::exec::{BatchExecutor, WorkerScratch};
-use crate::solvers::backtracking::{backtracking_search_scratch, SearchOptions, SearchStats};
+use crate::solvers::backtracking::{
+    backtracking_search_scratch, SearchOptions, SearchScratch, SearchStats,
+};
 use crate::solvers::dispatch::{Route, Solution, SolveError, Strategy, AUTO_TREEWIDTH_BUDGET};
 use cqcs_boolean::booleanize::{
     booleanize_instance, booleanize_template, identity_labels, BooleanizedTemplate,
 };
 use cqcs_boolean::schaefer::SchaeferSet;
 use cqcs_boolean::uniform::{schaefer_classes, solve_schaefer};
-use cqcs_pebble::program::PropProgram;
+use cqcs_pebble::program::{ProgramPropagator, PropProgram};
 use cqcs_structures::{Element, Homomorphism, Structure, SupportIndex};
 use cqcs_treewidth::acyclic::{yannakakis_pooled, GyoScratch};
 use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
@@ -363,28 +365,78 @@ fn solve_on<'s>(
 
 /// The uniform meta-algorithm (see `solvers::dispatch` for the route
 /// order and the theorems behind it), with every template-side fact
-/// read from the lazy cache.
+/// read from the lazy cache. A fresh solve proves nothing in advance.
 fn auto_on<'s>(
     b: &'s Structure,
     facts: &TemplateFacts,
     a: &'s Structure,
     scratch: &mut WorkerScratch<'s>,
 ) -> Solution {
-    if let Some(sol) = try_schaefer(b, facts, a) {
+    let mut proofs = Proofs::default();
+    if let Some(sol) = auto_before_engine(b, facts, a, scratch.gyo(), &mut proofs) {
         return sol;
     }
-    if let Some(sol) = try_acyclic(a, b, scratch.gyo()) {
-        return sol;
-    }
-    if let Some(sol) = try_booleanize(b, facts, a) {
-        return sol;
-    }
-    // Establish arc consistency once, up front: a wipeout refutes the
-    // instance before the treewidth DP or search spends anything, and
-    // otherwise the same compiled engine (shared program, filtered
-    // domains) is handed to the generic search instead of being
-    // rebuilt.
     let (prop, search, dp) = scratch.compiled_engine(a, b, facts.program(b));
+    auto_on_engine(b, facts, a, prop, search, dp, &mut proofs)
+}
+
+/// Monotone facts about `A` that settle a stage's outcome in advance:
+/// each stays true on any instance grown from `A` by added facts. A set
+/// proof skips its stage, and a stage that proves a fact sets it.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Proofs {
+    /// `A`'s hypergraph fails GYO reduction, so the acyclic route
+    /// declines. Additions keep it failing only when every scope has
+    /// arity ≤ 2 (a new edge can neither subsume a cycle edge nor
+    /// enable an ear); a caller that cannot rule out wider scopes must
+    /// not pass it in.
+    pub(crate) gyo_cyclic: bool,
+    /// `tw(gaifman(A))` exceeds [`AUTO_TREEWIDTH_BUDGET`] (an MMD bound
+    /// above it, or a branch-and-bound probe that ran to completion).
+    /// Treewidth is subgraph-monotone, so the DP stage stays closed.
+    pub(crate) tw_exceeds_budget: bool,
+}
+
+/// Stages 1–3 of the Auto order, which need no engine: Schaefer, GYO →
+/// Yannakakis, Booleanization. `None` means every one declined and the
+/// caller binds an engine for [`auto_on_engine`]. Together the two
+/// functions are the only code that encodes the order.
+pub(crate) fn auto_before_engine(
+    b: &Structure,
+    facts: &TemplateFacts,
+    a: &Structure,
+    gyo: &mut GyoScratch,
+    proofs: &mut Proofs,
+) -> Option<Solution> {
+    if let Some(sol) = try_schaefer(b, facts, a) {
+        return Some(sol);
+    }
+    if !proofs.gyo_cyclic {
+        if let Some(sol) = try_acyclic(a, b, gyo) {
+            return Some(sol);
+        }
+        proofs.gyo_cyclic = true;
+    }
+    try_booleanize(b, facts, a)
+}
+
+/// Stages 4–6 of the Auto order, on an engine the caller has bound to
+/// `a` over the template's program: arc consistency, the Theorem 5.4 DP
+/// and generic search.
+pub(crate) fn auto_on_engine(
+    b: &Structure,
+    facts: &TemplateFacts,
+    a: &Structure,
+    prop: &mut ProgramPropagator<'_>,
+    search: &mut SearchScratch,
+    dp: &mut DpScratch,
+    proofs: &mut Proofs,
+) -> Solution {
+    // Establish arc consistency (or finish re-establishing it): a
+    // wipeout refutes the instance before the treewidth DP or search
+    // spends anything, and otherwise the same engine (shared program,
+    // filtered domains) is handed to the generic search instead of
+    // being rebuilt.
     if a.universe() > 0 && b.universe() > 0 && !prop.establish() {
         return Solution {
             homomorphism: None,
@@ -395,7 +447,7 @@ fn auto_on<'s>(
             }),
         };
     }
-    if a.universe() > 0 {
+    if a.universe() > 0 && !proofs.tw_exceeds_budget {
         let support = facts.support(b);
         if let MinFillOutcome::Solved {
             width,
@@ -415,13 +467,18 @@ fn auto_on<'s>(
         // search starts immediately.
         if a.universe() <= EXACT_WIDTH_PROBE_MAX_VERTICES {
             let g = cqcs_structures::gaifman_graph(a);
-            if mmd_lower_bound(&g) <= AUTO_TREEWIDTH_BUDGET {
-                let (r, _optimal) =
+            if mmd_lower_bound(&g) > AUTO_TREEWIDTH_BUDGET {
+                proofs.tw_exceeds_budget = true;
+            } else {
+                let (r, optimal) =
                     bb_treewidth_best_effort_seeded(&g, dp.order(), EXACT_WIDTH_PROBE_NODE_BUDGET);
                 if r.width <= AUTO_TREEWIDTH_BUDGET {
                     let h = solve_with_order_pooled(a, b, &r.order, support, dp);
                     return treewidth_solution(r.width, h);
                 }
+                // A probe that ran to completion found the exact
+                // treewidth, over the budget.
+                proofs.tw_exceeds_budget = optimal;
             }
         }
     }
@@ -437,11 +494,7 @@ fn auto_on<'s>(
     }
 }
 
-pub(crate) fn try_schaefer(
-    b: &Structure,
-    facts: &TemplateFacts,
-    a: &Structure,
-) -> Option<Solution> {
+fn try_schaefer(b: &Structure, facts: &TemplateFacts, a: &Structure) -> Option<Solution> {
     let classes = facts.schaefer(b)?;
     if !classes.is_schaefer() {
         return None;
@@ -454,11 +507,7 @@ pub(crate) fn try_schaefer(
     })
 }
 
-pub(crate) fn try_booleanize(
-    b: &Structure,
-    facts: &TemplateFacts,
-    a: &Structure,
-) -> Option<Solution> {
+fn try_booleanize(b: &Structure, facts: &TemplateFacts, a: &Structure) -> Option<Solution> {
     let (t, classes) = facts.booleanized(b)?;
     if !classes.is_schaefer() {
         return None;
@@ -482,7 +531,7 @@ fn bools_to_hom(bits: Vec<bool>) -> Homomorphism {
     Homomorphism::from_map(bits.into_iter().map(|v| Element(u32::from(v))).collect())
 }
 
-pub(crate) fn try_acyclic(a: &Structure, b: &Structure, gyo: &mut GyoScratch) -> Option<Solution> {
+fn try_acyclic(a: &Structure, b: &Structure, gyo: &mut GyoScratch) -> Option<Solution> {
     let result = yannakakis_pooled(a, b, gyo)?;
     Some(Solution {
         homomorphism: result,
@@ -509,7 +558,7 @@ fn treewidth_route(
 }
 
 /// A Theorem 5.4 answer over a decomposition of width `width`.
-pub(crate) fn treewidth_solution(width: usize, homomorphism: Option<Homomorphism>) -> Solution {
+fn treewidth_solution(width: usize, homomorphism: Option<Homomorphism>) -> Solution {
     Solution {
         homomorphism,
         route: Route::Treewidth(width),

@@ -24,7 +24,13 @@
 //! The routing itself lives in [`crate::session`]: [`solve`] is a thin
 //! compile-then-solve wrapper over [`Session`](crate::Session), so
 //! one-shot calls and template-reusing sessions take bit-identical
-//! decisions.
+//! decisions. The order above is written once, in two crate-private
+//! functions there: `auto_before_engine` runs steps 1–3, which need no
+//! propagation engine, and `auto_on_engine` runs steps 4–6 on an engine
+//! the caller has bound. A solve binds it from its worker scratch, and
+//! a [`WatchSession`](crate::WatchSession) from its parked fixpoint,
+//! passing the monotone proofs that let it skip steps 2 and 5; nothing
+//! else in this crate calls a step's solver for `Strategy::Auto`.
 
 use crate::session::solve_one_shot;
 use crate::solvers::backtracking::{SearchOptions, SearchStats};

@@ -17,17 +17,21 @@
 //!   re-establishing arc consistency costs O(delta's cone) rather than
 //!   O(A×B). Inadmissible deltas (retractions, universe growth, prior
 //!   wipeout) transparently rebind and establish from scratch.
-//! * **Provable route skips.** The dispatch replays the uniform
-//!   meta-algorithm route for route, but skips a stage when a cached
-//!   fact *proves* its outcome on the grown instance. All skips rest on
-//!   monotonicity under fact additions and are gated on
-//!   `delta.additions_only()` (any retraction clears the cache):
+//! * **Provable route skips.** An update runs the very stage functions
+//!   [`Session::solve`] runs (`auto_before_engine` before the engine,
+//!   `auto_on_engine` on it), not a copy of them. The only difference
+//!   is what it passes in: the monotone proofs its earlier updates
+//!   established, each of which skips the stage whose outcome it
+//!   settles on the grown instance. All of them rest on monotonicity
+//!   under fact additions, so any retraction clears them.
 //!   GYO-cyclicity persists when every scope has arity ≤ 2 (a new edge
-//!   can neither subsume a cycle edge nor enable an ear); `tw(A) >`
-//!   budget persists because the Gaifman graph only gains
-//!   vertices/edges and both the MMD degeneracy bound and treewidth
-//!   itself are subgraph-monotone (the flag is set only from proofs: an
-//!   MMD bound above budget, or an exhausted branch-and-bound probe).
+//!   can neither subsume a cycle edge nor enable an ear), and is passed
+//!   in only then; `tw(A) >` budget persists because the Gaifman graph
+//!   only gains vertices/edges and both the MMD degeneracy bound and
+//!   treewidth itself are subgraph-monotone. The DP stage sets that
+//!   proof exactly where a fresh solve computes it: an MMD bound above
+//!   budget, or a completed branch-and-bound probe, both on instances
+//!   of at most `EXACT_WIDTH_PROBE_MAX_VERTICES` elements.
 //! * **Monotone refutation.** `A ⊆ A'` makes `hom(A → B) = ∅` final
 //!   under additions; when the previous update was arc-refuted (and the
 //!   GYO skip applies, so the fresh route is pinned), the update is
@@ -60,34 +64,13 @@
 //! the same flip-notification surface) is
 //! `cqcs_datalog::incremental::DatalogWatch`.
 
-use crate::analysis::{EXACT_WIDTH_PROBE_MAX_VERTICES, EXACT_WIDTH_PROBE_NODE_BUDGET};
-use crate::session::{treewidth_solution, try_acyclic, try_booleanize, try_schaefer, Session};
-use crate::solvers::backtracking::{backtracking_search_scratch, SearchOptions, SearchScratch};
-use crate::solvers::dispatch::{Route, Solution, AUTO_TREEWIDTH_BUDGET};
+use crate::exec::Buffers;
+use crate::session::{auto_before_engine, auto_on_engine, Proofs, Session};
+use crate::solvers::dispatch::{Route, Solution};
 use crate::CompiledTemplate;
 use cqcs_pebble::program::{ProgramPropagator, SavedPropState};
-use cqcs_structures::{PropArena, Structure, StructureDelta};
-use cqcs_treewidth::acyclic::GyoScratch;
-use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
-use cqcs_treewidth::dp::{
-    solve_min_fill_pooled, solve_with_order_pooled, DpScratch, MinFillOutcome,
-};
-use cqcs_treewidth::lower_bounds::mmd_lower_bound;
+use cqcs_structures::{Structure, StructureDelta};
 use std::sync::Arc;
-
-/// Facts about the **current** watched instance that prove route
-/// outcomes on any additions-only successor. Cleared whenever a delta
-/// retracts facts (the proofs are one-directional).
-#[derive(Debug, Default, Clone, Copy)]
-struct RouteCache {
-    /// `A`'s hypergraph failed GYO reduction. Under arity ≤ 2 this is
-    /// "the graph has a real cycle", which additions cannot remove.
-    gyo_cyclic: bool,
-    /// `tw(gaifman(A))` provably exceeds [`AUTO_TREEWIDTH_BUDGET`]
-    /// (MMD degeneracy bound, or an exhausted branch-and-bound probe).
-    /// Treewidth is subgraph-monotone, so the DP stage stays closed.
-    tw_exceeds_budget: bool,
-}
 
 /// Per-update path counters: how the watch actually absorbed its
 /// stream. `repaired_establishes + full_establishes` counts the updates
@@ -118,18 +101,15 @@ pub struct WatchSession {
     template: Arc<CompiledTemplate>,
     current: Structure,
     solution: Solution,
-    /// Parked engine state from the last update that propagated; its
-    /// bound revision always equals `current` when it was refreshed on
-    /// the latest update, which is the only case repair admission can
-    /// accept (stale snapshots fail the binding checks and rebind).
+    /// Parked engine state from the latest update, when that update
+    /// reached the engine; any other route recycles it into
+    /// `bufs.arena`, so repair admission never sees a snapshot of an
+    /// older revision.
     saved: Option<SavedPropState>,
-    /// Recycled arena from a snapshot that went stale (a pre-propagation
-    /// route fired), so the next engine build still reuses the words.
-    spare: Option<PropArena>,
-    cache: RouteCache,
-    search: SearchScratch,
-    gyo: GyoScratch,
-    dp: DpScratch,
+    /// What the stages proved about `current`, kept across
+    /// additions-only deltas and cleared by any retraction.
+    proofs: Proofs,
+    bufs: Buffers,
     stats: WatchStats,
 }
 
@@ -164,11 +144,8 @@ impl WatchSession {
                 stats: None,
             },
             saved: None,
-            spare: None,
-            cache: RouteCache::default(),
-            search: SearchScratch::default(),
-            gyo: GyoScratch::default(),
-            dp: DpScratch::default(),
+            proofs: Proofs::default(),
+            bufs: Buffers::default(),
             stats: WatchStats::default(),
         };
         watch.resolve(a.clone(), None);
@@ -189,170 +166,89 @@ impl WatchSession {
         Ok((after != before).then_some(after))
     }
 
-    /// The uniform meta-algorithm of [`Session::solve`], replayed on
-    /// `next` with the delta-powered stages described in the
-    /// [module docs](self). `delta` is `None` only for the registering
-    /// solve (every stage runs, every cacheable fact is recorded).
+    /// Solves `next` with [`Session::solve`]'s stage functions, passing
+    /// the proofs that still hold and an engine resumed from the parked
+    /// fixpoint (see the [module docs](self)). `delta` is `None` only
+    /// for the registering solve, which starts with no proofs.
     fn resolve(&mut self, next: Structure, delta: Option<&StructureDelta>) {
         let additions_only = delta.is_some_and(StructureDelta::additions_only);
         if !additions_only {
             // Retractions invalidate every monotone proof; the first
-            // solve starts with an empty cache anyway.
-            self.cache = RouteCache::default();
+            // solve starts with none anyway.
+            self.proofs = Proofs::default();
         }
         let template = Arc::clone(&self.template);
-        let b = template.template();
-        let a = &next;
-        // The GYO skip and the monotone-refutation route pin fresh
-        // behaviour only when no hyperedge scope can exceed 2.
+        let (b, facts, a) = (template.template(), &template.facts, &next);
+        // The GYO proof and the monotone refutation pin fresh behaviour
+        // only when no hyperedge scope can exceed 2.
         let arity_le2 = b.vocabulary().max_arity() <= 2;
-        let solution = 'route: {
-            // Monotone refutation: additions cannot create a
-            // homomorphism, and the fresh route is pinned to
-            // ArcRefuted (template stages depend only on B; GYO stays
-            // cyclic; the old wipeout only deepens).
-            if additions_only && arity_le2 && self.solution.route == Route::ArcRefuted {
-                self.stats.monotone_refutations += 1;
-                break 'route Solution {
-                    homomorphism: None,
-                    route: Route::ArcRefuted,
-                    stats: None,
-                };
-            }
-            if let Some(sol) = try_schaefer(b, &template.facts, a) {
-                break 'route sol;
-            }
-            if additions_only && arity_le2 && self.cache.gyo_cyclic {
-                self.stats.acyclicity_skips += 1;
-            } else if let Some(sol) = try_acyclic(a, b, &mut self.gyo) {
-                self.cache.gyo_cyclic = false;
-                break 'route sol;
-            } else {
-                self.cache.gyo_cyclic = true;
-            }
-            if let Some(sol) = try_booleanize(b, &template.facts, a) {
-                break 'route sol;
-            }
-            // Arc consistency, resumed from the parked fixpoint when
-            // the delta admits in-place repair.
-            let program = template.program();
-            let mut prop = match (self.saved.take(), delta) {
-                (Some(saved), Some(d)) => {
-                    ProgramPropagator::resume_with_delta(a, b, Arc::clone(program), saved, d)
-                }
-                (Some(saved), None) => {
-                    ProgramPropagator::with_arena(a, b, Arc::clone(program), saved.into_arena())
-                }
-                (None, _) => ProgramPropagator::with_arena(
-                    a,
-                    b,
-                    Arc::clone(program),
-                    self.spare.take().unwrap_or_default(),
-                ),
-            };
-            if prop.is_established() {
-                self.stats.repaired_establishes += 1;
-            } else {
-                self.stats.full_establishes += 1;
-            }
-            if a.universe() > 0 && b.universe() > 0 && !prop.establish() {
-                let deletions = prop.deletions() as u64;
-                self.saved = Some(prop.into_saved());
-                break 'route Solution {
-                    homomorphism: None,
-                    route: Route::ArcRefuted,
-                    stats: Some(crate::SearchStats {
-                        deletions,
-                        ..crate::SearchStats::default()
-                    }),
-                };
-            }
-            if a.universe() > 0 {
-                if additions_only && self.cache.tw_exceeds_budget {
-                    self.stats.treewidth_skips += 1;
-                } else {
-                    if let MinFillOutcome::Solved {
-                        width,
-                        homomorphism,
-                    } = solve_min_fill_pooled(
-                        a,
-                        b,
-                        template.support(),
-                        AUTO_TREEWIDTH_BUDGET,
-                        &mut self.dp,
-                    ) {
-                        self.saved = Some(prop.into_saved());
-                        break 'route treewidth_solution(width, homomorphism);
-                    }
-                    let g = cqcs_structures::gaifman_graph(a);
-                    if g.len() <= EXACT_WIDTH_PROBE_MAX_VERTICES {
-                        if mmd_lower_bound(&g) <= AUTO_TREEWIDTH_BUDGET {
-                            let (r, optimal) = bb_treewidth_best_effort_seeded(
-                                &g,
-                                self.dp.order(),
-                                EXACT_WIDTH_PROBE_NODE_BUDGET,
-                            );
-                            if r.width <= AUTO_TREEWIDTH_BUDGET {
-                                let h = solve_with_order_pooled(
-                                    a,
-                                    b,
-                                    &r.order,
-                                    template.support(),
-                                    &mut self.dp,
-                                );
-                                self.saved = Some(prop.into_saved());
-                                break 'route treewidth_solution(r.width, h);
-                            }
-                            // The probe ran to completion: r.width is
-                            // the exact treewidth, and it exceeds the
-                            // budget for good.
-                            if optimal {
-                                self.cache.tw_exceeds_budget = true;
-                            }
-                        } else {
-                            self.cache.tw_exceeds_budget = true;
-                        }
-                    } else if mmd_lower_bound(&g) > AUTO_TREEWIDTH_BUDGET {
-                        // A fresh solve skips the probe on graphs this
-                        // large, so this bound is purely a cache
-                        // investment for the stream's later updates.
-                        self.cache.tw_exceeds_budget = true;
-                    }
-                }
-            }
-            let (h, mut stats) =
-                backtracking_search_scratch(SearchOptions::default(), &mut prop, &mut self.search);
-            stats.deletions = prop.deletions() as u64;
-            self.saved = Some(prop.into_saved());
-            break 'route Solution {
-                homomorphism: h,
-                route: Route::Generic,
-                stats: Some(stats),
-            };
+        let proven = Proofs {
+            gyo_cyclic: arity_le2 && self.proofs.gyo_cyclic,
+            ..self.proofs
         };
-        // A route that returned before propagation leaves any parked
-        // snapshot describing a *previous* revision; repair admission
-        // must never see it (its tuple-count bookkeeping is relative to
-        // the delta's immediate base). Keep only the allocation.
-        if self.solution_route_propagated(&solution) {
-            debug_assert!(self.saved.is_some());
-        } else if let Some(saved) = self.saved.take() {
-            self.spare = Some(saved.into_arena());
+        let mut proofs = proven;
+        // Monotone refutation: additions cannot create a homomorphism,
+        // and the fresh route is pinned to ArcRefuted (the stages before
+        // the engine depend only on B, GYO stays cyclic, and the old
+        // wipeout only deepens).
+        let monotone = additions_only && arity_le2 && self.solution.route == Route::ArcRefuted;
+        let early = if monotone {
+            self.stats.monotone_refutations += 1;
+            Some(Solution {
+                homomorphism: None,
+                route: Route::ArcRefuted,
+                stats: None,
+            })
+        } else {
+            auto_before_engine(b, facts, a, &mut self.bufs.gyo, &mut proofs)
+        };
+        // The parked snapshot describes the previous revision. The
+        // engine resumes it; an earlier answer leaves it stale, so only
+        // its allocation is kept.
+        let saved = self.saved.take();
+        let solution = match early {
+            Some(sol) => {
+                if let Some(saved) = saved {
+                    self.bufs.arena = saved.into_arena();
+                }
+                sol
+            }
+            None => {
+                let Buffers {
+                    arena, search, dp, ..
+                } = &mut self.bufs;
+                let program = Arc::clone(template.program());
+                let mut prop = match (saved, delta) {
+                    (Some(saved), Some(d)) => {
+                        ProgramPropagator::resume_with_delta(a, b, program, saved, d)
+                    }
+                    // Nothing to resume: bind on the spare arena. (The
+                    // registering solve, the one without a delta,
+                    // never has a parked state.)
+                    _ => ProgramPropagator::with_arena(a, b, program, std::mem::take(arena)),
+                };
+                if prop.is_established() {
+                    self.stats.repaired_establishes += 1;
+                } else {
+                    self.stats.full_establishes += 1;
+                }
+                let sol = auto_on_engine(b, facts, a, &mut prop, search, dp, &mut proofs);
+                self.saved = Some(prop.into_saved());
+                sol
+            }
+        };
+        if !monotone {
+            // A proof passed in skipped its stage whenever the solve got
+            // that far: GYO runs right after Schaefer, and the DP stage
+            // is the last before the search.
+            self.stats.acyclicity_skips +=
+                usize::from(proven.gyo_cyclic && solution.route != Route::Schaefer);
+            self.stats.treewidth_skips +=
+                usize::from(proven.tw_exceeds_budget && solution.route == Route::Generic);
         }
+        self.proofs = proofs;
         self.solution = solution;
         self.current = next;
-    }
-
-    /// Whether this route refreshed the parked engine state (reached
-    /// the propagation stage on the current revision).
-    fn solution_route_propagated(&self, sol: &Solution) -> bool {
-        match sol.route {
-            Route::Generic | Route::Treewidth(_) => true,
-            // The monotone fast path reports ArcRefuted *without*
-            // propagating (stats: None marks it).
-            Route::ArcRefuted => sol.stats.is_some(),
-            Route::Schaefer | Route::Acyclic | Route::Booleanization => false,
-        }
     }
 
     /// The current verdict: does a homomorphism `current → B` exist?
@@ -629,6 +525,43 @@ mod tests {
             stats.treewidth_skips + stats.acyclicity_skips > 0,
             "a dense additive ramp should hit the route cache: {stats:?}"
         );
+    }
+
+    #[test]
+    fn e17_ramps_pin_the_watch_counters() {
+        // E17's ramps: nested random_graph_nm(n, m, 7) prefixes against
+        // K3, one undirected edge per delta. Every counter is pinned, so
+        // a watch that silently stopped repairing or skipping fails here
+        // even though each update stays pinned to a fresh solve. The
+        // 64-vertex ramp is over the probe's 48-vertex gate, so nothing
+        // proves its treewidth over budget.
+        let session = Session::compile(&generators::complete_graph(3));
+        for (n, m0, m1, tw_skips) in [(24, 40, 64, 24), (28, 48, 72, 24), (64, 120, 160, 0)] {
+            let structures: Vec<Structure> = (m0..=m1)
+                .map(|m| generators::random_graph_nm(n, m, 7))
+                .collect();
+            let mut watch = session.watch(&structures[0]);
+            for w in structures.windows(2) {
+                watch
+                    .apply(&StructureDelta::between(&w[0], &w[1]).unwrap())
+                    .unwrap();
+            }
+            assert_parity(&watch, &format!("G({n},{m0}→{m1})"));
+            let s = watch.stats();
+            let updates = m1 - m0;
+            assert_eq!(
+                (
+                    s.updates,
+                    s.repaired_establishes,
+                    s.full_establishes,
+                    s.acyclicity_skips,
+                    s.treewidth_skips,
+                    s.monotone_refutations
+                ),
+                (updates, updates, 1, updates, tw_skips, 0),
+                "G({n},{m0}→{m1}): {s:?}"
+            );
+        }
     }
 
     #[test]

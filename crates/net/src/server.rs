@@ -53,8 +53,11 @@
 //!   byte of a frame polls at the wide
 //!   [`ServerConfig::idle_poll_interval`]; only mid-frame reads and
 //!   reply writes poll at [`ServerConfig::poll_interval`], so the
-//!   shutdown drain grace keeps its bound. Pure idle wakeups are
-//!   counted (`StatusInfo::idle_wakeups`) and pinned low by a test.
+//!   shutdown drain grace keeps its bound. The timeout is set before
+//!   each read and changes only when that read waits for something
+//!   else, so frames that each arrive in one read cost no `setsockopt`.
+//!   Pure idle wakeups are counted (`StatusInfo::idle_wakeups`) and
+//!   pinned low by a test.
 //! * **Graceful shutdown.** [`Server::shutdown`] stops the acceptor and
 //!   joins every connection thread. Each one answers every request it
 //!   has already read, finishes a frame it started, and writes its
@@ -226,6 +229,18 @@ struct Shared {
     counters: Counters,
 }
 
+impl Shared {
+    fn new(cfg: ServerConfig) -> Shared {
+        Shared {
+            registry: Mutex::new(TemplateRegistry::new(cfg.registry_capacity)),
+            outstanding: AtomicUsize::new(0),
+            accepting: AtomicBool::new(true),
+            counters: Counters::default(),
+            cfg,
+        }
+    }
+}
+
 /// A running server. Bind with [`Server::bind`], stop with
 /// [`Server::shutdown`] (which drains in-flight work) — dropping the
 /// handle shuts down the same way.
@@ -242,13 +257,7 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            registry: Mutex::new(TemplateRegistry::new(cfg.registry_capacity)),
-            outstanding: AtomicUsize::new(0),
-            accepting: AtomicBool::new(true),
-            counters: Counters::default(),
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(cfg));
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -469,12 +478,14 @@ fn transfer_polled(
 /// is ~one read per window instead of three per frame.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Which read timeout is currently installed on the socket — tracked so
-/// a `setsockopt` happens only when the mode changes: at each idle/busy
-/// transition. With one request in flight, every frame is such a
-/// transition (idle while waiting for its first byte, polled once it
-/// arrives), so each request pays two `setsockopt` calls; a pipelined
-/// window pays two per window.
+/// Which read timeout is currently installed on the socket. It is set
+/// right before each read, to what that read waits for: idle while no
+/// byte of the frame has arrived, poll for the rest of a frame that
+/// started. Tracking it makes a `setsockopt` happen only when the mode
+/// changes, so a connection whose frames each arrive whole in one read
+/// stays idle and pays no `setsockopt` at steady state; a frame split
+/// across reads pays two (poll for its blocking mid-frame read, then
+/// idle again at the next frame).
 #[derive(PartialEq, Clone, Copy)]
 enum TimeoutMode {
     Unset,
@@ -626,15 +637,15 @@ impl Connection {
             self.start = 0;
         }
         let mut grace_end: Option<Instant> = None;
-        self.set_mode(
-            shared,
-            if awaiting_first {
-                TimeoutMode::Idle
-            } else {
-                TimeoutMode::Poll
-            },
-        );
         loop {
+            self.set_mode(
+                shared,
+                if awaiting_first {
+                    TimeoutMode::Idle
+                } else {
+                    TimeoutMode::Poll
+                },
+            );
             let dst_from = self.end;
             match self.stream.read(&mut self.buf[dst_from..]) {
                 Ok(0) => {
@@ -650,10 +661,7 @@ impl Connection {
                 Ok(n) => {
                     self.end += n;
                     self.last_read = Instant::now();
-                    if awaiting_first {
-                        awaiting_first = false;
-                        self.set_mode(shared, TimeoutMode::Poll);
-                    }
+                    awaiting_first = false;
                     if self.available() >= need {
                         return Ok(true);
                     }
@@ -1007,6 +1015,124 @@ fn status(shared: &Shared) -> StatusInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Request, Response};
+    use std::collections::VecDeque;
+    use std::io;
+    use std::net::Shutdown;
+
+    /// An in-memory peer: each read hands out the next scripted chunk
+    /// (then EOF), writes are kept, and `set_read_timeout` calls are
+    /// counted.
+    struct ScriptedPeer {
+        reads: VecDeque<Vec<u8>>,
+        written: Arc<Mutex<Vec<u8>>>,
+        timeout_sets: Arc<AtomicUsize>,
+    }
+
+    impl Read for ScriptedPeer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.reads.pop_front() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl Write for ScriptedPeer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.written.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Transport for ScriptedPeer {
+        fn peek(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            unreachable!("the server never peeks")
+        }
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            self.timeout_sets.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+        fn set_write_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_nonblocking(&self, _: bool) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_nodelay(&self, _: bool) -> io::Result<()> {
+            Ok(())
+        }
+        fn shutdown(&self, _: Shutdown) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `reads` on one connection; returns the `set_read_timeout`
+    /// calls it made and the ids of the replies it wrote.
+    fn serve_scripted(reads: Vec<Vec<u8>>) -> (usize, Vec<u64>) {
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let timeout_sets = Arc::new(AtomicUsize::new(0));
+        let peer = ScriptedPeer {
+            reads: reads.into(),
+            written: Arc::clone(&written),
+            timeout_sets: Arc::clone(&timeout_sets),
+        };
+        serve_connection(&Shared::new(ServerConfig::default()), Box::new(peer));
+        let written = written.lock().unwrap();
+        let mut ids = Vec::new();
+        let mut rest = &written[..];
+        while !rest.is_empty() {
+            let (_, id, len) = parse_header(rest[..HEADER_LEN].try_into().unwrap()).unwrap();
+            let (frame, tail) = rest.split_at(HEADER_LEN + len as usize);
+            let (id2, resp) = Response::decode(frame).unwrap();
+            assert!(
+                matches!(resp, Response::Status(_) | Response::Containment { .. }),
+                "{resp:?}"
+            );
+            assert_eq!(id, id2);
+            ids.push(id);
+            rest = tail;
+        }
+        (timeout_sets.load(Ordering::Relaxed), ids)
+    }
+
+    #[test]
+    fn whole_frames_cost_no_timeout_switches() {
+        let frames: Vec<Vec<u8>> = (0..8u64)
+            .map(|id| Request::Status.encode(id).unwrap())
+            .collect();
+        // Each frame arrives whole in one read: the idle timeout set
+        // before the first read is the only call.
+        let (sets, ids) = serve_scripted(frames.clone());
+        assert_eq!(sets, 1);
+        assert_eq!(ids, (0..8).collect::<Vec<_>>());
+        // A frame split across two reads switches to poll for its
+        // mid-frame read and back to idle at the next frame boundary,
+        // wherever the cut falls: in the 8-byte prefix, in the rest of
+        // the header, or in the payload.
+        let containment = Request::Containment {
+            q1: "Q(X) :- E(X, Y), E(Y, X).".into(),
+            q2: "Q(X) :- E(X, Y).".into(),
+        }
+        .encode(4)
+        .unwrap();
+        for (frame, cut) in [
+            (&frames[4], 3),
+            (&frames[4], LEGACY_HEADER_LEN + 2),
+            (&frames[4], HEADER_LEN - 1),
+            (&containment, HEADER_LEN + 5),
+        ] {
+            let mut reads = frames.clone();
+            reads.splice(4..5, [frame[..cut].to_vec(), frame[cut..].to_vec()]);
+            let (sets, ids) = serve_scripted(reads);
+            assert_eq!(sets, 3, "cut at {cut}");
+            assert_eq!(ids, (0..8).collect::<Vec<_>>(), "cut at {cut}");
+        }
+    }
 
     #[test]
     fn accept_error_classes() {
