@@ -812,9 +812,12 @@ fn e13() {
 fn e14() {
     println!("## E14 — Session reuse: one compiled template, streaming instances\n");
     println!(
-        "`Session::compile(B)` fixes the template once (support index, Schaefer \
-         classification, Booleanized template); `session.solve(a)` then pays only \
-         per-instance work. The one-shot column is `core::solve` per call — itself a \
+        "`Session::compile(B)` fixes the template once (support index and \
+         propagation program, `B`'s Schaefer plan, the Booleanized template and its \
+         plan); `session.solve(a)` then pays only per-instance work. The rows cover \
+         every pre-engine route — Schaefer (G(16,20) → K2), Booleanization \
+         (D(12,0.2) → C4) and Acyclic (paths → TT4) — next to two K3 rows that reach \
+         the engine. The one-shot column is `core::solve` per call — itself a \
          compile-then-solve wrapper over the same session layer, so node counts and \
          verdicts must be identical between the two columns (checked per row; a \
          `false` fails CI via `scripts/check_experiments.sh`). Timing columns are \
@@ -832,8 +835,10 @@ fn e14() {
         "verdicts agree",
     ]);
     let count = if smoke() { 8u64 } else { 32 };
+    let k2 = generators::complete_graph(2);
     let k3 = generators::complete_graph(3);
     let c4 = generators::directed_cycle(4);
+    let tt4 = generators::transitive_tournament(4);
     let workloads: Vec<(String, Vec<Structure>, &Structure)> = vec![
         (
             format!("{count}×G(12,24) → K3"),
@@ -855,6 +860,20 @@ fn e14() {
                 .map(|s| generators::random_digraph(12, 0.2, s))
                 .collect(),
             &c4,
+        ),
+        (
+            format!("{count}×G(16,20) → K2"),
+            (0..count)
+                .map(|s| generators::random_graph_nm(16, 20, s))
+                .collect(),
+            &k2,
+        ),
+        (
+            format!("{count}×paths(2–4) → TT4"),
+            (0..count as usize)
+                .map(|s| generators::directed_path(2 + s % 3))
+                .collect(),
+            &tt4,
         ),
     ];
     let nodes_of =

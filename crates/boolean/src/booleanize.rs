@@ -11,6 +11,14 @@
 //! Example 3.8 of the paper shows the labeling choice matters for which
 //! Schaefer classes the Booleanized template lands in (`C₄` is affine
 //! under one labeling, affine *and* bijunctive under another).
+//!
+//! The encoding splits into a template half ([`booleanize_template`]:
+//! `B_b`, the bit width and a code → element table) and an instance half
+//! ([`booleanize_instance`]: `A_b` as a structure). The serving route
+//! needs only the first: a [`SchaeferPlan`](crate::direct::SchaeferPlan)
+//! compiled from `B_b` reads the original `A` at bit width `m`, and
+//! [`BooleanizedTemplate::decode`] maps its answer back to `B`, so `A_b`
+//! is never materialized per instance.
 
 use crate::error::{Error, Result};
 use crate::relation::MAX_ARITY;
@@ -83,6 +91,29 @@ pub struct BooleanizedTemplate {
     voc: Arc<Vocabulary>,
     /// The original `B`'s vocabulary, for instance-side validation.
     source_voc: Arc<Vocabulary>,
+    /// `(code, element)` for every element of `B`, sorted by code.
+    by_code: Vec<(u64, Element)>,
+}
+
+impl BooleanizedTemplate {
+    /// Decodes a Boolean homomorphism of `A_b`, given as one value per
+    /// variable (bit `i` of element `e` at `e · bits + i`), back to a
+    /// map `A → B`. As in [`BooleanizeInfo::decode`], an element whose
+    /// code matches no label maps to 0.
+    pub fn decode(&self, values: &[bool]) -> Vec<Element> {
+        values
+            .chunks_exact(self.bits)
+            .map(|bits| {
+                let code = bits
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |c, (i, &v)| c | u64::from(v) << i);
+                self.by_code
+                    .binary_search_by_key(&code, |&(c, _)| c)
+                    .map_or(Element(0), |i| self.by_code[i].1)
+            })
+            .collect()
+    }
 }
 
 /// Booleanizes the instance `(a, b)` with the identity labeling.
@@ -168,6 +199,12 @@ pub fn booleanize_template(b: &Structure, labels: &[u64]) -> Result<BooleanizedT
         }
     }
 
+    let mut by_code: Vec<(u64, Element)> = labels
+        .iter()
+        .enumerate()
+        .map(|(e, &code)| (code, Element::new(e)))
+        .collect();
+    by_code.sort_unstable();
     Ok(BooleanizedTemplate {
         template: bb.finish(),
         bits: m,
@@ -175,6 +212,7 @@ pub fn booleanize_template(b: &Structure, labels: &[u64]) -> Result<BooleanizedT
         b_universe: b.universe(),
         voc,
         source_voc: Arc::clone(b.vocabulary()),
+        by_code,
     })
 }
 
@@ -356,6 +394,19 @@ mod tests {
             );
             let _ = info3;
         }
+    }
+
+    #[test]
+    fn template_decode_matches_the_instance_decode() {
+        // Every code of a 3-bit labeling, including the unused ones.
+        let b = generators::random_digraph(5, 0.4, 7);
+        let labels = [0b110, 0b001, 0b011, 0b000, 0b101];
+        let t = booleanize_template(&b, &labels).unwrap();
+        let a = generators::directed_path(8);
+        let (_, info) = booleanize_instance(&a, &t).unwrap();
+        let values: Vec<bool> = (0..24).map(|i| (i * 7) % 5 < 2).collect();
+        let hb: Vec<Element> = values.iter().map(|&v| Element(u32::from(v))).collect();
+        assert_eq!(t.decode(&values), info.decode(&hb));
     }
 
     #[test]

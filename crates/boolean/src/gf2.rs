@@ -4,9 +4,12 @@
 //! two-element field (paper §3, footnote 4). Theorem 3.2 constructs the
 //! defining equations of an affine relation as a basis of the nullspace
 //! of its tuple matrix; Theorem 3.3's affine route solves the
-//! instantiated system by Gaussian elimination. Rows are [`BitSet`]s so
-//! systems over arbitrarily many variables (the elements of the left
-//! structure) are supported.
+//! instantiated system by Gaussian elimination. [`LinearSystem`] keeps
+//! rows as [`BitSet`]s and is the formula route's solver and the parity
+//! oracle; [`RowBasis`] is the serving kernel, inserting word-packed
+//! rows into a reduced basis on buffers that outlive one system. Both
+//! support any number of variables (the elements of the left
+//! structure).
 
 use cqcs_structures::BitSet;
 
@@ -138,6 +141,99 @@ impl LinearSystem {
             return None;
         }
         Some(1u128 << free)
+    }
+}
+
+/// A GF(2) system kept as a fully reduced basis of word-packed rows —
+/// the affine route's per-instance kernel, with buffers that outlive one
+/// system.
+///
+/// Rows are built one at a time with [`toggle`](RowBasis::toggle) and
+/// committed with [`insert`](RowBasis::insert). Each basis row's pivot
+/// is its lowest set bit, and no row has a 1 in another row's pivot
+/// column, so after every insertion the basis is the reduced row echelon
+/// form of the rows inserted so far. That form is unique, so
+/// [`solution`](RowBasis::solution) (free variables 0) equals
+/// [`LinearSystem::solve`]'s answer on the same rows in any order.
+#[derive(Debug, Clone, Default)]
+pub struct RowBasis {
+    /// Number of variables.
+    vars: usize,
+    /// `u64` words per row.
+    words: usize,
+    /// The basis rows, `words` words each.
+    rows: Vec<u64>,
+    /// Pivot column per basis row.
+    pivots: Vec<usize>,
+    /// Right-hand side per basis row.
+    rhs: Vec<bool>,
+    /// The row being built (all zero between insertions).
+    pending: Vec<u64>,
+}
+
+impl RowBasis {
+    /// Empties the basis and re-dimensions it to `num_vars` variables,
+    /// keeping the allocations.
+    pub fn reset(&mut self, num_vars: usize) {
+        self.vars = num_vars;
+        self.words = num_vars.div_ceil(64);
+        self.rows.clear();
+        self.pivots.clear();
+        self.rhs.clear();
+        self.pending.clear();
+        self.pending.resize(self.words, 0);
+    }
+
+    /// Flips variable `v`'s coefficient in the row being built, so a
+    /// variable toggled twice cancels.
+    #[inline]
+    pub fn toggle(&mut self, v: usize) {
+        self.pending[v / 64] ^= 1 << (v % 64);
+    }
+
+    /// Adds the row being built, with right-hand side `rhs`, to the
+    /// system and starts the next row empty. Returns `false` when the
+    /// row reduces to `0 = 1`, i.e. the system is now inconsistent.
+    pub fn insert(&mut self, mut rhs: bool) -> bool {
+        let w = self.words;
+        for (j, &p) in self.pivots.iter().enumerate() {
+            let from = p / 64;
+            if self.pending[from] >> (p % 64) & 1 == 1 {
+                let row = &self.rows[j * w + from..(j + 1) * w];
+                for (x, y) in self.pending[from..].iter_mut().zip(row) {
+                    *x ^= y;
+                }
+                rhs ^= self.rhs[j];
+            }
+        }
+        let Some(first) = self.pending.iter().position(|&x| x != 0) else {
+            return !rhs;
+        };
+        let p = first * 64 + self.pending[first].trailing_zeros() as usize;
+        for (j, row) in self.rows.chunks_exact_mut(w).enumerate() {
+            if row[p / 64] >> (p % 64) & 1 == 1 {
+                for (x, y) in row[first..].iter_mut().zip(&self.pending[first..]) {
+                    *x ^= y;
+                }
+                self.rhs[j] ^= rhs;
+            }
+        }
+        self.rows.extend_from_slice(&self.pending);
+        self.pivots.push(p);
+        self.rhs.push(rhs);
+        self.pending.fill(0);
+        true
+    }
+
+    /// Writes the solution with every free variable 0 into `out`, one
+    /// value per variable. Meaningful only while every
+    /// [`insert`](RowBasis::insert) has returned `true`.
+    pub fn solution(&self, out: &mut Vec<bool>) {
+        out.clear();
+        out.resize(self.vars, false);
+        for (&p, &rhs) in self.pivots.iter().zip(&self.rhs) {
+            out[p] = rhs;
+        }
     }
 }
 

@@ -16,7 +16,9 @@
 //! * [`uniform`] — the formula-building uniform algorithm
 //!   (Theorem 3.3): `CSP(SC)` in polynomial time;
 //! * [`direct`] — the direct quadratic-time algorithms that skip
-//!   formula building (Theorem 3.4);
+//!   formula building (Theorem 3.4), compiled once per template into a
+//!   [`SchaeferPlan`] that serves both the Schaefer route and the
+//!   Booleanization route;
 //! * [`booleanize`](mod@booleanize) — Booleanization of arbitrary CSP instances
 //!   (Lemma 3.5) powering Saraiya's two-atom containment (Prop 3.6) and
 //!   the `C₄` example (Example 3.8).
@@ -39,8 +41,9 @@ pub use booleanize::{
     booleanize, booleanize_instance, booleanize_template, BooleanizeInfo, BooleanizedTemplate,
 };
 pub use cnf::{Clause, CnfFormula, Literal};
+pub use direct::{plan_compiles_on_this_thread, SchaeferPlan, SchaeferScratch};
 pub use error::{Error, Result};
-pub use gf2::LinearSystem;
+pub use gf2::{LinearSystem, RowBasis};
 pub use relation::{BooleanRelation, BooleanStructure};
 pub use schaefer::{classify_relation, classify_structure, SchaeferClass, SchaeferSet};
 pub use uniform::solve_schaefer;

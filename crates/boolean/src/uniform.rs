@@ -9,15 +9,17 @@
 //! procedure. Truth assignments of φ_A are exactly the homomorphisms
 //! `A → B`.
 //!
-//! [`solve_schaefer`] is the production dispatcher: it prefers the
-//! *direct* quadratic algorithms of Theorem 3.4 ([`crate::direct`])
-//! where they exist and falls back to the formula route only for the
-//! affine case (where Gaussian elimination *is* the algorithm).
-//! [`solve_schaefer_via_formulas`] is the literal Theorem 3.3 pipeline,
-//! kept separate so the E3 experiment can measure both routes.
+//! [`solve_schaefer`] is the production entry: it compiles `B` into a
+//! [`SchaeferPlan`] (Theorem 3.4's direct algorithms, with the affine
+//! case's defining equations lowered once) and solves `A` on it. A
+//! caller streaming many instances against one `B` keeps the plan
+//! instead, as `cqcs-core`'s sessions do. [`solve_schaefer_via_formulas`]
+//! is the literal Theorem 3.3 pipeline, kept separate so the E3
+//! experiment can measure both routes and the property suite can pin
+//! the plan's witnesses to it.
 
 use crate::cnf::{Clause, CnfFormula, Literal};
-use crate::direct;
+use crate::direct::{SchaeferPlan, SchaeferScratch};
 use crate::error::{Error, Result};
 use crate::formula_build;
 use crate::gf2::LinearSystem;
@@ -41,32 +43,26 @@ const CLASS_PRIORITY: [SchaeferClass; 4] = [
     SchaeferClass::DualHorn,
 ];
 
-/// Solves `hom(A → B)` for a Schaefer template `B`, using the best
-/// route per class (Theorem 3.4 direct algorithms; Gaussian elimination
-/// for affine). Returns the homomorphism as a 0/1 map, or `None`.
+/// Solves `hom(A → B)` for a Schaefer template `B` by compiling `B`'s
+/// [`SchaeferPlan`] and solving `A` on it (Theorem 3.4's direct
+/// algorithms; Gaussian elimination for affine). Returns the
+/// homomorphism as a 0/1 map, or `None`.
 ///
-/// Errors if `B` is not Boolean or not in Schaefer's class.
+/// Errors if `B` is not Boolean or not in Schaefer's class, or if `A`
+/// is over a different vocabulary.
 pub fn solve_schaefer(a: &Structure, b: &Structure) -> Result<Option<Vec<bool>>> {
-    let classes = schaefer_classes(b)?;
-    if classes.contains(SchaeferClass::ZeroValid) {
-        return Ok(Some(direct::trivial_csp(a, false)));
+    let plan = SchaeferPlan::compile(b)?;
+    if !plan.classes().is_schaefer() {
+        return Err(Error::NotSchaefer);
     }
-    if classes.contains(SchaeferClass::OneValid) {
-        return Ok(Some(direct::trivial_csp(a, true)));
+    if !a.same_vocabulary(b) {
+        return Err(Error::Invalid(
+            "left and right structures are over different vocabularies".into(),
+        ));
     }
-    if classes.contains(SchaeferClass::Bijunctive) {
-        return direct::bijunctive_csp(a, b);
-    }
-    if classes.contains(SchaeferClass::Horn) {
-        return direct::horn_csp(a, b);
-    }
-    if classes.contains(SchaeferClass::DualHorn) {
-        return direct::dual_horn_csp(a, b);
-    }
-    if classes.contains(SchaeferClass::Affine) {
-        return solve_affine_route(a, b);
-    }
-    Err(Error::NotSchaefer)
+    Ok(plan
+        .solve(a, 1, &mut SchaeferScratch::default())
+        .map(<[bool]>::to_vec))
 }
 
 /// The literal Theorem 3.3 pipeline: build defining formulas, construct
@@ -74,10 +70,10 @@ pub fn solve_schaefer(a: &Structure, b: &Structure) -> Result<Option<Vec<bool>>>
 pub fn solve_schaefer_via_formulas(a: &Structure, b: &Structure) -> Result<Option<Vec<bool>>> {
     let classes = schaefer_classes(b)?;
     if classes.contains(SchaeferClass::ZeroValid) {
-        return Ok(Some(direct::trivial_csp(a, false)));
+        return Ok(Some(vec![false; a.universe()]));
     }
     if classes.contains(SchaeferClass::OneValid) {
-        return Ok(Some(direct::trivial_csp(a, true)));
+        return Ok(Some(vec![true; a.universe()]));
     }
     let Some(class) = CLASS_PRIORITY
         .iter()
@@ -87,7 +83,7 @@ pub fn solve_schaefer_via_formulas(a: &Structure, b: &Structure) -> Result<Optio
         return Err(Error::NotSchaefer);
     };
     match class {
-        SchaeferClass::Affine => solve_affine_route(a, b),
+        SchaeferClass::Affine => Ok(build_linear_system(a, b)?.solve()),
         cnf_class => {
             let phi = build_phi(a, b, cnf_class)?;
             let model = match cnf_class {
@@ -156,10 +152,10 @@ fn build_phi(a: &Structure, b: &Structure, class: SchaeferClass) -> Result<CnfFo
     Ok(CnfFormula::new(n, clauses))
 }
 
-/// The affine route: instantiate each relation's defining equations per
-/// tuple (with GF(2) cancellation of repeated elements) and solve by
-/// Gaussian elimination.
-fn solve_affine_route(a: &Structure, b: &Structure) -> Result<Option<Vec<bool>>> {
+/// Builds φ_A for an affine template: each relation's defining
+/// equations instantiated per tuple (with GF(2) cancellation of repeated
+/// elements), for Gaussian elimination.
+fn build_linear_system(a: &Structure, b: &Structure) -> Result<LinearSystem> {
     let bs = BooleanStructure::from_structure(b)?;
     let n = a.universe();
     let mut sys = LinearSystem::new(n);
@@ -189,7 +185,7 @@ fn solve_affine_route(a: &Structure, b: &Structure) -> Result<Option<Vec<bool>>>
             }
         }
     }
-    Ok(sys.solve())
+    Ok(sys)
 }
 
 #[cfg(test)]

@@ -22,15 +22,17 @@
 //!   searching route shares; plain searches leave it unestablished),
 //!   whose arena-resident domains/trail/worklists are rebound in place
 //!   (`ProgramPropagator::reset_for_instance`) instead of reallocated,
-//!   pooled candidate buffers for the backtracking search, pooled
-//!   bitsets for the GYO acyclicity test, and the Theorem 5.4 route's
-//!   `DpScratch`: the min-fill elimination's word rows, the lowered bag
-//!   tables and the row-set masks. The per-instance allocation profile
-//!   drops even at `threads = 1`, which is why the sequential
+//!   pooled candidate buffers for the backtracking search, the
+//!   Schaefer and Booleanization routes' `SchaeferScratch`, the GYO
+//!   reduction's bitsets and Yannakakis' candidate indices, and the
+//!   Theorem 5.4 route's `DpScratch`: the min-fill elimination's word
+//!   rows, the lowered bag tables and the row-set masks. The
+//!   per-instance allocation profile drops even at `threads = 1`,
+//!   which is why the sequential
 //!   [`Session::solve_batch`](crate::Session::solve_batch) runs on the
 //!   same worker loop.
 //! * The borrow-free half of that scratch — the engine's arena, the
-//!   search buffers, the GYO buffers and the `DpScratch` — also
+//!   search buffers, the Schaefer, GYO and DP buffers — also
 //!   **outlives its batch**: it sits in a per-thread pool that the
 //!   inline worker (`threads ≤ 1`, the path every server batch takes)
 //!   and [`Session::solve_with`](crate::Session::solve_with) take on
@@ -71,6 +73,7 @@
 use crate::session::{solve_on_template, CompiledTemplate};
 use crate::solvers::backtracking::{SearchScratch, SearchStats};
 use crate::solvers::dispatch::{Solution, SolveError, Strategy};
+use cqcs_boolean::SchaeferScratch;
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
 use cqcs_structures::{PropArena, Structure, WorkStealQueue};
 use cqcs_treewidth::acyclic::GyoScratch;
@@ -86,6 +89,10 @@ pub(crate) struct Buffers {
     /// The engine's arena, recycled into the next engine built.
     pub(crate) arena: PropArena,
     pub(crate) search: SearchScratch,
+    /// The Schaefer and Booleanization routes' values, queues, trail
+    /// and affine rows.
+    pub(crate) schaefer: SchaeferScratch,
+    /// GYO reduction and Yannakakis candidate buffers.
     pub(crate) gyo: GyoScratch,
     pub(crate) dp: DpScratch,
 }
@@ -99,9 +106,10 @@ std::thread_local! {
 /// Per-worker state that persists across the instances a worker drains
 /// from the queue: the compiled propagation engine and its arena
 /// (rebound in place per instance, never reallocated), the backtracking
-/// search's candidate buffers, the GYO reduction's bitsets, the
-/// Theorem 5.4 route's elimination rows and bag tables, and a local
-/// statistics accumulator. One
+/// search's candidate buffers, the Schaefer plans' values and rows, the
+/// GYO reduction's bitsets and Yannakakis' candidates, the Theorem 5.4
+/// route's elimination rows and bag tables, and a local statistics
+/// accumulator. One
 /// scratch serves one template at a time; handing it instances against
 /// a different template transparently rebuilds the engine (recycling
 /// the arena allocation).
@@ -158,14 +166,9 @@ impl<'s> WorkerScratch<'s> {
         }
     }
 
-    /// The pooled GYO buffers.
-    pub(crate) fn gyo(&mut self) -> &mut GyoScratch {
-        &mut self.bufs.gyo
-    }
-
-    /// The pooled Theorem 5.4 buffers: elimination rows and DP tables.
-    pub(crate) fn dp(&mut self) -> &mut DpScratch {
-        &mut self.bufs.dp
+    /// The pooled buffers (the engine, when built, holds the arena).
+    pub(crate) fn buffers(&mut self) -> &mut Buffers {
+        &mut self.bufs
     }
 
     /// The compiled engine rebound to instance `a`, plus the pooled

@@ -4,12 +4,13 @@
 //! side fixed: in the CSP(`B`) serving regime many instances `A` stream
 //! against a single template `B`. A plain [`solve`](crate::solve) call
 //! rebuilds everything about `B` per instance — the
-//! [`SupportIndex`] behind arc-consistency propagation, the Schaefer
-//! classification, the Booleanized template and *its* classification.
-//! [`CompiledTemplate`] computes each of these once; [`Session`] then
-//! answers `hom(A → B)` per instance with only the genuinely
-//! per-instance work (acyclicity, `A`'s treewidth, propagation, search)
-//! left on the hot path.
+//! [`SupportIndex`] behind arc-consistency propagation, `B`'s Schaefer
+//! plan (classification plus the lowered Theorem 3.4 algorithm), the
+//! Booleanized template and *its* plan. [`CompiledTemplate`] computes
+//! each of these once; [`Session`] then answers `hom(A → B)` per
+//! instance with only the genuinely per-instance work (the plans'
+//! propagation or elimination, acyclicity, `A`'s treewidth, arc
+//! consistency, search) left on the hot path.
 //!
 //! A `CompiledTemplate` is immutable after construction (the lazy
 //! fields are `OnceLock`s) and `Sync`, so one compiled template can be
@@ -20,7 +21,7 @@
 //! [`Session::solve_with`] and the sequential batch take the calling
 //! thread's pooled scratch on entry and hand it back on exit (see
 //! [`crate::exec`]), so a thread that solves many instances allocates
-//! its arena, search stacks, GYO buffers and DP tables once. The pool
+//! its arena, search stacks, Schaefer, GYO and DP buffers once. The pool
 //! holds only buffers, never a template or an instance, and every buffer
 //! is re-dimensioned per instance, so results do not depend on what the
 //! thread solved before.
@@ -47,16 +48,14 @@
 //! ```
 
 use crate::analysis::{EXACT_WIDTH_PROBE_MAX_VERTICES, EXACT_WIDTH_PROBE_NODE_BUDGET};
-use crate::exec::{BatchExecutor, WorkerScratch};
+use crate::exec::{BatchExecutor, Buffers, WorkerScratch};
 use crate::solvers::backtracking::{
     backtracking_search_scratch, SearchOptions, SearchScratch, SearchStats,
 };
 use crate::solvers::dispatch::{Route, Solution, SolveError, Strategy, AUTO_TREEWIDTH_BUDGET};
-use cqcs_boolean::booleanize::{
-    booleanize_instance, booleanize_template, identity_labels, BooleanizedTemplate,
-};
+use cqcs_boolean::booleanize::{booleanize_template, identity_labels, BooleanizedTemplate};
 use cqcs_boolean::schaefer::SchaeferSet;
-use cqcs_boolean::uniform::{schaefer_classes, solve_schaefer};
+use cqcs_boolean::{SchaeferPlan, SchaeferScratch};
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
 use cqcs_structures::{Element, Homomorphism, Structure, SupportIndex};
 use cqcs_treewidth::acyclic::{yannakakis_pooled, GyoScratch};
@@ -72,11 +71,14 @@ use std::sync::{Arc, OnceLock};
 /// `B` for sharing, while the one-shot [`solve`](crate::solve) keeps a
 /// fresh set on its stack next to the caller's borrowed `B` — so the
 /// wrapper clones nothing and still runs the identical routing code.
+/// Every fact is built at its first read: the Schaefer plans when a
+/// solve first reaches stage 1 or 3, the support index and program when
+/// one first binds an engine.
 #[derive(Debug, Default)]
 pub(crate) struct TemplateFacts {
-    /// Schaefer classification of `B` (`None` unless `B` is Boolean and
-    /// classifiable).
-    schaefer: OnceLock<Option<SchaeferSet>>,
+    /// `B`'s Schaefer plan, carrying its classification (`None` unless
+    /// `B` is Boolean and within the bit-packed arity limit).
+    schaefer: OnceLock<Option<SchaeferPlan>>,
     /// Support index over `B`'s tuples, shared by every propagator the
     /// template spawns and read by the treewidth DP's tuple checks.
     support: OnceLock<Arc<SupportIndex>>,
@@ -85,21 +87,27 @@ pub(crate) struct TemplateFacts {
     /// [`support`](TemplateFacts::support), so the index is built at
     /// most once per template no matter how routes interleave.
     program: OnceLock<Arc<PropProgram>>,
-    /// The Booleanized template and its classification (`None` when `B`
+    /// The Booleanized template and its Schaefer plan (`None` when `B`
     /// is already Boolean, degenerate, or exceeds the bit-packed arity
     /// budget).
-    booleanized: OnceLock<Option<(BooleanizedTemplate, SchaeferSet)>>,
+    booleanized: OnceLock<Option<(BooleanizedTemplate, SchaeferPlan)>>,
 }
 
 impl TemplateFacts {
-    /// Schaefer classification of `b`, when Boolean (computed on first
-    /// use).
+    /// `b`'s Schaefer plan, when Boolean (compiled on first use).
+    fn schaefer_plan(&self, b: &Structure) -> Option<&SchaeferPlan> {
+        self.schaefer
+            .get_or_init(|| {
+                (b.universe() == 2)
+                    .then(|| SchaeferPlan::compile(b).ok())
+                    .flatten()
+            })
+            .as_ref()
+    }
+
+    /// Schaefer classification of `b`, when Boolean.
     fn schaefer(&self, b: &Structure) -> Option<SchaeferSet> {
-        *self.schaefer.get_or_init(|| {
-            (b.universe() == 2)
-                .then(|| schaefer_classes(b).ok())
-                .flatten()
-        })
+        self.schaefer_plan(b).map(SchaeferPlan::classes)
     }
 
     /// The support index over `b`'s tuples (built on first use, then
@@ -117,17 +125,17 @@ impl TemplateFacts {
             .get_or_init(|| Arc::new(PropProgram::compile(b, self.support(b))))
     }
 
-    /// The Booleanized template (Lemma 3.5) with its Schaefer
-    /// classification, when `b` is non-Boolean and encodable.
-    fn booleanized(&self, b: &Structure) -> Option<&(BooleanizedTemplate, SchaeferSet)> {
+    /// The Booleanized template (Lemma 3.5) with its Schaefer plan, when
+    /// `b` is non-Boolean and encodable.
+    fn booleanized(&self, b: &Structure) -> Option<&(BooleanizedTemplate, SchaeferPlan)> {
         self.booleanized
             .get_or_init(|| {
                 if b.universe() <= 2 {
                     return None; // already Boolean (or degenerate)
                 }
                 let t = booleanize_template(b, &identity_labels(b.universe())).ok()?;
-                let classes = schaefer_classes(&t.template).ok()?;
-                Some((t, classes))
+                let plan = SchaeferPlan::compile(&t.template).ok()?;
+                Some((t, plan))
             })
             .as_ref()
     }
@@ -135,9 +143,9 @@ impl TemplateFacts {
 
 /// Everything the dispatcher ever needs to know about a fixed template
 /// `B`, computed at most once. [`compile`] itself only clones `B`; the
-/// Schaefer classification, the support index, and the Booleanized
-/// template are each built lazily on first use, so a template never
-/// pays for a fact its routes don't read.
+/// Schaefer plan (with its classification), the support index, and the
+/// Booleanized template with its plan are each built lazily on first
+/// use, so a template never pays for a fact its routes don't read.
 ///
 /// [`compile`]: CompiledTemplate::compile
 #[derive(Debug)]
@@ -337,17 +345,18 @@ fn solve_on<'s>(
     scratch: &mut WorkerScratch<'s>,
 ) -> Result<Solution, SolveError> {
     assert!(a.same_vocabulary(b), "solve across different vocabularies");
+    let bufs = scratch.buffers();
     match strategy {
         Strategy::Auto => Ok(auto_on(b, facts, a, scratch)),
-        Strategy::Schaefer => try_schaefer(b, facts, a).ok_or(SolveError::RouteNotApplicable(
-            "B is not a Schaefer Boolean structure",
-        )),
-        Strategy::Booleanize => try_booleanize(b, facts, a).ok_or(SolveError::RouteNotApplicable(
-            "Booleanized template is not Schaefer",
-        )),
-        Strategy::Acyclic => try_acyclic(a, b, scratch.gyo())
+        Strategy::Schaefer => try_schaefer(b, facts, a, &mut bufs.schaefer).ok_or(
+            SolveError::RouteNotApplicable("B is not a Schaefer Boolean structure"),
+        ),
+        Strategy::Booleanize => try_booleanize(b, facts, a, &mut bufs.schaefer).ok_or(
+            SolveError::RouteNotApplicable("Booleanized template is not Schaefer"),
+        ),
+        Strategy::Acyclic => try_acyclic(a, b, &mut bufs.gyo)
             .ok_or(SolveError::RouteNotApplicable("A is not acyclic")),
-        Strategy::Treewidth => Ok(treewidth_route(a, b, facts.support(b), scratch.dp())),
+        Strategy::Treewidth => Ok(treewidth_route(a, b, facts.support(b), &mut bufs.dp)),
         Strategy::Generic(opts) => {
             // Every search runs on the scratch's compiled engine over the
             // template's program; a plain search (`mac = ac_preprocess =
@@ -373,7 +382,7 @@ fn auto_on<'s>(
     scratch: &mut WorkerScratch<'s>,
 ) -> Solution {
     let mut proofs = Proofs::default();
-    if let Some(sol) = auto_before_engine(b, facts, a, scratch.gyo(), &mut proofs) {
+    if let Some(sol) = auto_before_engine(b, facts, a, scratch.buffers(), &mut proofs) {
         return sol;
     }
     let (prop, search, dp) = scratch.compiled_engine(a, b, facts.program(b));
@@ -405,19 +414,19 @@ pub(crate) fn auto_before_engine(
     b: &Structure,
     facts: &TemplateFacts,
     a: &Structure,
-    gyo: &mut GyoScratch,
+    bufs: &mut Buffers,
     proofs: &mut Proofs,
 ) -> Option<Solution> {
-    if let Some(sol) = try_schaefer(b, facts, a) {
+    if let Some(sol) = try_schaefer(b, facts, a, &mut bufs.schaefer) {
         return Some(sol);
     }
     if !proofs.gyo_cyclic {
-        if let Some(sol) = try_acyclic(a, b, gyo) {
+        if let Some(sol) = try_acyclic(a, b, &mut bufs.gyo) {
             return Some(sol);
         }
         proofs.gyo_cyclic = true;
     }
-    try_booleanize(b, facts, a)
+    try_booleanize(b, facts, a, &mut bufs.schaefer)
 }
 
 /// Stages 4–6 of the Auto order, on an engine the caller has bound to
@@ -494,29 +503,41 @@ pub(crate) fn auto_on_engine(
     }
 }
 
-fn try_schaefer(b: &Structure, facts: &TemplateFacts, a: &Structure) -> Option<Solution> {
-    let classes = facts.schaefer(b)?;
-    if !classes.is_schaefer() {
+/// Stage 1: `B`'s compiled plan on `A` itself (bit width 1).
+fn try_schaefer(
+    b: &Structure,
+    facts: &TemplateFacts,
+    a: &Structure,
+    scratch: &mut SchaeferScratch,
+) -> Option<Solution> {
+    let plan = facts.schaefer_plan(b)?;
+    if !plan.classes().is_schaefer() {
         return None;
     }
-    let h = solve_schaefer(a, b).expect("classes checked");
+    let homomorphism = plan.solve(a, 1, scratch).map(|values| {
+        Homomorphism::from_map(values.iter().map(|&v| Element(u32::from(v))).collect())
+    });
     Some(Solution {
-        homomorphism: h.map(bools_to_hom),
+        homomorphism,
         route: Route::Schaefer,
         stats: None,
     })
 }
 
-fn try_booleanize(b: &Structure, facts: &TemplateFacts, a: &Structure) -> Option<Solution> {
-    let (t, classes) = facts.booleanized(b)?;
-    if !classes.is_schaefer() {
+/// Stage 3: `B_b`'s compiled plan read on `A` at `B_b`'s bit width, and
+/// the answer decoded back to `B`.
+fn try_booleanize(
+    b: &Structure,
+    facts: &TemplateFacts,
+    a: &Structure,
+    scratch: &mut SchaeferScratch,
+) -> Option<Solution> {
+    let (t, plan) = facts.booleanized(b)?;
+    if !plan.classes().is_schaefer() {
         return None;
     }
-    let (ab, info) = booleanize_instance(a, t).ok()?;
-    let h = solve_schaefer(&ab, &t.template).expect("classes checked");
-    let homomorphism = h.map(|bits| {
-        let hb: Vec<Element> = bits.into_iter().map(|v| Element(u32::from(v))).collect();
-        let decoded = info.decode(&hb);
+    let homomorphism = plan.solve(a, t.bits, scratch).map(|values| {
+        let decoded = t.decode(values);
         debug_assert!(cqcs_structures::is_homomorphism(&decoded, a, b));
         Homomorphism::from_map(decoded)
     });
@@ -525,10 +546,6 @@ fn try_booleanize(b: &Structure, facts: &TemplateFacts, a: &Structure) -> Option
         route: Route::Booleanization,
         stats: None,
     })
-}
-
-fn bools_to_hom(bits: Vec<bool>) -> Homomorphism {
-    Homomorphism::from_map(bits.into_iter().map(|v| Element(u32::from(v))).collect())
 }
 
 fn try_acyclic(a: &Structure, b: &Structure, gyo: &mut GyoScratch) -> Option<Solution> {

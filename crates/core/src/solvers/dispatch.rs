@@ -4,13 +4,14 @@
 //! in order:
 //!
 //! 1. **Schaefer** (Theorem 3.3/3.4): `B` Boolean and in `SC` — direct
-//!    quadratic algorithms, Gaussian elimination for affine;
+//!    quadratic algorithms, Gaussian elimination for affine, compiled
+//!    once per template into a `SchaeferPlan`;
 //! 2. **Acyclic `A`** (width 1, Yannakakis lineage): semijoin program —
 //!    checked before Booleanization because the A-side test is cheaper;
-//! 3. **Booleanization** (Lemma 3.5): encode `(A, B)` in binary; if the
+//! 3. **Booleanization** (Lemma 3.5): encode `B` in binary; if the
 //!    encoded template lands in `SC` (as `C₄` does, Example 3.8, and as
-//!    Saraiya-style two-tuple templates do, Prop 3.6), solve the
-//!    Boolean instance and decode;
+//!    Saraiya-style two-tuple templates do, Prop 3.6), run its plan on
+//!    `A` read at the encoding's bit width and decode;
 //! 4. **Arc-consistency prefilter** (Theorem 4.7's approximation): one
 //!    incremental-propagator fixpoint; a wipeout refutes the instance
 //!    outright, and otherwise the established engine is reused by step

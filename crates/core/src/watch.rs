@@ -200,7 +200,7 @@ impl WatchSession {
                 stats: None,
             })
         } else {
-            auto_before_engine(b, facts, a, &mut self.bufs.gyo, &mut proofs)
+            auto_before_engine(b, facts, a, &mut self.bufs, &mut proofs)
         };
         // The parked snapshot describes the previous revision. The
         // engine resumes it; an earlier answer leaves it stale, so only

@@ -98,6 +98,17 @@ pub const MAX_NAME_LEN: usize = 4096;
 /// past this bound is rejected with [`DecodeError::Oversized`] (carrying
 /// that total) before the structure is built.
 pub const MAX_UNIVERSE: u32 = 1 << 20;
+/// Upper bound on a registered template's support cells, Σ_r
+/// `arity_r · |B|` over its relations. Compiling a template builds one
+/// support bitset per (relation position, element), about 32 bytes
+/// each before any tuple is read, so a bare claim — an empty wide
+/// relation over a large universe — would cost memory and time out of
+/// all proportion to its frame. `RegisterTemplate` decoding rejects a
+/// template past this bound with [`DecodeError::Oversized`] (carrying
+/// the cell count) before the structure is built; `2^21` still admits a
+/// binary relation over [`MAX_UNIVERSE`] elements. Instances are not
+/// capped here: they never build a support index.
+pub const MAX_SUPPORT_CELLS: u64 = 1 << 21;
 /// High bit of the correlation id, set by clients on **retry** sends of
 /// an idempotent request. The server echoes ids verbatim (the bit does
 /// not change routing or matching — low bits keep ids unique) but
@@ -479,10 +490,12 @@ fn encode_structure(out: &mut Vec<u8>, s: &Structure) {
 
 /// Decodes one structure of a request, adding its universe to
 /// `universe_total`, the request's running sum, which must stay within
-/// [`MAX_UNIVERSE`].
+/// [`MAX_UNIVERSE`]. A template (`template = true`) must also stay
+/// within [`MAX_SUPPORT_CELLS`].
 fn decode_structure(
     r: &mut Reader<'_>,
     universe_total: &mut u64,
+    template: bool,
 ) -> Result<Structure, DecodeError> {
     let nrels = r.u16()? as usize;
     let mut voc = Vocabulary::new();
@@ -512,6 +525,13 @@ fn decode_structure(
         // materializing it allocates per-element, so an unbounded claim
         // is a remote-allocation DoS. Reject before the builder exists.
         return Err(DecodeError::Oversized(*universe_total));
+    }
+    if template {
+        let cells =
+            voc.iter().map(|rel| voc.arity(rel) as u64).sum::<u64>() * u64::from(universe_claim);
+        if cells > MAX_SUPPORT_CELLS {
+            return Err(DecodeError::Oversized(cells));
+        }
     }
     let universe = universe_claim as usize;
     let mut builder = StructureBuilder::new(std::sync::Arc::clone(&voc), universe);
@@ -805,12 +825,12 @@ impl Request {
         let mut universe_total = 0u64;
         let req = match kind {
             K_REGISTER => Request::RegisterTemplate {
-                template: decode_structure(&mut r, &mut universe_total)?,
+                template: decode_structure(&mut r, &mut universe_total, true)?,
             },
             K_SOLVE => Request::Solve {
                 template_id: r.u64()?,
                 deadline_ms: r.u32()?,
-                instance: decode_structure(&mut r, &mut universe_total)?,
+                instance: decode_structure(&mut r, &mut universe_total, false)?,
             },
             K_SOLVE_BATCH => {
                 let template_id = r.u64()?;
@@ -821,7 +841,7 @@ impl Request {
                 }
                 let mut instances = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    instances.push(decode_structure(&mut r, &mut universe_total)?);
+                    instances.push(decode_structure(&mut r, &mut universe_total, false)?);
                 }
                 Request::SolveBatch {
                     template_id,
@@ -1266,6 +1286,60 @@ mod tests {
             panic!("wrong kind");
         };
         assert_eq!(template.universe(), MAX_UNIVERSE as usize);
+    }
+
+    /// A `RegisterTemplate` payload of empty relations `R0, R1, …` of
+    /// the given arities over `universe` elements.
+    fn empty_template_payload(arities: &[u16], universe: u32) -> Vec<u8> {
+        let mut p = Vec::new();
+        put_u16(&mut p, arities.len() as u16);
+        for (i, &arity) in arities.iter().enumerate() {
+            let name = format!("R{i}");
+            put_u16(&mut p, name.len() as u16);
+            p.extend_from_slice(name.as_bytes());
+            put_u16(&mut p, arity);
+        }
+        put_u32(&mut p, universe);
+        for _ in arities {
+            put_u32(&mut p, 0); // zero tuples
+        }
+        p
+    }
+
+    #[test]
+    fn template_support_cells_are_capped_before_building() {
+        // An empty arity-16 relation over 2^20 elements claims 2^24
+        // support cells: refused, carrying the count, before the
+        // structure (let alone a support index) exists.
+        let p = empty_template_payload(&[16], MAX_UNIVERSE);
+        assert_eq!(
+            Request::decode(&test_frame(K_REGISTER, 0, &p)).unwrap_err(),
+            DecodeError::Oversized(16 << 20)
+        );
+        // The cap sums over relations: two binary relations over
+        // MAX_UNIVERSE elements are one binary relation too many.
+        let p = empty_template_payload(&[2, 2], MAX_UNIVERSE);
+        assert_eq!(
+            Request::decode(&test_frame(K_REGISTER, 0, &p)).unwrap_err(),
+            DecodeError::Oversized(4 << 20)
+        );
+        // Exactly at the cap decodes: a binary relation plus a 0-ary
+        // one over MAX_UNIVERSE elements, and arity 16 over 2^17.
+        for (arities, universe) in [(&[2u16, 0][..], MAX_UNIVERSE), (&[16][..], 1 << 17)] {
+            let cells = arities.iter().map(|&k| u64::from(k)).sum::<u64>() * u64::from(universe);
+            assert_eq!(cells, MAX_SUPPORT_CELLS);
+            let p = empty_template_payload(arities, universe);
+            let (_, Request::RegisterTemplate { template }) =
+                Request::decode(&test_frame(K_REGISTER, 0, &p)).unwrap()
+            else {
+                panic!("wrong kind");
+            };
+            assert_eq!(template.universe(), universe as usize);
+        }
+        // Instances are not capped: the same wide claim decodes as a
+        // Solve instance.
+        let p = empty_instance_payload(16, MAX_UNIVERSE);
+        assert!(Request::decode(&test_frame(K_SOLVE, 0, &p)).is_ok());
     }
 
     /// A `Solve` payload for template 1 whose instance has one

@@ -609,6 +609,53 @@ fn malformed_payload_keeps_connection_alive() {
 }
 
 #[test]
+fn oversized_template_registration_is_refused_fast_and_connection_survives() {
+    // RegisterTemplate: one empty arity-16 relation over 2^20 elements,
+    // 2^24 support cells. Refused at decode as Malformed, well before
+    // any support index could be built, and framing stays in sync.
+    let server = default_server();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&1u16.to_le_bytes()); // one relation
+    payload.extend_from_slice(&1u16.to_le_bytes());
+    payload.push(b'R');
+    payload.extend_from_slice(&16u16.to_le_bytes()); // arity 16
+    payload.extend_from_slice(&cqcs_net::codec::MAX_UNIVERSE.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes()); // zero tuples
+    let mut frame = Vec::new();
+    frame.extend_from_slice(b"CQ");
+    frame.push(PROTOCOL_VERSION);
+    frame.push(0x01); // K_REGISTER
+    frame.extend_from_slice(&91u64.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let start = Instant::now();
+    s.write_all(&frame).unwrap();
+    let (id, code, message) = read_error_frame(&mut s);
+    let elapsed = start.elapsed();
+    assert_eq!(id, 91);
+    assert_eq!(code, ErrorCode::Malformed);
+    assert!(message.contains(&(16u64 << 20).to_string()), "{message}");
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "refused at decode, not after building: {elapsed:?}"
+    );
+    // The same connection keeps serving.
+    s.write_all(&Request::Status.encode(92).unwrap()).unwrap();
+    let mut header = [0u8; HEADER_LEN];
+    s.read_exact(&mut header).unwrap();
+    let (kind, id, len) = cqcs_net::codec::parse_header(&header).unwrap();
+    assert_eq!(id, 92);
+    let mut payload = vec![0u8; len as usize];
+    s.read_exact(&mut payload).unwrap();
+    assert!(matches!(
+        Response::decode_payload(kind, &payload).unwrap(),
+        Response::Status(_)
+    ));
+    server.shutdown();
+}
+
+#[test]
 fn status_reports_protocol_and_counters() {
     let server = default_server();
     let mut client = Client::connect(server.local_addr()).unwrap();

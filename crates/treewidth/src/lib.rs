@@ -41,7 +41,7 @@ pub mod fo;
 pub mod heuristics;
 pub mod lower_bounds;
 
-pub use acyclic::{is_acyclic, yannakakis, yannakakis_pooled, GyoScratch};
+pub use acyclic::{is_acyclic, yannakakis, yannakakis_pooled, yannakakis_reference, GyoScratch};
 pub use bb::{
     bb_treewidth, bb_treewidth_best_effort, bb_treewidth_best_effort_seeded,
     bb_treewidth_with_budget, bb_treewidth_with_budget_seeded, elimination_width, BbResult,

@@ -1357,3 +1357,404 @@ fn mixed_arity_pair(
     )
         .prop_map(move |(na, ta, nb, tb)| (build_mixed_arity(na, &ta), build_mixed_arity(nb, &tb)))
 }
+
+/// SplitMix64 for the structured families below: one `u64` case seed
+/// expands into whole templates and instances.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// `{P/0, U/1, E/2, W/4}`: the acyclic families' vocabulary.
+fn acyclic_vocabulary() -> std::sync::Arc<cqcs::structures::Vocabulary> {
+    cqcs::structures::Vocabulary::from_symbols([("P", 0), ("U", 1), ("E", 2), ("W", 4)])
+        .unwrap()
+        .into_shared()
+}
+
+/// A random α-acyclic structure, grown as a hypertree: each new tuple
+/// takes up to `arity − 1` elements of one earlier tuple (sometimes the
+/// same one twice) and fresh elements elsewhere, so it is always an ear.
+/// Shapes: binary forests, wide `W` tuples, disconnected pieces (a tuple
+/// sharing nothing), isolated elements and the 0-ary fact.
+fn acyclic_instance(rng: &mut Mix) -> cqcs::structures::Structure {
+    let voc = acyclic_vocabulary();
+    let names = ["U", "E", "W"];
+    let wide = rng.below(3);
+    let mut tuples: Vec<(&str, Vec<u32>)> = Vec::new();
+    let mut fresh = 0u32;
+    for _ in 0..rng.below(9) {
+        let name = names[match wide {
+            0 => 1,
+            1 => 1 + rng.below(2),
+            _ => rng.below(3),
+        }];
+        let arity = voc.arity(voc.lookup(name).unwrap());
+        let base = (!tuples.is_empty() && rng.below(5) != 0)
+            .then(|| tuples[rng.below(tuples.len())].1.clone());
+        let share = base.as_ref().map_or(0, |_| rng.below(arity));
+        let mut t: Vec<u32> = Vec::with_capacity(arity);
+        for q in 0..arity {
+            let e = match &base {
+                Some(base) if q < share => base[rng.below(base.len())],
+                _ if q > 0 && rng.below(5) == 0 => t[q - 1],
+                _ => {
+                    fresh += 1;
+                    fresh - 1
+                }
+            };
+            t.push(e);
+        }
+        tuples.push((name, t));
+    }
+    let n = fresh as usize + rng.below(3);
+    let mut builder = cqcs::structures::StructureBuilder::new(voc, n);
+    for (name, t) in &tuples {
+        builder.add_fact(name, t).unwrap();
+    }
+    if rng.below(3) == 0 {
+        builder.add_fact("P", &[]).unwrap();
+    }
+    builder.finish()
+}
+
+/// A template over [`acyclic_vocabulary`]: small (1–6 elements, dense)
+/// or large (300+ elements, where two shared elements overflow the
+/// semijoin's key bitset), with or without the 0-ary fact.
+fn acyclic_template(rng: &mut Mix) -> cqcs::structures::Structure {
+    let voc = acyclic_vocabulary();
+    let large = rng.below(4) == 0;
+    let n = if large {
+        300 + rng.below(40)
+    } else {
+        1 + rng.below(6)
+    };
+    let mut builder = cqcs::structures::StructureBuilder::new(std::sync::Arc::clone(&voc), n);
+    let hub = if large { 12 } else { n };
+    for r in voc.iter() {
+        let arity = voc.arity(r);
+        let count = if large { 600 } else { rng.below(2 * n * n + 2) };
+        for _ in 0..count {
+            let t: Vec<u32> = (0..arity)
+                .map(|q| rng.below(if q % 2 == 0 { hub } else { n }) as u32)
+                .collect();
+            builder
+                .add_tuple(r, &t.iter().map(|&e| Element(e)).collect::<Vec<_>>())
+                .unwrap();
+        }
+    }
+    builder.finish()
+}
+
+/// A Boolean relation of arity `k` in class `op` (0 Horn, 1 dual Horn,
+/// 2 bijunctive, 3 affine): the ∧-, ∨- or majority-closure of a random
+/// set, or the solutions of random GF(2) equations.
+fn class_relation(k: usize, op: usize, rng: &mut Mix) -> BooleanRelation {
+    let size = 1u64 << k;
+    let mut set: Vec<u64> = if op == 3 {
+        let eqs: Vec<(u64, u64)> = (0..rng.below(3))
+            .map(|_| (rng.next() % size, rng.next() % 2))
+            .collect();
+        (0..size)
+            .filter(|t| {
+                eqs.iter()
+                    .all(|&(m, r)| u64::from((t & m).count_ones()) % 2 == r)
+            })
+            .collect()
+    } else {
+        (0..size).filter(|_| rng.below(3) == 0).collect()
+    };
+    loop {
+        let before = set.len();
+        let snap = set.clone();
+        for &x in &snap {
+            for &y in &snap {
+                for &z in &snap {
+                    let c = match op {
+                        0 => x & y,
+                        1 => x | y,
+                        2 => BooleanRelation::majority(x, y, z),
+                        _ => z,
+                    };
+                    if !set.contains(&c) {
+                        set.push(c);
+                    }
+                }
+            }
+        }
+        if set.len() == before {
+            break;
+        }
+    }
+    BooleanRelation::new(k, set).unwrap()
+}
+
+/// A Boolean template in class `op` (see [`class_relation`]): one to
+/// three relations of arity 2–4, usually with the units `{1}` and `{0}`
+/// (so neither trivial class applies) and sometimes an empty 0-ary
+/// relation.
+fn class_template(op: usize, rng: &mut Mix) -> cqcs::structures::Structure {
+    let mut rels: Vec<(String, BooleanRelation)> = (0..1 + rng.below(3))
+        .map(|i| (format!("R{i}"), class_relation(2 + rng.below(3), op, rng)))
+        .collect();
+    if rng.below(4) != 0 {
+        rels.push(("T".into(), BooleanRelation::new(1, vec![1]).unwrap()));
+        rels.push(("F".into(), BooleanRelation::new(1, vec![0]).unwrap()));
+    }
+    if rng.below(5) == 0 {
+        rels.push(("Z".into(), BooleanRelation::new(0, vec![]).unwrap()));
+    }
+    cqcs::boolean::BooleanStructure::new(rels).to_structure()
+}
+
+/// The class whose model `solve_schaefer_via_formulas` returns: a
+/// trivial class first, then bijunctive, affine, Horn, dual Horn.
+fn formula_class(classes: cqcs::boolean::SchaeferSet) -> Option<schaefer::SchaeferClass> {
+    use schaefer::SchaeferClass as C;
+    [
+        C::ZeroValid,
+        C::OneValid,
+        C::Bijunctive,
+        C::Affine,
+        C::Horn,
+        C::DualHorn,
+    ]
+    .into_iter()
+    .find(|&c| classes.contains(c))
+}
+
+/// Whether the plan and the formula route must return the same model:
+/// they run the same class and it is not bijunctive (the plan's phase
+/// order and the formula route's 2-SAT pick different models).
+fn same_model(plan: &cqcs::boolean::SchaeferPlan) -> bool {
+    plan.class() == formula_class(plan.classes())
+        && plan.class() != Some(schaefer::SchaeferClass::Bijunctive)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tuple-index Yannakakis evaluation returns exactly the
+    /// hash-map reference's answer — acyclicity, verdict and witness —
+    /// over one scratch reused across forests, wide hypergraphs with
+    /// repeated elements, disconnected pieces, 0-ary facts, and small
+    /// and large templates. Stress-runnable via `PROPTEST_CASES`.
+    #[test]
+    fn yannakakis_pooled_matches_reference(seed in any::<u64>()) {
+        use cqcs::treewidth::acyclic::{yannakakis_pooled, yannakakis_reference, GyoScratch};
+        let mut rng = Mix(seed);
+        let mut scratch = GyoScratch::default();
+        for _ in 0..3 {
+            let b = acyclic_template(&mut rng);
+            for _ in 0..3 {
+                let a = acyclic_instance(&mut rng);
+                let want = yannakakis_reference(&a, &b);
+                prop_assert!(want.is_some(), "hypertrees are acyclic");
+                prop_assert_eq!(yannakakis_pooled(&a, &b, &mut scratch), want);
+            }
+        }
+        // Cyclic instances decline identically.
+        let c = generators::random_digraph(6, 0.4, seed);
+        let b = generators::random_digraph(3, 0.5, seed ^ 1);
+        prop_assert_eq!(yannakakis_pooled(&c, &b, &mut scratch), yannakakis_reference(&c, &b));
+    }
+
+    /// The compiled Schaefer plan agrees with the literal Theorem 3.3
+    /// pipeline on random templates of every class, over one reused
+    /// scratch: the same verdict always, and the same model for Horn
+    /// (least), dual Horn (greatest), affine (the unique RREF solution)
+    /// and the trivial classes.
+    #[test]
+    fn schaefer_plan_matches_formulas(seed in any::<u64>()) {
+        use cqcs::boolean::uniform::solve_schaefer_via_formulas;
+        use cqcs::boolean::{SchaeferPlan, SchaeferScratch};
+        let mut rng = Mix(seed);
+        let mut scratch = SchaeferScratch::default();
+        for op in 0..4 {
+            let b = class_template(op, &mut rng);
+            let plan = SchaeferPlan::compile(&b).unwrap();
+            prop_assert!(plan.classes().is_schaefer());
+            for _ in 0..4 {
+                let n = 1 + rng.below(14);
+                let a = generators::random_structure_over(b.vocabulary(), n, rng.below(6), rng.next());
+                let want = solve_schaefer_via_formulas(&a, &b).unwrap();
+                let got = plan.solve(&a, 1, &mut scratch).map(<[bool]>::to_vec);
+                prop_assert_eq!(got.is_some(), want.is_some(), "verdict, {:?}", plan.class());
+                if same_model(&plan) {
+                    prop_assert_eq!(&got, &want, "model, {:?}", plan.class());
+                }
+                if let Some(h) = got {
+                    let map: Vec<Element> = h.iter().map(|&v| Element(u32::from(v))).collect();
+                    prop_assert!(is_homomorphism(&map, &a, &b));
+                }
+            }
+        }
+    }
+
+    /// `Strategy::Booleanize` (a plan compiled from `B_b`, read on `A` at
+    /// bit width `m`) agrees with the literal pipeline — `booleanize`,
+    /// `solve_schaefer_via_formulas` on `(A_b, B_b)`, `decode` — on
+    /// random templates of 3, 4 and 8 elements whose relations encode a
+    /// class's Boolean relation: the same applicability, verdict and,
+    /// where the models coincide, witness.
+    #[test]
+    fn booleanize_plan_matches_formulas(seed in any::<u64>()) {
+        use cqcs::boolean::uniform::solve_schaefer_via_formulas;
+        use cqcs::boolean::SchaeferPlan;
+        let mut rng = Mix(seed);
+        let (n, bits) = [(3, 2), (4, 2), (8, 3)][rng.below(3)];
+        let voc = cqcs::structures::Vocabulary::from_symbols([("U", 1), ("E", 2)])
+            .unwrap()
+            .into_shared();
+        let mut builder = cqcs::structures::StructureBuilder::new(std::sync::Arc::clone(&voc), n);
+        let op = rng.below(4);
+        for r in voc.iter() {
+            let arity = voc.arity(r);
+            for t in class_relation(arity * bits, op, &mut rng).iter() {
+                let tuple: Vec<Element> = (0..arity)
+                    .map(|q| Element(((t >> (q * bits)) & ((1 << bits) - 1)) as u32))
+                    .collect();
+                if tuple.iter().all(|e| e.index() < n) {
+                    builder.add_tuple(r, &tuple).unwrap();
+                }
+            }
+        }
+        let b = builder.finish();
+        let session = Session::compile(&b);
+        for _ in 0..4 {
+            let a = generators::random_structure_over(&voc, 1 + rng.below(10), rng.below(5), rng.next());
+            let got = session.solve_with(&a, SolveStrategy::Booleanize);
+            let (ab, bb, info) = booleanize(&a, &b).unwrap();
+            match (got, solve_schaefer_via_formulas(&ab, &bb)) {
+                (Err(_), Err(cqcs::boolean::Error::NotSchaefer)) => {}
+                (Ok(sol), Ok(want)) => {
+                    let want = want.map(|bits| {
+                        let hb: Vec<Element> = bits.iter().map(|&v| Element(u32::from(v))).collect();
+                        info.decode(&hb)
+                    });
+                    let got = sol.homomorphism.map(|h| h.as_slice().to_vec());
+                    prop_assert_eq!(got.is_some(), want.is_some(), "verdict");
+                    if same_model(&SchaeferPlan::compile(&bb).unwrap()) {
+                        prop_assert_eq!(&got, &want, "witness");
+                    }
+                    if let Some(h) = got {
+                        prop_assert!(is_homomorphism(&h, &a, &b));
+                    }
+                }
+                (got, want) => prop_assert!(false, "applicability differs: {:?} vs {:?}", got.err(), want.err()),
+            }
+        }
+    }
+
+    /// The word-row kernel solves exactly as `LinearSystem::solve`:
+    /// the same verdict and, when consistent, the same solution (free
+    /// variables 0), around the word boundaries (63, 64, 65 and 130
+    /// variables), with redundant and contradictory rows, and for the
+    /// empty system — three systems per case on one reused basis.
+    #[test]
+    fn row_basis_matches_linear_system(seed in any::<u64>()) {
+        use cqcs::boolean::{LinearSystem, RowBasis};
+        let mut rng = Mix(seed);
+        let mut basis = RowBasis::default();
+        for _ in 0..3 {
+            let vars = [0, 1, 5, 63, 64, 65, 130][rng.below(7)];
+            let mut rows: Vec<(Vec<usize>, bool)> = Vec::new();
+            for _ in 0..rng.below(if vars == 0 { 3 } else { vars + 8 }) {
+                let row = match rng.below(4) {
+                    // Redundant or contradictory: the sum of two rows.
+                    0 if rows.len() >= 2 => {
+                        let (x, y) = (&rows[rng.below(rows.len())], &rows[rng.below(rows.len())]);
+                        let v: Vec<usize> = x.0.iter().chain(&y.0).copied().collect();
+                        (v, x.1 ^ y.1 ^ (rng.below(3) == 0))
+                    }
+                    1 if vars > 0 => ((0..vars).filter(|_| rng.below(2) == 0).collect(), rng.below(2) == 1),
+                    _ if vars > 0 => ((0..1 + rng.below(4)).map(|_| rng.below(vars)).collect(), rng.below(2) == 1),
+                    _ => (Vec::new(), rng.below(2) == 1),
+                };
+                rows.push(row);
+            }
+            let mut sys = LinearSystem::new(vars);
+            basis.reset(vars);
+            let mut consistent = true;
+            for (row, rhs) in &rows {
+                // GF(2): a variable listed twice cancels in both encodings.
+                let mut odd = vec![false; vars];
+                for &v in row {
+                    odd[v] ^= true;
+                    basis.toggle(v);
+                }
+                sys.add_equation((0..vars).filter(|&v| odd[v]), *rhs);
+                consistent = consistent && basis.insert(*rhs);
+            }
+            let got = consistent.then(|| {
+                let mut out = Vec::new();
+                basis.solution(&mut out);
+                out
+            });
+            prop_assert_eq!(got, sys.solve(), "{} variables, {} rows", vars, rows.len());
+        }
+    }
+}
+
+/// A session compiles each Schaefer plan once: `B`'s for a Boolean
+/// template, `B_b`'s for a non-Boolean one, whatever mix of Auto,
+/// forced-route and batch solves follows (the plan counter moves by
+/// exactly one per template).
+#[test]
+fn schaefer_plans_compiled_once_per_template() {
+    use cqcs::boolean::plan_compiles_on_this_thread;
+    use cqcs::core::Route;
+    let cases = [
+        (
+            generators::complete_graph(2),
+            (0..8)
+                .map(|s| generators::random_graph_nm(16, 20, s))
+                .collect::<Vec<_>>(),
+            SolveStrategy::Schaefer,
+        ),
+        (
+            generators::directed_cycle(4),
+            (0..8)
+                .map(|s| generators::random_digraph(12, 0.2, s))
+                .chain([generators::directed_cycle(8)])
+                .collect(),
+            SolveStrategy::Booleanize,
+        ),
+        (
+            generators::complete_graph(3),
+            (0..8)
+                .map(|s| generators::random_graph_nm(8, 12, s))
+                .collect(),
+            SolveStrategy::Booleanize,
+        ),
+    ];
+    for (b, batch, forced) in cases {
+        let session = Session::compile(&b);
+        let before = plan_compiles_on_this_thread();
+        for a in &batch {
+            let sol = session.solve(a);
+            if b.universe() == 2 {
+                assert_eq!(sol.route, Route::Schaefer);
+            }
+            let _ = session.solve_with(a, forced);
+        }
+        let _ = session.solve_batch(&batch);
+        assert_eq!(
+            plan_compiles_on_this_thread() - before,
+            1,
+            "one plan per template, {} elements",
+            b.universe()
+        );
+    }
+}
