@@ -1,11 +1,10 @@
 //! E15 benches: parallel batch throughput vs thread count — one
-//! compiled template, a work-stealing instance stream per worker.
+//! compiled template, N workers taking instances from one counter.
 //!
 //! The `seq` rows are the sequential `Session::solve_batch` (itself the
-//! single-worker scratch loop); the `parN` rows fan the same batch out
-//! to N workers. On a single-core host the parN rows measure the
-//! executor's overhead ceiling; on a multi-core host they measure
-//! scaling.
+//! fan-out at one thread, inline); the `parN` rows fan the same batch
+//! out to N workers. With N above the host's core count a parN row
+//! measures the fan-out's overhead; below it, scaling.
 
 use cqcs_core::Session;
 use cqcs_structures::{generators, Structure};

@@ -1,5 +1,5 @@
-//! Parallel batch execution: work-stealing instance streams over a
-//! shared [`CompiledTemplate`].
+//! Parallel batch execution over a shared
+//! [`CompiledTemplate`](crate::CompiledTemplate).
 //!
 //! Once a template `B` is compiled, the paper's core operations —
 //! homomorphism/containment checks routed through the Schaefer,
@@ -7,55 +7,55 @@
 //! embarrassingly parallel across instances: every per-solve mutable
 //! state (propagator domains and trail, search stacks, GYO buffers)
 //! is instance-local, and the template-side facts are immutable and
-//! `Sync`. This module turns that observation into throughput:
+//! `Sync`. A parallel batch is therefore a plain parallel map:
 //!
-//! * [`BatchExecutor`] drives `N` scoped workers
-//!   (`std::thread::scope`) over one shared template. Work is
-//!   distributed by the hand-rolled primitives in
-//!   `cqcs_structures::worksteal`: an atomic claim counter hands out
-//!   index chunks, and idle workers steal the back half of a loaded
-//!   neighbour's deque — so a batch mixing microsecond Schaefer routes
-//!   with millisecond generic searches stays balanced without any
-//!   up-front cost model.
-//! * Each worker owns a `WorkerScratch` that **persists across
-//!   instances**: the compiled propagation engine (the one engine every
-//!   searching route shares; plain searches leave it unestablished),
-//!   whose arena-resident domains/trail/worklists are rebound in place
-//!   (`ProgramPropagator::reset_for_instance`) instead of reallocated,
-//!   pooled candidate buffers for the backtracking search, the
-//!   Schaefer and Booleanization routes' `SchaeferScratch`, the GYO
-//!   reduction's bitsets and Yannakakis' candidate indices, and the
-//!   Theorem 5.4 route's `DpScratch`: the min-fill elimination's word
-//!   rows, the lowered bag tables and the row-set masks. The
-//!   per-instance allocation profile drops even at `threads = 1`,
-//!   which is why the sequential
-//!   [`Session::solve_batch`](crate::Session::solve_batch) runs on the
-//!   same worker loop.
+//! * [`par_map`] and the session batches
+//!   ([`Session::par_solve_batch`](crate::Session::par_solve_batch) and
+//!   its siblings) run up to `threads` scoped workers
+//!   (`std::thread::scope`) that take indices one at a time from one
+//!   atomic counter. A worker that draws cheap instances simply takes
+//!   more of them, so a batch mixing microsecond Schaefer routes with
+//!   millisecond generic searches stays balanced without any cost
+//!   model. Each worker keeps `(index, result)` pairs, which are put in
+//!   input order once every worker has been joined; a worker's panic is
+//!   re-raised on the caller with its own payload. `threads ≤ 1` runs
+//!   inline on the calling thread.
+//! * Each batch worker solves on a `WorkerScratch` that **persists
+//!   across instances**: the compiled propagation engine (the one engine
+//!   every searching route shares; plain searches leave it
+//!   unestablished), whose arena-resident domains/trail/worklists are
+//!   rebound in place (`ProgramPropagator::reset_for_instance`) instead
+//!   of reallocated, pooled candidate buffers for the backtracking
+//!   search, the Schaefer and Booleanization routes' `SchaeferScratch`,
+//!   the GYO reduction's bitsets and Yannakakis' candidate indices, and
+//!   the Theorem 5.4 route's `DpScratch`: the min-fill elimination's
+//!   word rows, the lowered bag tables and the row-set masks. The
+//!   per-instance allocation profile drops even at `threads = 1`, which
+//!   is why the sequential
+//!   [`Session::solve_batch`](crate::Session::solve_batch) is the same
+//!   fan-out at one thread.
 //! * The borrow-free half of that scratch — the engine's arena, the
 //!   search buffers, the Schaefer, GYO and DP buffers — also
-//!   **outlives its batch**: it sits in a per-thread pool that the
-//!   inline worker (`threads ≤ 1`, the path every server batch takes)
-//!   and [`Session::solve_with`](crate::Session::solve_with) take on
-//!   entry and hand back on exit. A long-lived thread — a server shard,
-//!   a caller's solve loop — pays for its scratch once, not once per
-//!   batch or per call. The pool keeps the thread's high-water mark
-//!   (the largest instance it has solved); peak memory does not change,
-//!   since the batch that reached the mark already held it. A panic
-//!   mid-solve drops the scratch and leaves the pool empty, and the
-//!   scoped workers of a parallel batch start empty, as before. Reuse is
-//!   invisible: every buffer is re-dimensioned per instance.
-//! * Results are written into pre-sized output slots, so the returned
-//!   vector is in input order and **bit-identical** to the sequential
-//!   batch — verdicts, routes, witnesses, and search statistics never
-//!   depend on the thread count or the steal schedule (pinned by the
-//!   property suite and the CI-gated experiment E15).
-//!
-//! Per-worker [`SearchStats`] accumulate locally and are merged once at
-//! the end ([`SearchStats::merge`]), so the aggregate effort of a batch
-//! is available without a shared counter on the hot path.
+//!   **outlives its batch**: it sits in a per-thread pool that a batch
+//!   worker and [`Session::solve_with`](crate::Session::solve_with) take
+//!   on entry and hand back on exit. A long-lived thread — a server
+//!   connection, a caller's solve loop — pays for its scratch once, not
+//!   once per batch or per call. The pool keeps the thread's high-water
+//!   mark (the largest instance it has solved); peak memory does not
+//!   change, since the batch that reached the mark already held it. A
+//!   panic mid-solve drops the scratch and leaves the pool empty, and
+//!   the spawned workers of a parallel batch start on their new
+//!   threads' empty pools. Reuse is invisible: every buffer is
+//!   re-dimensioned per instance.
+//! * So the returned vector is in input order and **bit-identical** to
+//!   the sequential batch — verdicts, routes, witnesses, and search
+//!   statistics never depend on the thread count or on which worker
+//!   took which index (pinned by the property suite and the CI-gated
+//!   experiment E15). A batch's aggregate effort is the
+//!   [`merge`](crate::SearchStats::merge) of its solutions' `stats`.
 //!
 //! ```
-//! use cqcs_core::{BatchExecutor, Session};
+//! use cqcs_core::Session;
 //! use cqcs_structures::generators;
 //!
 //! let session = Session::compile(&generators::complete_graph(3));
@@ -70,15 +70,14 @@
 //! }
 //! ```
 
-use crate::session::{solve_on_template, CompiledTemplate};
-use crate::solvers::backtracking::{SearchScratch, SearchStats};
-use crate::solvers::dispatch::{Solution, SolveError, Strategy};
+use crate::solvers::backtracking::SearchScratch;
 use cqcs_boolean::SchaeferScratch;
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
-use cqcs_structures::{PropArena, Structure, WorkStealQueue};
+use cqcs_structures::{PropArena, Structure};
 use cqcs_treewidth::acyclic::GyoScratch;
 use cqcs_treewidth::dp::DpScratch;
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The borrow-free half of a [`WorkerScratch`]: everything that holds
@@ -103,16 +102,15 @@ std::thread_local! {
     static POOL: Cell<Option<Buffers>> = const { Cell::new(None) };
 }
 
-/// Per-worker state that persists across the instances a worker drains
-/// from the queue: the compiled propagation engine and its arena
-/// (rebound in place per instance, never reallocated), the backtracking
-/// search's candidate buffers, the Schaefer plans' values and rows, the
-/// GYO reduction's bitsets and Yannakakis' candidates, the Theorem 5.4
-/// route's elimination rows and bag tables, and a local statistics
-/// accumulator. One
-/// scratch serves one template at a time; handing it instances against
-/// a different template transparently rebuilds the engine (recycling
-/// the arena allocation).
+/// Per-worker state that persists across the instances a worker
+/// solves: the compiled propagation engine and its arena (rebound in
+/// place per instance, never reallocated), the backtracking search's
+/// candidate buffers, the Schaefer plans' values and rows, the GYO
+/// reduction's bitsets and Yannakakis' candidates, and the Theorem 5.4
+/// route's elimination rows and bag tables. One scratch serves one
+/// template at a time; handing it instances against a different
+/// template transparently rebuilds the engine (recycling the arena
+/// allocation).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch<'s> {
     /// The compiled engine, for every route that propagates or
@@ -123,7 +121,6 @@ pub(crate) struct WorkerScratch<'s> {
     /// The pooled buffers; `arena` is the spare the first engine is
     /// built on (afterwards the engine owns the arena).
     bufs: Buffers,
-    stats: SearchStats,
 }
 
 impl<'s> WorkerScratch<'s> {
@@ -143,27 +140,13 @@ impl<'s> WorkerScratch<'s> {
     }
 
     /// Returns the buffers to this thread's pool, recovering the arena
-    /// from the engine, and yields the accumulated statistics.
-    pub(crate) fn release(self) -> SearchStats {
+    /// from the engine.
+    pub(crate) fn release(self) {
         let mut bufs = self.bufs;
         if let Some(prog) = self.prog {
             bufs.arena = prog.into_arena();
         }
         POOL.set(Some(bufs));
-        self.stats
-    }
-
-    /// The statistics accumulated so far across every solution this
-    /// scratch recorded.
-    pub(crate) fn stats(&self) -> SearchStats {
-        self.stats
-    }
-
-    /// Folds a solution's statistics (if any) into the accumulator.
-    pub(crate) fn record(&mut self, sol: &Solution) {
-        if let Some(st) = &sol.stats {
-            self.stats.merge(st);
-        }
     }
 
     /// The pooled buffers (the engine, when built, holds the arena).
@@ -212,243 +195,70 @@ impl<'s> WorkerScratch<'s> {
     }
 }
 
-/// Picks the claim-chunk size: enough chunks that stealing has
-/// something to balance (≈4 per worker), small enough that a chunk of
-/// slow instances cannot strand a worker, and never degenerate.
-fn chunk_size(total: usize, threads: usize) -> usize {
-    (total / (threads * 4)).clamp(1, 64)
-}
-
-/// A reusable parallel batch driver over a fixed thread count.
+/// The one fan-out behind [`par_map`] and the session batches: runs
+/// `f(&mut state, i)` for every `i` in `0..total` on up to `threads`
+/// scoped workers and returns the results in index order. Each worker
+/// opens its state with `open` before its first index and hands it to
+/// `close` after its last. With `threads ≤ 1`, or at most one item, the
+/// calling thread is the only worker.
 ///
-/// The executor itself is stateless between batches, so one executor
-/// can serve any number of batches and templates; construction is free.
-/// `threads = 1` runs the worker loop inline on the caller's thread — no
-/// spawn, same scratch reuse, on the thread's pooled buffers (see the
-/// [module docs](self)) — so a single-threaded executor is never slower
-/// than a hand-written sequential loop. Spawned workers of a parallel
-/// batch start with empty scratches that live for that batch.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchExecutor {
+/// Workers take indices one at a time from one shared counter, so every
+/// index runs exactly once and a slow item holds up only its own
+/// worker. A worker's panic is re-raised here, with its own payload,
+/// once every worker has stopped.
+pub(crate) fn fan_out<S, T>(
+    total: usize,
     threads: usize,
-}
-
-impl BatchExecutor {
-    /// Creates an executor with the given worker count (`0` is clamped
-    /// to 1).
-    pub fn new(threads: usize) -> Self {
-        BatchExecutor {
-            threads: threads.max(1),
-        }
+    open: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+    close: impl Fn(S) + Sync,
+) -> Vec<T>
+where
+    T: Send,
+{
+    let workers = threads.min(total);
+    if workers <= 1 {
+        let mut state = open();
+        let out = (0..total).map(|i| f(&mut state, i)).collect();
+        close(state);
+        return out;
     }
-
-    /// An executor sized to `std::thread::available_parallelism` (1 if
-    /// unknown).
-    pub fn with_available_parallelism() -> Self {
-        Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Solves every instance against the template with the automatic
-    /// route dispatch. The output is in input order and bit-identical
-    /// to a sequential [`Session::solve_batch`](crate::Session) —
-    /// verdicts, routes, witnesses, and statistics.
-    ///
-    /// # Panics
-    /// Panics if any instance is over a different vocabulary than the
-    /// template.
-    pub fn solve_batch(
-        &self,
-        template: &CompiledTemplate,
-        instances: &[Structure],
-    ) -> Vec<Solution> {
-        self.solve_batch_with_stats(template, instances).0
-    }
-
-    /// [`solve_batch`](BatchExecutor::solve_batch), also returning the
-    /// batch's aggregate search statistics (the merged per-worker
-    /// accumulators — equal to summing each solution's `stats` field,
-    /// pinned by test).
-    ///
-    /// # Panics
-    /// Panics if any instance is over a different vocabulary than the
-    /// template.
-    pub fn solve_batch_with_stats(
-        &self,
-        template: &CompiledTemplate,
-        instances: &[Structure],
-    ) -> (Vec<Solution>, SearchStats) {
-        let (results, stats) = self.run(template, instances, Strategy::Auto);
-        let solutions = results
-            .into_iter()
-            .map(|r| r.expect("the Auto strategy always applies"))
+    // The counter hands out indices and publishes nothing else (results
+    // come back through `join`), so `Relaxed` is enough.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut state = open();
+        let done: Vec<(usize, T)> = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+            .take_while(|&i| i < total)
+            .map(|i| (i, f(&mut state, i)))
             .collect();
-        (solutions, stats)
-    }
-
-    /// Solves every instance with an explicit strategy. On a forced
-    /// route that does not apply to some instance, returns the error of
-    /// the lowest-index failing instance (exactly what a sequential
-    /// loop of [`Session::solve_with`](crate::Session::solve_with)
-    /// would surface first).
-    ///
-    /// # Panics
-    /// Panics if any instance is over a different vocabulary than the
-    /// template.
-    pub fn solve_batch_with(
-        &self,
-        template: &CompiledTemplate,
-        instances: &[Structure],
-        strategy: Strategy,
-    ) -> Result<Vec<Solution>, SolveError> {
-        self.run(template, instances, strategy)
-            .0
+        close(state);
+        done
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+        handles
             .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
-    }
-
-    /// The worker loop shared by every entry point.
-    fn run<'s>(
-        &self,
-        template: &'s CompiledTemplate,
-        instances: &'s [Structure],
-        strategy: Strategy,
-    ) -> (Vec<Result<Solution, SolveError>>, SearchStats) {
-        let total = instances.len();
-        let threads = self.threads.min(total.max(1));
-        if threads <= 1 {
-            // Inline worker: same scratch reuse, no spawn overhead, and
-            // the thread's pooled buffers instead of fresh ones.
-            let mut scratch = WorkerScratch::pooled();
-            let mut out = Vec::with_capacity(total);
-            for a in instances {
-                let result = solve_on_template(template, a, strategy, &mut scratch);
-                if let Ok(sol) = &result {
-                    scratch.record(sol);
-                }
-                out.push(result);
-            }
-            return (out, scratch.release());
-        }
-        let queue = WorkStealQueue::new(total, threads, chunk_size(total, threads));
-        let slots = Slots::new(total);
-        let worker_stats: Vec<SearchStats> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let queue = &queue;
-                    let slots = &slots;
-                    s.spawn(move || {
-                        let mut scratch = WorkerScratch::new();
-                        while let Some(i) = queue.pop(w) {
-                            let result =
-                                solve_on_template(template, &instances[i], strategy, &mut scratch);
-                            if let Ok(sol) = &result {
-                                scratch.record(sol);
-                            }
-                            // SAFETY: the work-stealing queue hands out
-                            // each index exactly once, so no two
-                            // workers ever write the same slot, and
-                            // `into_vec` reads only after every worker
-                            // has been joined.
-                            unsafe { slots.write(i, result) };
-                        }
-                        scratch.stats()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        let mut total_stats = SearchStats::default();
-        for st in &worker_stats {
-            total_stats.merge(st);
-        }
-        (slots.into_vec(), total_stats)
-    }
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
-impl Default for BatchExecutor {
-    /// The available-parallelism executor.
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
-}
-
-/// Runs `f(0), …, f(total - 1)` across `threads` workers over the same
-/// work-stealing queue the batch executor uses, returning the results
-/// in index order. The building block for parallel fan-outs whose items
-/// are not homomorphism instances (e.g. the batch-containment and
+/// Runs `f(0), …, f(total - 1)` on up to `threads` scoped workers — the
+/// fan-out the session batches use — and returns the results in index
+/// order. For parallel work whose items are not instances of one
+/// compiled template (e.g. the batch-containment and
 /// batch-canonicalization variants in `cqcs-cq`). `threads ≤ 1` runs
-/// inline.
+/// inline on the calling thread; a panic in `f` is re-raised on the
+/// caller with its own payload.
 pub fn par_map<T, F>(total: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(total.max(1));
-    if threads <= 1 {
-        return (0..total).map(f).collect();
-    }
-    let queue = WorkStealQueue::new(total, threads, chunk_size(total, threads));
-    let slots = Slots::new(total);
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let queue = &queue;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || {
-                while let Some(i) = queue.pop(w) {
-                    let value = f(i);
-                    // SAFETY: as in the batch worker — each index is
-                    // handed out exactly once and read only after the
-                    // scope joins every worker.
-                    unsafe { slots.write(i, value) };
-                }
-            });
-        }
-    });
-    slots.into_vec()
-}
-
-/// Pre-sized once-writable output slots shared across workers. The
-/// work-stealing queue's exactly-once index hand-out is what makes the
-/// unsynchronized writes sound: distinct indices are distinct cells,
-/// and the same index is never handed to two workers.
-struct Slots<T> {
-    cells: Vec<UnsafeCell<Option<T>>>,
-}
-
-// SAFETY: all access goes through `write` (whose contract forbids two
-// writes to one index and any read-during-write) and `into_vec` (which
-// consumes the slots after the worker scope has joined).
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    fn new(total: usize) -> Self {
-        Slots {
-            cells: (0..total).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// # Safety
-    /// Each index must be written at most once, and never concurrently
-    /// with any other access to the same cell.
-    unsafe fn write(&self, i: usize, value: T) {
-        *self.cells[i].get() = Some(value);
-    }
-
-    fn into_vec(self) -> Vec<T> {
-        self.cells
-            .into_iter()
-            .map(|c| c.into_inner().expect("every index solved exactly once"))
-            .collect()
-    }
+    fan_out(total, threads, || (), |_, i| f(i), drop)
 }
 
 #[cfg(test)]
@@ -456,6 +266,7 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use crate::solvers::backtracking::SearchOptions;
+    use crate::solvers::dispatch::{Solution, Strategy};
     use cqcs_structures::generators;
     use cqcs_structures::Homomorphism;
 
@@ -477,10 +288,11 @@ mod tests {
         let session = Session::compile(&generators::complete_graph(3));
         for threads in [1usize, 4] {
             assert!(session.par_solve_batch(&[], threads).is_empty());
+            assert!(session
+                .par_solve_batch_with(&[], Strategy::Schaefer, threads)
+                .unwrap()
+                .is_empty());
         }
-        let (sols, stats) = BatchExecutor::new(4).solve_batch_with_stats(session.template(), &[]);
-        assert!(sols.is_empty());
-        assert_eq!(stats, SearchStats::default());
     }
 
     #[test]
@@ -507,7 +319,7 @@ mod tests {
             let par = session.par_solve_batch(&batch, threads);
             assert_batches_identical(&seq, &par, &format!("threads {threads}"));
         }
-        // Zero threads clamps to one.
+        // Zero threads runs inline, like one.
         let par = session.par_solve_batch(&batch[..3], 0);
         assert_batches_identical(&seq[..3], &par, "threads 0");
     }
@@ -524,30 +336,6 @@ mod tests {
         let seq = session.solve_batch(&batch);
         let par = session.par_solve_batch(&batch, 4);
         assert_batches_identical(&seq, &par, "C4 template");
-    }
-
-    #[test]
-    fn aggregate_stats_equal_per_instance_sums() {
-        let k3 = generators::complete_graph(3);
-        let session = Session::compile(&k3);
-        let batch: Vec<Structure> = (0..20u64)
-            .map(|seed| generators::random_graph_nm(11, 22, seed))
-            .collect();
-        for threads in [1usize, 4] {
-            let (sols, total) =
-                BatchExecutor::new(threads).solve_batch_with_stats(session.template(), &batch);
-            let mut expected = SearchStats::default();
-            for sol in &sols {
-                if let Some(st) = &sol.stats {
-                    expected.merge(st);
-                }
-            }
-            assert_eq!(total, expected, "threads {threads}");
-            assert!(
-                total.nodes + total.deletions > 0,
-                "the workload exercises search/propagation"
-            );
-        }
     }
 
     #[test]
@@ -592,33 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_is_reusable_across_batches_and_templates() {
-        let exec = BatchExecutor::new(3);
-        let k3 = generators::complete_graph(3);
-        let c4 = generators::directed_cycle(4);
-        let s3 = Session::compile(&k3);
-        let s4 = Session::compile(&c4);
-        let graphs: Vec<Structure> = (0..9u64)
-            .map(|seed| generators::random_graph_nm(9, 16, seed))
-            .collect();
-        let digraphs: Vec<Structure> = (0..9u64)
-            .map(|seed| generators::random_digraph(8, 0.25, seed))
-            .collect();
-        for _ in 0..2 {
-            assert_batches_identical(
-                &s3.solve_batch(&graphs),
-                &exec.solve_batch(s3.template(), &graphs),
-                "K3 batch",
-            );
-            assert_batches_identical(
-                &s4.solve_batch(&digraphs),
-                &exec.solve_batch(s4.template(), &digraphs),
-                "C4 batch",
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "different vocabularies")]
     fn vocabulary_mismatch_panics_in_parallel_too() {
         let k3 = generators::complete_graph(3);
@@ -637,5 +398,25 @@ mod tests {
             assert_eq!(par_map(57, threads, f), expected, "threads {threads}");
         }
         assert!(par_map(0, 4, f).is_empty());
+        // Under uneven per-item cost, every index still runs exactly
+        // once, whichever worker takes it.
+        for threads in [2usize, 3, 8] {
+            let calls: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+            let out = par_map(calls.len(), threads, |i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                (0..(i % 7) * 5_000)
+                    .map(std::hint::black_box)
+                    .sum::<usize>();
+                i
+            });
+            assert_eq!(out, (0..200).collect::<Vec<_>>(), "threads {threads}");
+            for (i, c) in calls.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}, threads {threads}");
+            }
+        }
+        // One thread means the caller's thread, for every item.
+        let caller = std::thread::current().id();
+        let ran_on = par_map(57, 1, |_| std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id == caller));
     }
 }

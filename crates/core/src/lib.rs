@@ -22,13 +22,13 @@
 //!   stream instances against it. [`solve`] is a thin
 //!   compile-then-solve wrapper, so both entry points route
 //!   identically; a [`CompiledTemplate`] is immutable and `Sync`, ready
-//!   to be shared across threads or shards;
-//! * [`exec`] — the multi-threaded batch driver over that shared
-//!   template: [`Session::par_solve_batch`] /
-//!   [`BatchExecutor`] fan a batch out to work-stealing workers, each
-//!   with a persistent per-worker scratch (propagator reset, pooled
-//!   search and GYO buffers), with output bit-identical to the
-//!   sequential batch;
+//!   to be shared across threads and connections;
+//! * [`exec`] — the parallel map behind the batches: [`par_map`] and
+//!   [`Session::par_solve_batch`] hand a batch's indices to scoped
+//!   workers one at a time from an atomic counter, each solving on a
+//!   persistent per-worker scratch (propagator reset, pooled search
+//!   and GYO buffers), with output bit-identical to the sequential
+//!   batch;
 //! * [`watch`] — the delta-solve pipeline: [`Session::watch`] registers
 //!   one instance and absorbs [`StructureDelta`](cqcs_structures::StructureDelta)
 //!   streams, repairing the parked arc-consistency fixpoint in place
@@ -56,7 +56,7 @@ pub mod solvers;
 pub mod watch;
 
 pub use analysis::{analyze, InstanceAnalysis};
-pub use exec::{par_map, BatchExecutor};
+pub use exec::par_map;
 pub use session::{CompiledTemplate, Session};
 pub use solvers::backtracking::{backtracking_search, SearchOptions, SearchScratch, SearchStats};
 pub use solvers::dispatch::{solve, Route, Solution, Strategy};

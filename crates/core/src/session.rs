@@ -14,7 +14,7 @@
 //!
 //! A `CompiledTemplate` is immutable after construction (the lazy
 //! fields are `OnceLock`s) and `Sync`, so one compiled template can be
-//! shared across threads or shards via `Arc`; a `Session` is a cheap
+//! shared across threads via `Arc`; a `Session` is a cheap
 //! handle holding such an `Arc`. All per-solve state (propagator
 //! domains, trails, search stacks) belongs to the solve call, but its
 //! buffers do not have to be allocated per call:
@@ -48,7 +48,7 @@
 //! ```
 
 use crate::analysis::{EXACT_WIDTH_PROBE_MAX_VERTICES, EXACT_WIDTH_PROBE_NODE_BUDGET};
-use crate::exec::{BatchExecutor, Buffers, WorkerScratch};
+use crate::exec::{fan_out, Buffers, WorkerScratch};
 use crate::solvers::backtracking::{
     backtracking_search_scratch, SearchOptions, SearchScratch, SearchStats,
 };
@@ -266,21 +266,24 @@ impl Session {
     /// # Panics
     /// Panics if any instance is over a different vocabulary.
     pub fn solve_batch(&self, instances: &[Structure]) -> Vec<Solution> {
-        BatchExecutor::new(1).solve_batch(&self.template, instances)
+        self.par_solve_batch(instances, 1)
     }
 
-    /// Solves a batch across `threads` work-stealing workers sharing
-    /// this compiled template. Output order and content — verdicts,
-    /// routes, witnesses, search statistics — are bit-identical to
+    /// Solves a batch on up to `threads` workers sharing this compiled
+    /// template. Output order and content — verdicts, routes, witnesses,
+    /// search statistics — are bit-identical to
     /// [`solve_batch`](Session::solve_batch) regardless of the thread
-    /// count or steal schedule (pinned by the property suite and the
-    /// CI-gated experiment E15). See [`crate::exec`] for the execution
-    /// model.
+    /// count or of which worker took which instance (pinned by the
+    /// property suite and the CI-gated experiment E15). See
+    /// [`crate::exec`] for the execution model.
     ///
     /// # Panics
     /// Panics if any instance is over a different vocabulary.
     pub fn par_solve_batch(&self, instances: &[Structure], threads: usize) -> Vec<Solution> {
-        BatchExecutor::new(threads).solve_batch(&self.template, instances)
+        self.solve_each(instances, Strategy::Auto, threads)
+            .into_iter()
+            .map(|r| r.expect("the Auto strategy always applies"))
+            .collect()
     }
 
     /// [`par_solve_batch`](Session::par_solve_batch) with an explicit
@@ -295,7 +298,27 @@ impl Session {
         strategy: Strategy,
         threads: usize,
     ) -> Result<Vec<Solution>, SolveError> {
-        BatchExecutor::new(threads).solve_batch_with(&self.template, instances, strategy)
+        self.solve_each(instances, strategy, threads)
+            .into_iter()
+            .collect()
+    }
+
+    /// Every instance's result, in input order, from up to `threads`
+    /// workers, each on its thread's pooled scratch.
+    fn solve_each(
+        &self,
+        instances: &[Structure],
+        strategy: Strategy,
+        threads: usize,
+    ) -> Vec<Result<Solution, SolveError>> {
+        let CompiledTemplate { b, facts } = &*self.template;
+        fan_out(
+            instances.len(),
+            threads,
+            WorkerScratch::pooled,
+            |scratch, i| solve_on(b, facts, &instances[i], strategy, scratch),
+            WorkerScratch::release,
+        )
     }
 }
 
@@ -313,27 +336,12 @@ pub(crate) fn solve_one_shot(
     solve_on(b, &facts, a, strategy, &mut scratch)
 }
 
-/// [`solve_on`] against a compiled template — the per-instance body of
-/// the batch executor's worker loop (`crate::exec`), which owns the
-/// long-lived scratch.
-///
-/// # Panics
-/// Panics if the structures are over different vocabularies.
-pub(crate) fn solve_on_template<'s>(
-    template: &'s CompiledTemplate,
-    a: &'s Structure,
-    strategy: Strategy,
-    scratch: &mut WorkerScratch<'s>,
-) -> Result<Solution, SolveError> {
-    solve_on(&template.b, &template.facts, a, strategy, scratch)
-}
-
 /// Routing core shared by [`Session`], the one-shot wrapper, and the
-/// batch executor's workers. All per-solve mutable state comes from
-/// `scratch`; a fresh scratch (the one-shot wrapper, a parallel
-/// batch's spawned workers) allocates per call or per batch, a pooled
-/// or long-lived one amortizes that across a stream — the results are
-/// bit-identical either way.
+/// batch workers. All per-solve mutable state comes from `scratch`; a
+/// fresh scratch (the one-shot wrapper, a parallel batch's spawned
+/// workers) allocates per call or per batch, a pooled or long-lived one
+/// amortizes that across a stream — the results are bit-identical
+/// either way.
 ///
 /// # Panics
 /// Panics if the structures are over different vocabularies.

@@ -127,8 +127,8 @@ pub fn canonical_databases_many(
     par_canonical_databases_many(queries, 1)
 }
 
-/// [`canonical_databases_many`] across `threads` work-stealing workers
-/// (identical output, in input order): the joint vocabulary is built
+/// [`canonical_databases_many`] on up to `threads` workers (identical
+/// output, in input order): the joint vocabulary is built
 /// once sequentially — it is a fold over all queries — and the
 /// per-query freezing, which is independent once the vocabulary is
 /// fixed, fans out. `threads ≤ 1` runs inline.

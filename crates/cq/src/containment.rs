@@ -70,8 +70,8 @@ pub fn contained_in_batch(
     par_contained_in_batch(q1s, q2, 1)
 }
 
-/// [`contained_in_batch`] across `threads` work-stealing workers
-/// (identical verdicts, in input order). Freezing shares one batch
+/// [`contained_in_batch`] on up to `threads` workers (identical
+/// verdicts, in input order). Freezing shares one batch
 /// canonicalization as before; the per-candidate homomorphism checks —
 /// independent, and by far the expensive half — fan out via
 /// [`cqcs_core::par_map`]. Note the roles Chandra–Merlin assigns:

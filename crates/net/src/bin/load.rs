@@ -1,7 +1,7 @@
 //! `cqcs-load` — load the server and report latency percentiles.
 //!
 //! ```text
-//! cqcs-load [--clients N] [--requests N] [--pipeline K] [--cpus N]
+//! cqcs-load [--clients N] [--requests N] [--pipeline K]
 //!           [--chaos-seed S] [--fault-rate R]
 //!           [--initial-rps R --increment-rps R --target-rps R [--step-secs S]]
 //! ```
@@ -37,9 +37,11 @@
 //!
 //! Either way every networked solution is compared bit-for-bit against
 //! a direct in-process `Session` solve of the same instance, and any
-//! mismatch exits nonzero. Honesty rule (same as experiment E15): runs
-//! on a single CPU are marked **overhead-only** — with no parallelism
-//! the numbers measure protocol and scheduling overhead, not speedup.
+//! mismatch exits nonzero. Every report prints the host's
+//! `available_parallelism` as `cpus=N`. Honesty rule (same as
+//! experiment E15): runs on a single CPU are marked **overhead-only** —
+//! with no parallelism the numbers measure protocol and scheduling
+//! overhead, not speedup.
 
 use cqcs_core::{Session, Solution};
 use cqcs_net::client::{Client, ClientConfig};
@@ -234,7 +236,6 @@ fn main() {
     let mut clients = 4usize;
     let mut requests = 64usize;
     let mut pipeline = 1usize;
-    let mut cpus: Option<usize> = None;
     let mut chaos_seed = 0xC0A5u64;
     let mut fault_rate = 0.0f64;
     let mut initial_rps: Option<f64> = None;
@@ -248,7 +249,6 @@ fn main() {
             "--clients" => clients = parse_value(&mut args, "--clients"),
             "--requests" => requests = parse_value(&mut args, "--requests"),
             "--pipeline" => pipeline = parse_value(&mut args, "--pipeline"),
-            "--cpus" => cpus = Some(parse_value(&mut args, "--cpus")),
             "--chaos-seed" => chaos_seed = parse_value(&mut args, "--chaos-seed"),
             "--fault-rate" => fault_rate = parse_value(&mut args, "--fault-rate"),
             "--initial-rps" => initial_rps = Some(parse_value(&mut args, "--initial-rps")),
@@ -257,7 +257,7 @@ fn main() {
             "--step-secs" => step_secs = parse_value(&mut args, "--step-secs"),
             _ => {
                 eprintln!(
-                    "usage: cqcs-load [--clients N] [--requests N] [--pipeline K] [--cpus N] \
+                    "usage: cqcs-load [--clients N] [--requests N] [--pipeline K] \
                      [--chaos-seed S] [--fault-rate R] \
                      [--initial-rps R --increment-rps R --target-rps R [--step-secs S]]"
                 );
@@ -273,9 +273,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let cpus = cpus.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     if fault_rate > 0.0 && ramp.is_some() {
         eprintln!("chaos mode (--fault-rate > 0) does not combine with ramp mode");

@@ -47,7 +47,7 @@ fn main() {
     let server = match Server::bind(&addr, cfg) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("cqcs-serve: cannot bind {addr}: {e}");
+            eprintln!("cqcs-serve: cannot serve on {addr}: {e}");
             std::process::exit(1);
         }
     };

@@ -147,7 +147,8 @@ impl ChaosConfig {
 /// small deployments; the serve binary exposes the deployment knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum templates resident in the registry (LRU beyond this).
+    /// Maximum templates resident in the registry (LRU beyond this);
+    /// at least 1, or [`Server::bind`] refuses the config.
     pub registry_capacity: usize,
     /// Maximum solves admitted and not yet answered, summed over all
     /// connections; beyond this new solves are refused with
@@ -254,7 +255,18 @@ pub struct Server {
 impl Server {
     /// Binds a listener (use port 0 for an ephemeral port) and starts
     /// the acceptor thread.
+    ///
+    /// # Errors
+    /// `InvalidInput`, before anything is bound, if
+    /// `cfg.registry_capacity` is 0 (a registry with no room for a
+    /// template); otherwise whatever binding the listener returns.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> std::io::Result<Server> {
+        if cfg.registry_capacity == 0 {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "registry_capacity must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(cfg));
@@ -1132,6 +1144,19 @@ mod tests {
             assert_eq!(sets, 3, "cut at {cut}");
             assert_eq!(ids, (0..8).collect::<Vec<_>>(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn zero_registry_capacity_is_refused() {
+        let cfg = ServerConfig {
+            registry_capacity: 0,
+            ..ServerConfig::default()
+        };
+        let Err(e) = Server::bind("127.0.0.1:0", cfg) else {
+            panic!("a server with no room for a template started");
+        };
+        assert_eq!(e.kind(), ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("registry_capacity"), "{e}");
     }
 
     #[test]

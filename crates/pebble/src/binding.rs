@@ -12,12 +12,15 @@
 //! * [`DeltaPlan`] / [`plan_delta`] — the admission decision for the
 //!   incremental delta-bind path: either a worklist seed list
 //!   (re-propagate only from the tuples a [`StructureDelta`] touched)
-//!   or a full rebind with the reason. Every admission rule lives
-//!   here: the engine sits at an established, consistent fixpoint with
-//!   no open search frames; additions only (retractions can restore
-//!   support); no 0-ary additions (those have a dedicated wipeout path
-//!   in `establish`); no universe growth (the arena layout is keyed on
-//!   `|A|`); and a delta small relative to the instance.
+//!   or a full rebind with the reason. The admission rules live here:
+//!   the engine sits at an established, consistent fixpoint; additions
+//!   only (retractions can restore support); no 0-ary additions (those
+//!   have a dedicated wipeout path in `establish`); no universe growth
+//!   (the arena layout is keyed on `|A|`); and a delta small relative
+//!   to the instance. No search frames are open, because only a parked
+//!   engine is repaired and
+//!   [`into_saved`](crate::ProgramPropagator::into_saved) parks only at
+//!   depth 0.
 
 use cqcs_structures::{RelId, Structure, StructureDelta};
 
@@ -86,8 +89,6 @@ pub struct EngineState {
     pub established: bool,
     /// Every domain nonempty (no prior wipeout).
     pub consistent: bool,
-    /// Open `assign` frames — repair only runs at depth 0.
-    pub depth: usize,
     /// Universe of the currently bound structure — the delta must be
     /// anchored there.
     pub bound_universe: usize,
@@ -128,11 +129,6 @@ pub fn plan_delta(
     if !state.consistent {
         return DeltaPlan::Rebind {
             reason: "prior wipeout: domains are not a usable fixpoint",
-        };
-    }
-    if state.depth != 0 {
-        return DeltaPlan::Rebind {
-            reason: "open assignment frames",
         };
     }
     if !delta.additions_only() {
@@ -190,7 +186,6 @@ mod tests {
         EngineState {
             established: true,
             consistent: true,
-            depth: 0,
             bound_universe: a.universe(),
             bound_tuples: a.total_tuples(),
         }
@@ -300,12 +295,6 @@ mod tests {
         let mut s = fixpoint_on(&a);
         s.consistent = false;
         assert!(rebind_reason(plan_delta(&a2, &b, &d, s)).starts_with("prior wipeout"));
-        let mut s = fixpoint_on(&a);
-        s.depth = 2;
-        assert_eq!(
-            rebind_reason(plan_delta(&a2, &b, &d, s)),
-            "open assignment frames"
-        );
 
         let mut retracting = cqcs_structures::StructureDelta::new(&a);
         retracting.retract_fact("E", &[0, 1]).unwrap();

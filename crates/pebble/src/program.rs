@@ -325,33 +325,10 @@ impl<'s> ProgramPropagator<'s> {
         self.bind(a);
     }
 
-    /// Re-binds to `a2`, described by `delta` relative to the currently
-    /// bound structure, repairing the established fixpoint in place
-    /// when the shared admission rules ([`plan_delta`]) allow it and
-    /// falling back to a full
-    /// [`reset_for_instance`](ProgramPropagator::reset_for_instance) +
-    /// [`establish`](ProgramPropagator::establish) otherwise. Either
-    /// way the engine afterwards is **observably identical** to a
-    /// freshly bound, freshly established engine on `a2`: same
-    /// fixpoint domains, same consistency verdict, same deletion
-    /// count, depth 0. Returns the establish verdict on `a2`.
-    ///
-    /// # Panics
-    /// Panics if `a2` is over a different vocabulary than the template.
-    pub fn apply_delta(&mut self, a2: &'s Structure, delta: &StructureDelta) -> bool {
-        let bound_universe = self.a.universe();
-        let bound_tuples = self.a.total_tuples();
-        if self.try_repair(a2, delta, bound_universe, bound_tuples) {
-            true
-        } else {
-            self.establish()
-        }
-    }
-
     /// The in-place half of
-    /// [`apply_delta`](ProgramPropagator::apply_delta): when
-    /// [`plan_delta`] admits repair, re-seeds the worklist with exactly
-    /// the added tuples and re-runs propagation on the resident
+    /// [`resume_with_delta`](ProgramPropagator::resume_with_delta):
+    /// when [`plan_delta`] admits repair, re-seeds the worklist with
+    /// exactly the added tuples and re-runs propagation on the resident
     /// fixpoint. Sound because arc consistency is monotone under
     /// additions: every old tuple was already revised against domains
     /// at least as large, and any domain change re-enqueues its
@@ -371,7 +348,6 @@ impl<'s> ProgramPropagator<'s> {
         let state = EngineState {
             established: self.established,
             consistent: self.is_consistent(),
-            depth: self.frames.len(),
             bound_universe,
             bound_tuples,
         };
@@ -1385,8 +1361,28 @@ mod tests {
             .collect()
     }
 
+    /// The one delta entry into the engine, as a watch session takes
+    /// it: park `p` at depth 0, resume it on `a2` through `delta`, and
+    /// establish. Returns the resumed engine and its verdict.
+    fn park_and_resume<'s>(
+        p: ProgramPropagator<'s>,
+        a2: &'s Structure,
+        delta: &StructureDelta,
+    ) -> (ProgramPropagator<'s>, bool) {
+        let (b, program) = (p.right(), Arc::clone(p.program()));
+        let mut resumed =
+            ProgramPropagator::resume_with_delta(a2, b, program, p.into_saved(), delta);
+        let ok = resumed.establish();
+        (resumed, ok)
+    }
+
     #[test]
-    fn apply_delta_is_observably_a_fresh_establish() {
+    fn saved_state_resumes_across_a_delta_stream() {
+        // Park the engine's state between updates, rehydrate against
+        // each post-delta structure, and pin the result against a fresh
+        // engine at every step — verdict, fixpoint, deletions, depth 0
+        // and the assign/undo walk — for both a prune-free and a
+        // hard-pruning template.
         let templates = [generators::complete_graph(3), digraph(&[(0, 1), (1, 2)], 3)];
         let structures = additive_chain();
         for b in &templates {
@@ -1396,11 +1392,13 @@ mod tests {
             for w in structures.windows(2) {
                 let d = StructureDelta::between(&w[0], &w[1]).unwrap();
                 assert!(d.additions_only() && d.added().len() == 2);
-                let ok = p.apply_delta(&w[1], &d);
+                let ok;
+                (p, ok) = park_and_resume(p, &w[1], &d);
                 let mut fresh = ProgramPropagator::new(&w[1], b, Arc::clone(&program));
                 assert_eq!(ok, fresh.establish(), "verdict");
                 assert_eq!(p.domains_vec(), fresh.domains_vec(), "fixpoint domains");
                 assert_eq!(p.deletions(), fresh.deletions(), "deletion counts");
+                assert_eq!(p.depth(), 0);
                 if !ok {
                     continue;
                 }
@@ -1418,7 +1416,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_rebinds_on_universe_growth() {
+    fn resume_with_delta_rebinds_on_universe_growth() {
         // The arena layout is keyed on |A|, so growth falls back to a
         // full rebind — still observably a fresh establish on `a2`.
         let b = generators::complete_graph(3);
@@ -1431,7 +1429,8 @@ mod tests {
         let a2 = d.apply(&a).unwrap();
         let mut p = ProgramPropagator::new(&a, &b, Arc::clone(&program));
         assert!(p.establish());
-        assert!(p.apply_delta(&a2, &d));
+        let (p, ok) = park_and_resume(p, &a2, &d);
+        assert!(ok);
         let mut fresh = ProgramPropagator::new(&a2, &b, program);
         assert!(fresh.establish());
         assert_eq!(p.domains_vec(), fresh.domains_vec());
@@ -1439,7 +1438,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_crossing_a_wipeout_matches_fresh() {
+    fn resume_with_delta_crossing_a_wipeout_matches_fresh() {
         let b = digraph(&[(0, 1)], 2);
         let program = compile_for(&b);
         let a = digraph(&[(0, 1), (2, 3), (4, 5), (6, 7)], 8);
@@ -1448,7 +1447,7 @@ mod tests {
         let a2 = d.apply(&a).unwrap();
         let mut p = ProgramPropagator::new(&a, &b, Arc::clone(&program));
         assert!(p.establish());
-        let ok = p.apply_delta(&a2, &d);
+        let (p, ok) = park_and_resume(p, &a2, &d);
         let mut fresh = ProgramPropagator::new(&a2, &b, program);
         assert_eq!(ok, fresh.establish());
         assert!(!ok, "path of length two is unsatisfiable here");
@@ -1457,7 +1456,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_with_retractions_falls_back_exactly() {
+    fn resume_with_retractions_falls_back_exactly() {
         let b = digraph(&[(0, 1), (1, 2)], 3);
         let program = compile_for(&b);
         let a = digraph(&CHAIN_EDGES[..12], 8);
@@ -1467,38 +1466,11 @@ mod tests {
         let a2 = d.apply(&a).unwrap();
         let mut p = ProgramPropagator::new(&a, &b, Arc::clone(&program));
         p.establish();
-        let ok = p.apply_delta(&a2, &d);
+        let (p, ok) = park_and_resume(p, &a2, &d);
         let mut fresh = ProgramPropagator::new(&a2, &b, program);
         assert_eq!(ok, fresh.establish());
         assert_eq!(p.domains_vec(), fresh.domains_vec());
         assert_eq!(p.deletions(), fresh.deletions());
-    }
-
-    #[test]
-    fn saved_state_resumes_across_a_delta_stream() {
-        // Park the engine's state between updates (as a watch session
-        // does), rehydrate against each post-delta structure, and pin
-        // the result against a fresh engine at every step — for both a
-        // prune-free and a hard-pruning template.
-        let templates = [generators::complete_graph(3), digraph(&[(0, 1), (1, 2)], 3)];
-        let structures = additive_chain();
-        for b in &templates {
-            let program = compile_for(b);
-            let mut first = ProgramPropagator::new(&structures[0], b, Arc::clone(&program));
-            first.establish();
-            let mut saved = first.into_saved();
-            for w in structures.windows(2) {
-                let d = StructureDelta::between(&w[0], &w[1]).unwrap();
-                let mut p =
-                    ProgramPropagator::resume_with_delta(&w[1], b, Arc::clone(&program), saved, &d);
-                let ok = p.establish();
-                let mut fresh = ProgramPropagator::new(&w[1], b, Arc::clone(&program));
-                assert_eq!(ok, fresh.establish(), "verdict");
-                assert_eq!(p.domains_vec(), fresh.domains_vec(), "fixpoint domains");
-                assert_eq!(p.deletions(), fresh.deletions(), "deletion counts");
-                saved = p.into_saved();
-            }
-        }
     }
 
     #[test]
@@ -1545,15 +1517,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "open assignment frames")]
+    fn into_saved_rejects_open_frames() {
+        // Only a parked engine is repaired, so parking is where the
+        // delta path's depth-0 rule is enforced.
+        let b = generators::complete_graph(3);
+        let a = generators::random_graph_nm(4, 5, 0);
+        let mut p = ProgramPropagator::new(&a, &b, compile_for(&b));
+        assert!(p.establish());
+        p.assign(Element(0), 0);
+        let _ = p.into_saved();
+    }
+
+    #[test]
     #[should_panic(expected = "different vocabularies")]
-    fn apply_delta_rejects_vocabulary_mismatch() {
+    fn resume_with_delta_rejects_vocabulary_mismatch() {
         let b = generators::complete_graph(3);
         let a = generators::random_graph_nm(4, 5, 0);
         let mut p = ProgramPropagator::new(&a, &b, compile_for(&b));
         p.establish();
         let other = generators::random_structure(3, &[3], 2, 0);
         let d = StructureDelta::new(&other);
-        p.apply_delta(&other, &d);
+        park_and_resume(p, &other, &d);
     }
 
     #[test]

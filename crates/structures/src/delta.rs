@@ -3,8 +3,8 @@
 //! A [`StructureDelta`] describes how one instance evolves into the
 //! next — facts added, facts retracted, and universe growth — without
 //! materializing either endpoint. It is the contract shared by every
-//! incremental layer above this crate: the propagation engines'
-//! `apply_delta` repair path, the incremental Datalog maintenance, and
+//! incremental layer above this crate: the propagation engine's
+//! `resume_with_delta` repair path, the incremental Datalog maintenance, and
 //! the session-level watch streams all consume the same validated
 //! delta, so "what changed" is computed and checked exactly once.
 //!

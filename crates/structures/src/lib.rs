@@ -31,10 +31,7 @@
 //! * [`delta`] — first-class [`StructureDelta`]s (added/retracted facts,
 //!   universe growth), the unit of incremental serving upstream;
 //! * [`arena`] — the flat `u64`-word [`PropArena`] and whole-word
-//!   kernels backing the compiled propagation route upstream;
-//! * [`worksteal`] — hand-rolled work-stealing scheduling primitives
-//!   (atomic chunk claiming + steal-half deques) for the parallel batch
-//!   drivers upstream.
+//!   kernels backing the compiled propagation route upstream.
 
 pub mod arena;
 pub mod binary_encoding;
@@ -53,7 +50,6 @@ pub mod structure;
 pub mod sum;
 pub mod support;
 pub mod vocabulary;
-pub mod worksteal;
 
 pub use arena::PropArena;
 pub use binary_encoding::{binary_encode, binary_encode_optimized};
@@ -70,4 +66,3 @@ pub use structure::{Element, Relation, Structure, StructureBuilder};
 pub use sum::{structure_sum, SumVocabulary};
 pub use support::{support_builds_on_this_thread, SupportIndex};
 pub use vocabulary::{RelId, Vocabulary};
-pub use worksteal::{ChunkClaimer, StealDeque, WorkStealQueue};

@@ -1,22 +1,21 @@
-//! Parallel batch solving: one compiled template, work-stealing
-//! instance streams.
+//! Parallel batch solving: one compiled template, many instances.
 //!
 //! `Session::par_solve_batch(batch, threads)` fans a batch of instances
-//! out to scoped workers sharing one `CompiledTemplate`. Work is
-//! distributed by an atomic chunk claimer plus steal-half deques, so a
-//! batch mixing cheap tractable routes with expensive generic searches
-//! stays balanced. Each worker keeps a persistent scratch — the
-//! propagator is *reset* per instance instead of rebuilt, and the
-//! search/GYO buffers are pooled — so even `threads = 1` beats a loop
-//! of one-shot solves. The output is bit-identical to the sequential
-//! `solve_batch`: same order, same verdicts, routes, witnesses, and
-//! search statistics, whatever the thread count.
+//! out to scoped workers sharing one `CompiledTemplate`. Workers take
+//! instances one at a time from a shared counter, so a batch mixing
+//! cheap tractable routes with expensive generic searches stays
+//! balanced. Each worker keeps a persistent scratch — the propagator is
+//! *reset* per instance instead of rebuilt, and the search/GYO buffers
+//! are pooled — so even `threads = 1` beats a loop of one-shot solves.
+//! The output is bit-identical to the sequential `solve_batch`: same
+//! order, same verdicts, routes, witnesses, and search statistics,
+//! whatever the thread count.
 //!
 //! ```text
 //! cargo run --release --example parallel_batch
 //! ```
 
-use cqcs::core::{BatchExecutor, Session};
+use cqcs::core::{SearchStats, Session};
 use cqcs::cq::{contained_in_batch, par_contained_in_batch, parse_query};
 use cqcs::structures::generators;
 use std::time::Instant;
@@ -52,9 +51,12 @@ fn main() {
         ms(t_par),
     );
 
-    // The executor also reports the batch's aggregate search effort
-    // (per-worker accumulators merged once at the end).
-    let (_, stats) = BatchExecutor::new(threads).solve_batch_with_stats(session.template(), &batch);
+    // The batch's aggregate search effort: each solution's own
+    // statistics, merged.
+    let mut stats = SearchStats::default();
+    for st in parallel.iter().filter_map(|s| s.stats.as_ref()) {
+        stats.merge(st);
+    }
     println!(
         "aggregate effort: {} nodes, {} backtracks, {} deletions",
         stats.nodes, stats.backtracks, stats.deletions

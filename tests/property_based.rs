@@ -451,7 +451,7 @@ proptest! {
         for (q1, got) in q1s.iter().zip(&batch) {
             prop_assert_eq!(*got, contained_in(q1, &q2).unwrap());
         }
-        // The work-stealing variant answers identically.
+        // The parallel variant answers identically.
         prop_assert_eq!(par_contained_in_batch(&q1s, &q2, 2).unwrap(), batch);
         // Reflexivity comes out of the batch too: q2 is its own first
         // candidate here only when the head variable matches; just pin
@@ -583,16 +583,18 @@ proptest! {
         prop_assert_eq!(comp.domains_vec(), base);
     }
 
-    /// `apply_delta` is a drop-in for a fresh bind on the post-delta
-    /// instance under arbitrary add/retract streams on mixed-arity
-    /// instances: after every step the engine reports the same verdict,
-    /// fixpoint (or partial wipeout) domains and deletion count as a
-    /// freshly bound, freshly established engine, at depth 0. Covers
-    /// both the incremental repair and the too-large-delta / wipeout
-    /// fallback paths, whichever the admission rules pick.
+    /// Parking the engine and resuming it through a delta
+    /// (`into_saved` → `resume_with_delta` → `establish`, the path a
+    /// watch session takes) is a drop-in for a fresh bind on the
+    /// post-delta instance under arbitrary add/retract streams on
+    /// mixed-arity instances: after every step the engine reports the
+    /// same verdict, fixpoint (or partial wipeout) domains and deletion
+    /// count as a freshly bound, freshly established engine, at depth 0.
+    /// Covers both the incremental repair and the too-large-delta /
+    /// wipeout fallback paths, whichever the admission rules pick.
     /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
-    fn apply_delta_matches_fresh_bind_on_both_engines(
+    fn resume_with_delta_matches_fresh_bind(
         (b, na, script) in delta_stream(4, 4, 5),
     ) {
         let (structures, deltas) = materialize_stream(na, &script);
@@ -600,7 +602,8 @@ proptest! {
         let mut comp = ProgramPropagator::new(&structures[0], &b, std::sync::Arc::clone(&program));
         comp.establish();
         for (delta, post) in deltas.iter().zip(&structures[1..]) {
-            let ok = comp.apply_delta(post, delta);
+            let ok;
+            (comp, ok) = park_and_resume(comp, post, delta);
             let mut fresh = ProgramPropagator::new(post, &b, std::sync::Arc::clone(&program));
             prop_assert_eq!(ok, fresh.establish(), "verdict");
             prop_assert_eq!(comp.domains_vec(), fresh.domains_vec(), "domains");
@@ -613,7 +616,7 @@ proptest! {
     /// kernels) under an additive-then-churning digraph stream.
     /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
-    fn apply_delta_matches_fresh_bind_wide_template(
+    fn resume_with_delta_matches_fresh_bind_wide_template(
         b in wide_digraph(),
         n in 2usize..=6,
         script in proptest::collection::vec(
@@ -647,7 +650,8 @@ proptest! {
         comp.establish();
         for w in structures.windows(2) {
             let delta = StructureDelta::between(&w[0], &w[1]).unwrap();
-            let ok = comp.apply_delta(&w[1], &delta);
+            let ok;
+            (comp, ok) = park_and_resume(comp, &w[1], &delta);
             let mut fresh = ProgramPropagator::new(&w[1], &b, std::sync::Arc::clone(&program));
             prop_assert_eq!(ok, fresh.establish(), "wide verdict");
             prop_assert_eq!(comp.domains_vec(), fresh.domains_vec(), "wide domains");
@@ -1069,6 +1073,21 @@ fn build_low_arity(n: usize, facts: &[(u8, u32, u32, bool)]) -> cqcs::structures
 /// The template's propagation program, compiled from a fresh index.
 fn compile_for(b: &cqcs::structures::Structure) -> std::sync::Arc<PropProgram> {
     std::sync::Arc::new(PropProgram::compile(b, &SupportIndex::build(b)))
+}
+
+/// Parks `prop` at depth 0, resumes it on `post` through `delta` and
+/// establishes — the engine's one delta entry. Returns the resumed
+/// engine and its verdict.
+fn park_and_resume<'s>(
+    prop: ProgramPropagator<'s>,
+    post: &'s cqcs::structures::Structure,
+    delta: &cqcs::structures::StructureDelta,
+) -> (ProgramPropagator<'s>, bool) {
+    let (b, program) = (prop.right(), std::sync::Arc::clone(prop.program()));
+    let mut resumed =
+        ProgramPropagator::resume_with_delta(post, b, program, prop.into_saved(), delta);
+    let ok = resumed.establish();
+    (resumed, ok)
 }
 
 /// Establishes `prop` and checks it against the reference fixpoint from
