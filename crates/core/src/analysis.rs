@@ -8,8 +8,9 @@ use cqcs_treewidth::acyclic::is_acyclic;
 use cqcs_treewidth::exact::exact_treewidth_budgeted_seeded;
 use cqcs_treewidth::heuristics::{decomposition_from_elimination, min_fill_order};
 
-/// Largest left structure the analyzer (and the dispatcher's treewidth
-/// probe) runs the exact-width oracle on.
+/// Largest left structure the analyzer runs the exact-width oracle on,
+/// and the dispatcher its over-budget MMD⁺ certificate and treewidth
+/// probe.
 pub const EXACT_WIDTH_PROBE_MAX_VERTICES: usize = 48;
 
 /// Branch-and-bound node budget for that probe: analysis must stay

@@ -59,11 +59,10 @@ use cqcs_boolean::{SchaeferPlan, SchaeferScratch};
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
 use cqcs_structures::{Element, Homomorphism, Structure, SupportIndex};
 use cqcs_treewidth::acyclic::{yannakakis_pooled, GyoScratch};
-use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
+use cqcs_treewidth::bb::bb_treewidth_best_effort;
 use cqcs_treewidth::dp::{
     solve_min_fill_pooled, solve_with_order_pooled, DpScratch, MinFillOutcome,
 };
-use cqcs_treewidth::lower_bounds::mmd_lower_bound;
 use std::sync::{Arc, OnceLock};
 
 /// The lazily-computed template-side facts, separate from ownership of
@@ -408,9 +407,10 @@ pub(crate) struct Proofs {
     /// enable an ear); a caller that cannot rule out wider scopes must
     /// not pass it in.
     pub(crate) gyo_cyclic: bool,
-    /// `tw(gaifman(A))` exceeds [`AUTO_TREEWIDTH_BUDGET`] (an MMD bound
-    /// above it, or a branch-and-bound probe that ran to completion).
-    /// Treewidth is subgraph-monotone, so the DP stage stays closed.
+    /// `tw(gaifman(A))` exceeds [`AUTO_TREEWIDTH_BUDGET`] (an MMD⁺
+    /// bound above it, or a branch-and-bound probe that ran to
+    /// completion). Treewidth is subgraph-monotone, so the DP stage
+    /// stays closed.
     pub(crate) tw_exceeds_budget: bool,
 }
 
@@ -473,22 +473,20 @@ pub(crate) fn auto_on_engine(
         {
             return treewidth_solution(width, homomorphism);
         }
-        // The heuristic overshot the budget. On small graphs, ask the
-        // branch and bound (bounded effort, seeded with the min-fill
-        // order just computed) for a narrower order before surrendering
-        // to search. A witness is enough — even when the budget runs
-        // out, the incumbent is a complete order that may fit, so
-        // best-effort rather than oracle-or-nothing. The MMD degeneracy
-        // bound gates the probe: when it already proves the treewidth
-        // exceeds the budget, no order can rescue the DP route and the
-        // search starts immediately.
+        // The heuristic overshot the budget. On small graphs, first try
+        // to certify that no order fits: an MMD⁺ bound above the budget
+        // proves it, and the search starts immediately. Only when the
+        // bound is silent does the branch and bound (bounded effort)
+        // look for a narrower order before surrendering to search. A
+        // witness is enough — even when the budget runs out, the
+        // incumbent is a complete order that may fit, so best-effort
+        // rather than oracle-or-nothing.
         if a.universe() <= EXACT_WIDTH_PROBE_MAX_VERTICES {
-            let g = cqcs_structures::gaifman_graph(a);
-            if mmd_lower_bound(&g) > AUTO_TREEWIDTH_BUDGET {
+            if dp.proves_treewidth_above(a, AUTO_TREEWIDTH_BUDGET) {
                 proofs.tw_exceeds_budget = true;
             } else {
-                let (r, optimal) =
-                    bb_treewidth_best_effort_seeded(&g, dp.order(), EXACT_WIDTH_PROBE_NODE_BUDGET);
+                let g = cqcs_structures::gaifman_graph(a);
+                let (r, optimal) = bb_treewidth_best_effort(&g, EXACT_WIDTH_PROBE_NODE_BUDGET);
                 if r.width <= AUTO_TREEWIDTH_BUDGET {
                     let h = solve_with_order_pooled(a, b, &r.order, support, dp);
                     return treewidth_solution(r.width, h);
@@ -578,7 +576,7 @@ fn treewidth_route(
             width,
             homomorphism,
         } => treewidth_solution(width, homomorphism),
-        MinFillOutcome::OverBudget { .. } => unreachable!("no width exceeds usize::MAX"),
+        MinFillOutcome::OverBudget => unreachable!("no width exceeds usize::MAX"),
     }
 }
 
@@ -746,6 +744,69 @@ mod tests {
         assert!(
             treewidth_routes > 1000,
             "{treewidth_routes} Treewidth routes"
+        );
+    }
+
+    #[test]
+    fn over_budget_stage_five_keeps_the_probe_decision() {
+        // Where min-fill overshoots the budget, Auto's stage 5 must decide
+        // as the MMD-gated branch-and-bound probe did, recomputed here
+        // from public functions: min-fill within budget gives its width,
+        // else (at most 48 elements) an MMD bound within budget and a
+        // probe order within budget give the probe's width, else search.
+        // Families: G(10,18), G(12,24), G(16,32), E17's two probed ramps
+        // and partial 3-trees, where the probe rescues some instances.
+        use cqcs_treewidth::heuristics::min_fill_decomposition;
+        use cqcs_treewidth::lower_bounds::mmd_lower_bound;
+        let k3 = generators::complete_graph(3);
+        let session = Session::compile(&k3);
+        let probe_decision = |a: &Structure| {
+            let g = cqcs_structures::gaifman_graph(a);
+            let width = min_fill_decomposition(&g).width();
+            if width <= AUTO_TREEWIDTH_BUDGET {
+                return (Route::Treewidth(width), false);
+            }
+            if g.len() <= EXACT_WIDTH_PROBE_MAX_VERTICES
+                && mmd_lower_bound(&g) <= AUTO_TREEWIDTH_BUDGET
+            {
+                let (r, _) = bb_treewidth_best_effort(&g, EXACT_WIDTH_PROBE_NODE_BUDGET);
+                if r.width <= AUTO_TREEWIDTH_BUDGET {
+                    return (Route::Treewidth(r.width), true);
+                }
+            }
+            (Route::Generic, true)
+        };
+        let mut instances: Vec<(String, Structure)> = Vec::new();
+        for (n, m) in [(10, 18), (12, 24), (16, 32)] {
+            for seed in 0..512u64 {
+                let a = generators::random_graph_nm(n, m, seed);
+                instances.push((format!("G({n},{m}) seed {seed}"), a));
+            }
+        }
+        for (n, m0, m1) in [(24, 40, 64), (28, 48, 72)] {
+            for m in m0..=m1 {
+                let a = generators::random_graph_nm(n, m, 7);
+                instances.push((format!("G({n},{m}) seed 7"), a));
+            }
+        }
+        for seed in 0..64u64 {
+            let a = generators::partial_ktree(20, 3, 0.7, seed);
+            instances.push((format!("partial 3-tree seed {seed}"), a));
+        }
+        let (mut over_budget, mut rescued) = (0, 0);
+        for (what, a) in &instances {
+            let route = session.solve(a).route;
+            if !matches!(route, Route::Treewidth(_) | Route::Generic) {
+                continue; // answered before stage 5
+            }
+            let (want, overshot) = probe_decision(a);
+            assert_eq!(route, want, "{what}");
+            over_budget += usize::from(overshot);
+            rescued += usize::from(overshot && want != Route::Generic);
+        }
+        assert!(
+            over_budget > 1000 && rescued > 0,
+            "{over_budget} over budget, {rescued} rescued"
         );
     }
 

@@ -17,8 +17,10 @@
 //!    outright, and otherwise the established engine is reused by step
 //!    6 instead of being rebuilt;
 //! 5. **Bounded treewidth `A`** (Theorem 5.4): DP over a min-fill
-//!    decomposition when its width fits the budget (with a seeded
-//!    branch-and-bound probe when the heuristic overshoots);
+//!    decomposition when its width fits the budget; when the heuristic
+//!    overshoots, an MMD⁺ lower bound above the budget closes the step,
+//!    and only where that bound is silent does a branch-and-bound probe
+//!    look for an order that fits;
 //! 6. **Generic search** seeded with the prefilter's propagator — the
 //!    NP-side fallback the paper's results exist to avoid.
 //!

@@ -27,11 +27,12 @@
 //!   GYO-cyclicity persists when every scope has arity ≤ 2 (a new edge
 //!   can neither subsume a cycle edge nor enable an ear), and is passed
 //!   in only then; `tw(A) >` budget persists because the Gaifman graph
-//!   only gains vertices/edges and both the MMD degeneracy bound and
-//!   treewidth itself are subgraph-monotone. The DP stage sets that
-//!   proof exactly where a fresh solve computes it: an MMD bound above
-//!   budget, or a completed branch-and-bound probe, both on instances
-//!   of at most `EXACT_WIDTH_PROBE_MAX_VERTICES` elements.
+//!   only gains vertices/edges and treewidth is subgraph-monotone. The
+//!   DP stage sets that proof exactly where a fresh solve computes it:
+//!   an MMD⁺ bound above budget (`DpScratch::proves_treewidth_above`),
+//!   or a completed branch-and-bound probe where that bound is silent,
+//!   both on instances of at most `EXACT_WIDTH_PROBE_MAX_VERTICES`
+//!   elements.
 //! * **Monotone refutation.** `A ⊆ A'` makes `hom(A → B) = ∅` final
 //!   under additions; when the previous update was arc-refuted (and the
 //!   GYO skip applies, so the fresh route is pinned), the update is
@@ -507,7 +508,7 @@ mod tests {
     #[test]
     fn dense_ramps_cache_treewidth_bounds() {
         // A dense instance whose Gaifman graph exceeds the treewidth
-        // budget provably (MMD): the stage is skipped on later
+        // budget provably (MMD⁺): the stage is skipped on later
         // additions-only updates.
         let k4 = generators::complete_graph(4);
         let session = Session::compile(&k4);

@@ -152,18 +152,19 @@ pub struct ServerConfig {
     pub registry_capacity: usize,
     /// Maximum solves admitted and not yet answered, summed over all
     /// connections; beyond this new solves are refused with
-    /// `Overloaded`.
+    /// `Overloaded`. At least 1, or [`Server::bind`] refuses the config.
     pub max_queue_depth: usize,
     /// Granularity at which blocked reads re-check the shutdown flag
     /// once a frame has started arriving, and at which a reply write
-    /// the peer is not taking re-checks it.
+    /// the peer is not taking re-checks it. Nonzero, or
+    /// [`Server::bind`] refuses the config.
     pub poll_interval: Duration,
     /// Granularity at which a connection waiting for the *first* byte
     /// of a frame re-checks the shutdown flag. Much wider than
     /// [`ServerConfig::poll_interval`]: an idle connection has nothing
     /// to drain, so waking it 40×/s is pure overhead. The cost is
     /// shutdown noticing idle connections this much later, never
-    /// correctness.
+    /// correctness. Nonzero, or [`Server::bind`] refuses the config.
     pub idle_poll_interval: Duration,
     /// How long, once shutdown begins, a connection keeps waiting for
     /// the rest of a frame it already started reading, or for its peer
@@ -259,12 +260,22 @@ impl Server {
     /// # Errors
     /// `InvalidInput`, before anything is bound, if
     /// `cfg.registry_capacity` is 0 (a registry with no room for a
-    /// template); otherwise whatever binding the listener returns.
+    /// template), `cfg.max_queue_depth` is 0 (every solve would be
+    /// refused), or `cfg.poll_interval` or `cfg.idle_poll_interval` is
+    /// zero (`std` refuses a zero socket timeout, so reads would never
+    /// wake to notice shutdown); otherwise whatever binding the listener
+    /// returns.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> std::io::Result<Server> {
-        if cfg.registry_capacity == 0 {
+        let zero = [
+            ("registry_capacity", cfg.registry_capacity == 0),
+            ("max_queue_depth", cfg.max_queue_depth == 0),
+            ("poll_interval", cfg.poll_interval.is_zero()),
+            ("idle_poll_interval", cfg.idle_poll_interval.is_zero()),
+        ];
+        if let Some((field, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
             return Err(std::io::Error::new(
                 ErrorKind::InvalidInput,
-                "registry_capacity must be at least 1",
+                format!("{field} must be nonzero"),
             ));
         }
         let listener = TcpListener::bind(addr)?;
@@ -1146,17 +1157,50 @@ mod tests {
         }
     }
 
+    /// `Server::bind`'s error for `cfg`, which must be a refusal naming
+    /// `field`.
+    fn assert_refused(cfg: ServerConfig, field: &str) {
+        let Err(e) = Server::bind("127.0.0.1:0", cfg) else {
+            panic!("a server with zero {field} started");
+        };
+        assert_eq!(e.kind(), ErrorKind::InvalidInput);
+        assert!(e.to_string().starts_with(field), "{e}");
+    }
+
     #[test]
     fn zero_registry_capacity_is_refused() {
         let cfg = ServerConfig {
             registry_capacity: 0,
             ..ServerConfig::default()
         };
-        let Err(e) = Server::bind("127.0.0.1:0", cfg) else {
-            panic!("a server with no room for a template started");
+        assert_refused(cfg, "registry_capacity");
+    }
+
+    #[test]
+    fn zero_queue_depth_is_refused() {
+        let cfg = ServerConfig {
+            max_queue_depth: 0,
+            ..ServerConfig::default()
         };
-        assert_eq!(e.kind(), ErrorKind::InvalidInput);
-        assert!(e.to_string().contains("registry_capacity"), "{e}");
+        assert_refused(cfg, "max_queue_depth");
+    }
+
+    #[test]
+    fn zero_poll_interval_is_refused() {
+        let cfg = ServerConfig {
+            poll_interval: Duration::ZERO,
+            ..ServerConfig::default()
+        };
+        assert_refused(cfg, "poll_interval");
+    }
+
+    #[test]
+    fn zero_idle_poll_interval_is_refused() {
+        let cfg = ServerConfig {
+            idle_poll_interval: Duration::ZERO,
+            ..ServerConfig::default()
+        };
+        assert_refused(cfg, "idle_poll_interval");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   the same for a given elimination order, and
 //!   [`solve_with_decomposition_pooled`] validates a caller's
 //!   decomposition and loads it into the same rows, so there is one
-//!   lowering.
+//!   lowering. Under a width budget, min-fill stops at the first bag
+//!   wider than it, and [`DpScratch::proves_treewidth_above`] reloads
+//!   the rows for an MMD⁺ bound that can prove no order fits.
 //! * **Lowering.** Flat arrays: bag elements, each `A`-tuple as a
 //!   relation plus bag positions checked at the first bag holding it
 //!   (found by AND-ing per-element rows of holder bags), each child's
@@ -203,6 +205,9 @@ impl RowSets {
 /// tables. A batch worker keeps one next to its propagation arena so
 /// the route allocates nothing once the buffers reach the batch's
 /// high-water mark; a fresh (default) scratch gives the same answers.
+/// When min-fill overshoots a width budget, the same rows serve the
+/// MMD⁺ bound that can prove no order fits
+/// ([`proves_treewidth_above`](DpScratch::proves_treewidth_above)).
 #[derive(Debug, Default)]
 pub struct DpScratch {
     /// `A`'s Gaifman graph as word rows and its elimination's bags and
@@ -239,12 +244,10 @@ pub enum MinFillOutcome {
         /// A homomorphism, or `None` when there is none.
         homomorphism: Option<Homomorphism>,
     },
-    /// The min-fill width exceeds the budget; the DP did not run.
-    /// [`DpScratch::order`] holds the min-fill order.
-    OverBudget {
-        /// The min-fill width.
-        width: usize,
-    },
+    /// Min-fill reached a bag wider than the budget and stopped there;
+    /// the DP did not run. [`DpScratch::proves_treewidth_above`] can
+    /// then prove that no order fits the budget.
+    OverBudget,
 }
 
 /// Solves `hom(A → B)` using the supplied tree decomposition of `A`.
@@ -291,8 +294,9 @@ pub fn solve_with_decomposition_pooled(
 /// The Theorem 5.4 route in one step: eliminates `A`'s Gaifman graph,
 /// built straight from `A`'s tuples, in min-fill order, and when the
 /// width is at most `max_width` runs the DP over the elimination's bags
-/// against a prebuilt support index over `b`. The answer is identical
-/// to [`solve_with_decomposition`] on
+/// against a prebuilt support index over `b`; min-fill stops at the
+/// first bag wider than `max_width`. The answer is identical to
+/// [`solve_with_decomposition`] on
 /// `decomposition_from_elimination(&gaifman_graph(a), &min_fill_order(..))`.
 ///
 /// # Panics
@@ -309,13 +313,11 @@ pub fn solve_min_fill_pooled(
         "homomorphism across different vocabularies"
     );
     scratch.elim.load_structure(a);
-    scratch.elim.run(None);
-    let width = scratch.elim.width();
-    if width > max_width {
-        return MinFillOutcome::OverBudget { width };
+    if !scratch.elim.run(None, max_width) {
+        return MinFillOutcome::OverBudget;
     }
     MinFillOutcome::Solved {
-        width,
+        width: scratch.elim.width(),
         homomorphism: scratch.solve_eliminated(a, b, support),
     }
 }
@@ -339,7 +341,7 @@ pub fn solve_with_order_pooled(
         "homomorphism across different vocabularies"
     );
     scratch.elim.load_structure(a);
-    scratch.elim.run(Some(order));
+    scratch.elim.run(Some(order), usize::MAX);
     scratch.solve_eliminated(a, b, support)
 }
 
@@ -439,11 +441,17 @@ fn trivial_answer(a: &Structure, b: &Structure) -> Option<Option<Homomorphism>> 
 }
 
 impl DpScratch {
-    /// The elimination order of the last [`solve_min_fill_pooled`] or
-    /// [`solve_with_order_pooled`] call on this scratch (empty after
-    /// [`solve_with_decomposition_pooled`]).
-    pub fn order(&self) -> &[usize] {
-        self.elim.order()
+    /// Whether the MMD or MMD⁺ lower bound on the treewidth of `A`'s
+    /// Gaifman graph exceeds `k`:
+    /// `mmd_lower_bound(&g).max(mmd_plus_lower_bound(&g)) > k` for
+    /// `g = gaifman_graph(a)`, decided on the scratch's word rows
+    /// (reloaded from `A`'s tuples) without building `g`. `true` proves
+    /// that no elimination order of `A` has width at most `k`; `false`
+    /// proves nothing. The run stops at its first minimum degree above
+    /// `k` (see [`lower_bounds`](crate::lower_bounds)).
+    pub fn proves_treewidth_above(&mut self, a: &Structure, k: usize) -> bool {
+        self.elim.load_structure(a);
+        self.elim.mmd_plus_exceeds(k)
     }
 
     /// Lowers and solves the elimination the core just ran on `a`.
@@ -940,7 +948,7 @@ pub fn homomorphism_via_treewidth(a: &Structure, b: &Structure) -> (Option<Homom
             width,
             homomorphism,
         } => (homomorphism, width),
-        MinFillOutcome::OverBudget { .. } => unreachable!("no width exceeds usize::MAX"),
+        MinFillOutcome::OverBudget => unreachable!("no width exceeds usize::MAX"),
     }
 }
 

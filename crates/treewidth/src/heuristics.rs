@@ -19,6 +19,9 @@
 //! wrappers over the same core. The `BitSet` constructions they
 //! replaced survive as [`min_fill_order_reference`] and
 //! [`decomposition_from_elimination_reference`], the parity oracles.
+//! When min-fill overshoots a width budget, the same rows run the MMD⁺
+//! lower bound that can prove no order fits
+//! ([`DpScratch::proves_treewidth_above`](crate::dp::DpScratch::proves_treewidth_above)).
 
 use crate::decomposition::TreeDecomposition;
 use cqcs_structures::{BitSet, Structure, UndirectedGraph};
@@ -43,7 +46,7 @@ pub fn min_degree_order(g: &UndirectedGraph) -> Vec<usize> {
 pub fn min_fill_order(g: &UndirectedGraph) -> Vec<usize> {
     let mut elim = Elimination::default();
     elim.load_graph(g);
-    elim.run(None);
+    elim.run(None, usize::MAX);
     elim.order
 }
 
@@ -126,7 +129,7 @@ pub fn decomposition_from_elimination(g: &UndirectedGraph, order: &[usize]) -> T
     assert_eq!(order.len(), g.len(), "order must cover every vertex");
     let mut elim = Elimination::default();
     elim.load_graph(g);
-    elim.run(Some(order));
+    elim.run(Some(order), usize::MAX);
     elim.to_decomposition()
 }
 
@@ -186,7 +189,7 @@ pub fn decomposition_from_elimination_reference(
 pub fn min_fill_decomposition(g: &UndirectedGraph) -> TreeDecomposition {
     let mut elim = Elimination::default();
     elim.load_graph(g);
-    elim.run(None);
+    elim.run(None, usize::MAX);
     elim.to_decomposition()
 }
 
@@ -266,8 +269,9 @@ pub(crate) struct Elimination {
     /// eliminated vertex's live neighbourhood, the live vertices whose
     /// fill count may have changed this step, and a scratch row.
     rows: Vec<u64>,
-    /// Cached fill-in counts (min-fill only); `usize::MAX` once
-    /// eliminated, so the first minimum is always a live vertex.
+    /// Cached fill-in counts (min-fill), or live degrees (MMD⁺);
+    /// `usize::MAX` once eliminated, so the first minimum is always a
+    /// live vertex.
     fill: Vec<usize>,
     /// The elimination order.
     order: Vec<usize>,
@@ -359,8 +363,10 @@ impl Elimination {
 
     /// Eliminates every vertex — in `order` when given, else in min-fill
     /// order — recording the order, one bag per step, the tree edges and
-    /// the width.
-    pub(crate) fn run(&mut self, order: Option<&[usize]>) {
+    /// the width. Stops at the first bag wider than `max_width` and
+    /// returns `false`, leaving the order and bags partial and the tree
+    /// edges unwired.
+    pub(crate) fn run(&mut self, order: Option<&[usize]>, max_width: usize) -> bool {
         let Elimination {
             n,
             words: w,
@@ -407,10 +413,14 @@ impl Elimination {
             for k in 0..w {
                 live[k] = row_v[k] & alive[k];
             }
+            let degree = count(live);
+            if degree > max_width {
+                return false;
+            }
             let bag = bags.len();
             bags.extend_from_slice(live);
             bags[bag + v / 64] |= 1 << (v % 64);
-            *width = (*width).max(count(live));
+            *width = (*width).max(degree);
             if order.is_none() {
                 // Fill counts change only where adjacency changes: v's
                 // neighbours lose v, and common neighbours of a new fill
@@ -470,11 +480,73 @@ impl Elimination {
                 None => {}
             }
         }
+        true
     }
 
-    /// The last elimination's order.
-    pub(crate) fn order(&self) -> &[usize] {
-        &self.order
+    /// Whether the MMD⁺ run on the loaded graph meets a minimum degree
+    /// above `k`, which proves the graph's treewidth exceeds `k`. The run
+    /// is [`mmd_plus_lower_bound`](crate::lower_bounds::mmd_plus_lower_bound)'s,
+    /// tie-breaks included: contract the first vertex of minimum degree
+    /// into its first minimum-degree neighbour (delete it when isolated).
+    /// It stops at the first minimum degree above `k`, or once at most
+    /// `k + 1` vertices remain and none can have one. Contraction rewrites
+    /// the adjacency rows, so reload before any other run.
+    ///
+    /// The answer is also whether MMD exceeds `k`: MMD⁺ never falls below
+    /// MMD. Let `C` be the vertices of the graph's `d`-core, `d` = MMD.
+    /// Until the run first picks a vertex of `C`, each contraction only
+    /// adds edges inside `C`, so every vertex of `C` keeps degree at least
+    /// `d`, and the minimum degree at that pick is at least `d`.
+    pub(crate) fn mmd_plus_exceeds(&mut self, k: usize) -> bool {
+        let Elimination {
+            n,
+            words: w,
+            adj,
+            rows,
+            fill: degree,
+            ..
+        } = self;
+        let (n, w) = (*n, *w);
+        let (alive, rows) = rows.split_at_mut(w);
+        let (nbrs, _) = rows.split_at_mut(w);
+        let live_degree =
+            |adj: &[u64], alive: &[u64], v: usize| count_and(&adj[v * w..(v + 1) * w], alive);
+        degree.clear();
+        degree.extend((0..n).map(|v| live_degree(adj, alive, v)));
+        // One step per vertex while more than `k + 1` remain: fewer
+        // cannot have a degree above `k`.
+        for _ in k.saturating_add(1)..n {
+            // The first minimum, as `Iterator::min_by_key` picks it; a
+            // removed vertex's `usize::MAX` is never below a live one.
+            let v = (1..n).fold(0, |best, u| if degree[u] < degree[best] { u } else { best });
+            if degree[v] > k {
+                return true;
+            }
+            let row_v = &adj[v * w..(v + 1) * w];
+            for i in 0..w {
+                nbrs[i] = row_v[i] & alive[i];
+            }
+            if let Some(t) = members(nbrs).min_by_key(|&u| degree[u]) {
+                // `t` absorbs `v`'s other neighbours, and they gain `t`.
+                nbrs[t / 64] &= !(1 << (t % 64));
+                let row_t = &mut adj[t * w..(t + 1) * w];
+                for i in 0..w {
+                    row_t[i] |= nbrs[i];
+                }
+                for u in members(nbrs) {
+                    adj[u * w + t / 64] |= 1 << (t % 64);
+                }
+                nbrs[t / 64] |= 1 << (t % 64);
+            }
+            alive[v / 64] &= !(1 << (v % 64));
+            degree[v] = usize::MAX;
+            // Only `v`'s neighbours changed: each lost `v`, and `t`'s
+            // neighbourhood grew.
+            for u in members(nbrs) {
+                degree[u] = live_degree(adj, alive, u);
+            }
+        }
+        false
     }
 
     /// The width of the bags: the largest bag's size minus one.
@@ -523,6 +595,15 @@ impl Elimination {
 #[inline]
 fn count(row: &[u64]) -> usize {
     row.iter().map(|x| x.count_ones() as usize).sum()
+}
+
+/// Number of members of the intersection of two word rows.
+#[inline]
+fn count_and(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
 }
 
 /// Fill-in count of `v` on rows of `w` words: non-adjacent pairs among
@@ -715,6 +796,53 @@ mod tests {
             }
             let want = decomposition_from_elimination_reference(g, &min_fill_order_reference(g));
             assert_same_decomposition(&min_fill_decomposition(g), &want, name);
+        }
+    }
+
+    #[test]
+    fn word_row_certificate_is_exactly_mmd_and_mmd_plus() {
+        // The certificate on word rows answers `max(MMD, MMD⁺) > k`,
+        // with `BitSet` runs as the oracle, on both sides of each bound
+        // and across word boundaries; one core is reloaded per call.
+        use crate::lower_bounds::{mmd_lower_bound, mmd_plus_lower_bound};
+        let mut graphs = word_boundary_graphs();
+        graphs.push((
+            "grid 6x6".into(),
+            gaifman_graph(&generators::grid_graph(6, 6)),
+        ));
+        graphs.push(("petersen".into(), gaifman_graph(&generators::petersen())));
+        graphs.push(("K7".into(), gaifman_graph(&generators::complete_graph(7))));
+        graphs.push(("empty".into(), UndirectedGraph::new(0)));
+        let mut elim = Elimination::default();
+        for (name, g) in &graphs {
+            let bound = mmd_lower_bound(g).max(mmd_plus_lower_bound(g));
+            for k in 0..=bound + 1 {
+                elim.load_graph(g);
+                assert_eq!(elim.mmd_plus_exceeds(k), bound > k, "{name}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn over_budget_elimination_stops_at_the_first_wide_bag() {
+        // The same order as an unbounded run up to the first bag wider
+        // than the budget, and no further.
+        for seed in 0..8u64 {
+            let g = gaifman_graph(&generators::random_graph_nm(12, 24, seed));
+            let full = min_fill_order(&g);
+            let td = decomposition_from_elimination(&g, &full);
+            let mut elim = Elimination::default();
+            for budget in 0..=td.width() {
+                elim.load_graph(&g);
+                let within = elim.run(None, budget);
+                assert_eq!(within, budget >= td.width(), "seed {seed}");
+                let first_wide = td.bags.iter().position(|b| b.len() > budget + 1);
+                assert_eq!(
+                    elim.order,
+                    full[..first_wide.unwrap_or(full.len())],
+                    "seed {seed}, budget {budget}"
+                );
+            }
         }
     }
 

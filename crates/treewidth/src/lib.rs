@@ -19,7 +19,9 @@
 //!   decomposition;
 //! * [`lower_bounds`] — the MMD / MMD+ degeneracy lower bounds the
 //!   search prunes against (and the sandwich the property suite pins:
-//!   `mmd ≤ exact ≤ min-fill`);
+//!   `mmd ≤ exact ≤ min-fill`); [`dp::DpScratch::proves_treewidth_above`]
+//!   runs MMD+ on the DP's word rows to prove a width budget
+//!   unreachable;
 //! * [`dp`] — the bounded-treewidth homomorphism solver: dynamic
 //!   programming over bag assignments, polynomial for fixed width,
 //!   lowered straight from the min-fill elimination's rows into flat bag

@@ -1,6 +1,8 @@
 //! Degeneracy-style treewidth lower bounds.
 //!
-//! The branch-and-bound solver ([`crate::bb`]) prunes against these.
+//! The branch-and-bound solver ([`crate::bb`]) prunes against these,
+//! and [`DpScratch::proves_treewidth_above`](crate::dp::DpScratch::proves_treewidth_above)
+//! runs MMD+ on the DP's word rows to prove a width budget unreachable.
 //! Both are classics from the treewidth lower-bound literature:
 //!
 //! * **MMD** (maximum minimum degree, a.k.a. degeneracy): repeatedly
@@ -11,8 +13,10 @@
 //! * **MMD+** (least-c variant): *contract* the minimum-degree vertex
 //!   into its least-degree neighbour instead of deleting it. Every
 //!   intermediate graph is a minor and treewidth is minor-monotone;
-//!   contraction keeps degrees up, so MMD+ dominates MMD in practice
-//!   (grids: 2 vs `min(rows, cols)`-ish).
+//!   contraction keeps degrees up, so MMD+ never falls below MMD (until
+//!   the run first picks a vertex of the MMD-core, contractions only add
+//!   edges inside it) and is often well above it (grids: 2 vs
+//!   `min(rows, cols)`-ish).
 
 use cqcs_structures::{BitSet, UndirectedGraph};
 

@@ -496,13 +496,21 @@ proptest! {
     }
 
     /// The sandwich every width measure must respect:
-    /// `mmd ≤ mmd⁺ ≤ exact ≤ min(min-fill, min-degree)`.
+    /// `mmd ≤ mmd⁺ ≤ exact ≤ min(min-fill, min-degree)`, with
+    /// `DpScratch::proves_treewidth_above` pinned to the lower bounds.
     #[test]
     fn treewidth_sandwich(a in digraph(12, 36)) {
         let g = cqcs::structures::gaifman_graph(&a);
         let exact = exact_treewidth(&g);
         prop_assert!(mmd_lower_bound(&g) <= exact);
         prop_assert!(mmd_plus_lower_bound(&g) <= exact);
+        // The DP scratch's certificate is exactly `max(MMD, MMD⁺) > k`,
+        // so it is sound by the two bounds above.
+        let bound = mmd_lower_bound(&g).max(mmd_plus_lower_bound(&g));
+        let mut scratch = DpScratch::default();
+        for k in 0..=4 {
+            prop_assert_eq!(scratch.proves_treewidth_above(&a, k), bound > k, "k = {}", k);
+        }
         let min_fill = elimination_width(&g, &min_fill_order(&g));
         let min_degree = elimination_width(&g, &min_degree_order(&g));
         prop_assert!(exact <= min_fill.min(min_degree));
