@@ -98,17 +98,21 @@ pub const MAX_NAME_LEN: usize = 4096;
 /// past this bound is rejected with [`DecodeError::Oversized`] (carrying
 /// that total) before the structure is built.
 pub const MAX_UNIVERSE: u32 = 1 << 20;
-/// Upper bound on a registered template's support cells, Σ_r
-/// `arity_r · |B|` over its relations. Compiling a template builds one
-/// support bitset per (relation position, element), about 32 bytes
-/// each before any tuple is read, so a bare claim — an empty wide
-/// relation over a large universe — would cost memory and time out of
-/// all proportion to its frame. `RegisterTemplate` decoding rejects a
-/// template past this bound with [`DecodeError::Oversized`] (carrying
-/// the cell count) before the structure is built; `2^21` still admits a
-/// binary relation over [`MAX_UNIVERSE`] elements. Instances are not
-/// capped here: they never build a support index.
-pub const MAX_SUPPORT_CELLS: u64 = 1 << 21;
+/// Upper bound on the `u64` words a registered template's support
+/// index takes, Σ_r `arity_r · |B| · max(1, ⌈|R|/64⌉)` over its
+/// relations. Compiling a template builds one support bitset per
+/// (relation position, element), each `|R|` bits wide, and the
+/// propagation program copies them, so memory grows with both the
+/// universe and the tuple count: a 1 MiB frame of 131,053 binary tuples
+/// over 16,384 elements would otherwise cost about a gigabyte to
+/// compile, and a 4 MiB one more than a 4 GiB address space holds.
+/// `RegisterTemplate` decoding adds each relation's words as its tuple
+/// count is read, before its tuples, and rejects the template once the
+/// sum passes this bound with [`DecodeError::Oversized`] (carrying the
+/// sum). `2^21` still admits a binary relation of at most 64 tuples
+/// over [`MAX_UNIVERSE`] elements. Instances are not capped here: they
+/// never build a support index.
+pub const MAX_SUPPORT_WORDS: u64 = 1 << 21;
 /// High bit of the correlation id, set by clients on **retry** sends of
 /// an idempotent request. The server echoes ids verbatim (the bit does
 /// not change routing or matching — low bits keep ids unique) but
@@ -491,7 +495,7 @@ fn encode_structure(out: &mut Vec<u8>, s: &Structure) {
 /// Decodes one structure of a request, adding its universe to
 /// `universe_total`, the request's running sum, which must stay within
 /// [`MAX_UNIVERSE`]. A template (`template = true`) must also stay
-/// within [`MAX_SUPPORT_CELLS`].
+/// within [`MAX_SUPPORT_WORDS`].
 fn decode_structure(
     r: &mut Reader<'_>,
     universe_total: &mut u64,
@@ -526,19 +530,23 @@ fn decode_structure(
         // is a remote-allocation DoS. Reject before the builder exists.
         return Err(DecodeError::Oversized(*universe_total));
     }
-    if template {
-        let cells =
-            voc.iter().map(|rel| voc.arity(rel) as u64).sum::<u64>() * u64::from(universe_claim);
-        if cells > MAX_SUPPORT_CELLS {
-            return Err(DecodeError::Oversized(cells));
-        }
-    }
     let universe = universe_claim as usize;
     let mut builder = StructureBuilder::new(std::sync::Arc::clone(&voc), universe);
     let mut tuple: Vec<Element> = Vec::new();
+    let mut support_words = 0u64;
     for rel in voc.iter() {
         let ntuples = r.u32()? as usize;
         let arity = voc.arity(rel);
+        if template {
+            // Charge this relation's support bitsets before reading a
+            // tuple: each term is below 2^62 and the sum so far within
+            // the bound, so the addition cannot overflow.
+            let row_words = (ntuples as u64).div_ceil(64).max(1);
+            support_words += arity as u64 * u64::from(universe_claim) * row_words;
+            if support_words > MAX_SUPPORT_WORDS {
+                return Err(DecodeError::Oversized(support_words));
+            }
+        }
         for _ in 0..ntuples {
             tuple.clear();
             for _ in 0..arity {
@@ -1307,9 +1315,9 @@ mod tests {
     }
 
     #[test]
-    fn template_support_cells_are_capped_before_building() {
+    fn template_support_words_are_capped_before_the_tuples() {
         // An empty arity-16 relation over 2^20 elements claims 2^24
-        // support cells: refused, carrying the count, before the
+        // support words: refused, carrying the count, before the
         // structure (let alone a support index) exists.
         let p = empty_template_payload(&[16], MAX_UNIVERSE);
         assert_eq!(
@@ -1326,8 +1334,8 @@ mod tests {
         // Exactly at the cap decodes: a binary relation plus a 0-ary
         // one over MAX_UNIVERSE elements, and arity 16 over 2^17.
         for (arities, universe) in [(&[2u16, 0][..], MAX_UNIVERSE), (&[16][..], 1 << 17)] {
-            let cells = arities.iter().map(|&k| u64::from(k)).sum::<u64>() * u64::from(universe);
-            assert_eq!(cells, MAX_SUPPORT_CELLS);
+            let words = arities.iter().map(|&k| u64::from(k)).sum::<u64>() * u64::from(universe);
+            assert_eq!(words, MAX_SUPPORT_WORDS);
             let p = empty_template_payload(arities, universe);
             let (_, Request::RegisterTemplate { template }) =
                 Request::decode(&test_frame(K_REGISTER, 0, &p)).unwrap()
@@ -1340,6 +1348,53 @@ mod tests {
         // Solve instance.
         let p = empty_instance_payload(16, MAX_UNIVERSE);
         assert!(Request::decode(&test_frame(K_SOLVE, 0, &p)).is_ok());
+    }
+
+    /// A `RegisterTemplate` payload of one binary relation `E` over
+    /// `universe` elements holding `ntuples` distinct arcs.
+    fn binary_template_payload(universe: u32, ntuples: u32) -> Vec<u8> {
+        let mut p = Vec::with_capacity(16 + 8 * ntuples as usize);
+        put_u16(&mut p, 1);
+        put_u16(&mut p, 1);
+        p.extend_from_slice(b"E");
+        put_u16(&mut p, 2);
+        put_u32(&mut p, universe);
+        put_u32(&mut p, ntuples);
+        for k in 0..ntuples {
+            // Arc k leaves k mod |B| and skips ahead 1 + (k / |B|)·2039,
+            // distinct for the fewer than 16·|B| arcs asked of it.
+            let (from, round) = (k % universe, k / universe);
+            put_u32(&mut p, from);
+            put_u32(&mut p, (from + 1 + round * 2039) % universe);
+        }
+        p
+    }
+
+    #[test]
+    fn template_support_words_count_the_tuples() {
+        // A 4 MiB payload: 524,174 arcs over 32,768 elements would take
+        // 2 · 32,768 · 8,191 support words; refused as its tuple count
+        // is read, before any tuple.
+        let p = binary_template_payload(1 << 15, 524_174);
+        assert_eq!(p.len().div_ceil(1 << 20), 4);
+        assert_eq!(
+            Request::decode(&test_frame(K_REGISTER, 0, &p)).unwrap_err(),
+            DecodeError::Oversized(2 * (1 << 15) * 8_191)
+        );
+        // At 2^14 elements a relation fills the bound at 64 · 64 arcs
+        // (64 words per bitset); one more arc needs a 65th word.
+        let p = binary_template_payload(1 << 14, 64 * 64);
+        let (_, Request::RegisterTemplate { template }) =
+            Request::decode(&test_frame(K_REGISTER, 0, &p)).unwrap()
+        else {
+            panic!("wrong kind");
+        };
+        assert_eq!(template.total_tuples(), 64 * 64);
+        let p = binary_template_payload(1 << 14, 64 * 64 + 1);
+        assert_eq!(
+            Request::decode(&test_frame(K_REGISTER, 0, &p)).unwrap_err(),
+            DecodeError::Oversized(2 * (1 << 14) * 65)
+        );
     }
 
     /// A `Solve` payload for template 1 whose instance has one

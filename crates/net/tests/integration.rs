@@ -611,7 +611,7 @@ fn malformed_payload_keeps_connection_alive() {
 #[test]
 fn oversized_template_registration_is_refused_fast_and_connection_survives() {
     // RegisterTemplate: one empty arity-16 relation over 2^20 elements,
-    // 2^24 support cells. Refused at decode as Malformed, well before
+    // 2^24 support words. Refused at decode as Malformed, well before
     // any support index could be built, and framing stays in sync.
     let server = default_server();
     let mut s = TcpStream::connect(server.local_addr()).unwrap();

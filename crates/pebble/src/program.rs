@@ -9,9 +9,12 @@
 //! * [`PropProgram`] lowers a [`SupportIndex`] over a fixed template
 //!   `B` into dense CSR-style pools — one flat `u64` slab holding every
 //!   `(relation, position, value) → supporting-tuple` bitset at a
-//!   computed offset, the position projections beside it, and `B`'s
-//!   tuples flattened to a `u32` array. A program is immutable, `Sync`,
-//!   and shared via `Arc` by every worker solving against its template.
+//!   computed offset, the position projections beside it, `B`'s
+//!   tuples flattened to a `u32` array, and, when `|B| ≤ 64`, each
+//!   binary relation's per-value neighbour words (forward rows
+//!   `{b : (a, b) ∈ R}` and backward rows `{a : (a, b) ∈ R}`). A
+//!   program is immutable, `Sync`, and shared via `Arc` by every worker
+//!   solving against its template.
 //! * [`ProgramPropagator`] executes a program over one
 //!   [`PropArena`]: domains, domain sizes, the undo trail, the worklist
 //!   ring and its membership bitset, and the revision scratch sets all
@@ -19,10 +22,13 @@
 //!   reset in O(words) per instance ([`reset_for_instance`]).
 //!
 //! Compared with re-running the from-scratch refinement at every search
-//! node, the engine computes an `A`-tuple's live witnesses by bitset
-//! unions and intersections over the support slabs instead of
-//! rescanning `R^B`; trails `(element, removed value)` deltas in
-//! per-assignment frames, so `assign`/`undo` cost O(changed); and seeds
+//! node, the engine revises an `A`-tuple without rescanning `R^B`: a
+//! binary tuple `(x, y)` over `|B| ≤ 64` unions neighbour rows over the
+//! other element's domain (at most `|dom(x)| + |dom(y)|` word ORs,
+//! however many tuples `R^B` has), and any other tuple computes its
+//! live witnesses by bitset unions and intersections over the support
+//! slabs. It trails `(element, removed value)` deltas in
+//! per-assignment frames, so `assign`/`undo` cost O(changed), and seeds
 //! its worklist only with the tuples through changed elements. Domains
 //! sit at the arc-consistency fixpoint of the current assignment prefix
 //! (except transiently inside a failed `assign`, which the matching
@@ -32,7 +38,10 @@
 //! is the executable specification: this module's unit tests and the
 //! property suite pin the engine's verdicts to it everywhere, and its
 //! fixpoint domains and deletion counts wherever the instance stays
-//! consistent, after `establish` and after every `assign`/`undo`.
+//! consistent, after `establish` and after every `assign`/`undo`. What
+//! it cannot see after a wipeout (the partially pruned domains and the
+//! deletions counted on the way) reaches MAC's nodes, backtracks and
+//! witnesses, which `cqcs-core`'s `search_pin` test pins.
 //!
 //! [`reset_for_instance`]: ProgramPropagator::reset_for_instance
 
@@ -60,6 +69,12 @@ struct RelMeta {
     /// Offset of this relation's flattened tuples in `b_tuples`
     /// (`tuple_count * arity` entries, tuple-major).
     tuples_base: usize,
+    /// Offset of this relation's neighbour rows in `neighbour_words`,
+    /// present exactly when the relation is binary and `1 ≤ |B| ≤ 64`: the
+    /// forward row `{b : (a, b) ∈ R}` of `a` sits at `rows_base + a`,
+    /// the backward row `{a : (a, b) ∈ R}` of `b` at
+    /// `rows_base + |B| + b`.
+    rows_base: Option<usize>,
 }
 
 /// A template compiled to flat propagation pools — see the [module
@@ -82,6 +97,10 @@ pub struct PropProgram {
     /// `B`'s tuples flattened relation-major (components as element
     /// indexes).
     b_tuples: Vec<u32>,
+    /// Every binary relation's forward and backward neighbour rows, one
+    /// word per value, `2 * universe` words per relation (only when
+    /// `1 ≤ universe ≤ 64`).
+    neighbour_words: Vec<u64>,
 }
 
 impl PropProgram {
@@ -103,6 +122,7 @@ impl PropProgram {
         let mut support_words = Vec::new();
         let mut proj_words = Vec::new();
         let mut b_tuples = Vec::new();
+        let mut neighbour_words = Vec::new();
         for r in b.vocabulary().iter() {
             let rel = b.relation(r);
             assert_eq!(
@@ -117,7 +137,16 @@ impl PropProgram {
                 support_base: support_words.len(),
                 proj_base: proj_words.len(),
                 tuples_base: b_tuples.len(),
+                rows_base: (rel.arity() == 2 && word_blocks == 1).then_some(neighbour_words.len()),
             };
+            if let Some(rows) = meta.rows_base {
+                neighbour_words.resize(rows + 2 * universe, 0);
+                for w in rel.iter() {
+                    let (x, y) = (w[0].index(), w[1].index());
+                    neighbour_words[rows + x] |= 1u64 << y;
+                    neighbour_words[rows + universe + y] |= 1u64 << x;
+                }
+            }
             for p in 0..meta.arity {
                 for v in 0..universe {
                     support_words.extend_from_slice(support.supports(r, p, v).words());
@@ -137,6 +166,7 @@ impl PropProgram {
             support_words,
             proj_words,
             b_tuples,
+            neighbour_words,
         }
     }
 
@@ -190,6 +220,19 @@ impl PropProgram {
     fn support_word(&self, m: &RelMeta, p: usize, v: usize) -> u64 {
         debug_assert_eq!(m.tuple_words, 1);
         self.support_words[m.support_base + p * self.universe + v]
+    }
+
+    /// The union of the neighbour rows at `base + v` over `v ∈ set`.
+    #[inline]
+    fn row_union(&self, base: usize, set: u64) -> u64 {
+        let rows = &self.neighbour_words[base..base + self.universe];
+        let mut acc = 0u64;
+        let mut bits = set;
+        while bits != 0 {
+            acc |= rows[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        acc
     }
 
     /// Single-word projection for `(r, p)` — the scalar form of
@@ -865,36 +908,72 @@ impl<'s> ProgramPropagator<'s> {
     }
 
     /// Revises one `A`-tuple against the compiled pools, word at a
-    /// time: live witnesses by union/intersection over the CSR support
-    /// slabs (with the cached projection fast path while every domain
-    /// is still full), then per-position removals `dom & !supported`
-    /// trailed in ascending order, enqueueing the tuples through any
-    /// element that shrank. Returns `false` if a domain emptied.
+    /// time: computes each position's supported set, then applies the
+    /// per-position removals `dom & !supported`, trailed in ascending
+    /// order, enqueueing the tuples through any element that shrank.
+    /// Returns `false` if a domain emptied.
     ///
-    /// Dispatches to the scalar specialization when both the domains
-    /// and this relation's support sets fit one `u64` each — the
-    /// common case for small templates (e.g. K3), where the generic
-    /// slice kernels' loop and bounds overhead would dominate.
+    /// The supported sets come from one of three kernels, chosen by
+    /// the relation's arity and `|B|` alone:
+    ///
+    /// * a binary relation with `|B| ≤ 64` unions the program's
+    ///   neighbour rows over the other position's domain
+    ///   ([`revise_binary`](ProgramPropagator::revise_binary)), however
+    ///   many tuples `R^B` has;
+    /// * any other relation whose domains and support sets fit one
+    ///   `u64` each walks its live `B`-tuples in registers
+    ///   ([`revise_scalar`](ProgramPropagator::revise_scalar));
+    /// * the rest AND multi-word support slabs
+    ///   ([`revise_wide`](ProgramPropagator::revise_wide)).
+    ///
+    /// All three remove exactly the values without a live witness, so
+    /// trail order and deletion counts do not depend on the kernel.
     #[inline]
     fn revise(&mut self, r: RelId, t: usize) -> bool {
         let m = self.program.rels[r.index()];
-        if self.layout.wb == 1 && m.tuple_words == 1 {
+        if let Some(rows) = m.rows_base {
+            self.revise_binary(r, t, m, rows)
+        } else if self.layout.wb == 1 && m.tuple_words == 1 {
             self.revise_scalar(r, t, m)
         } else {
             self.revise_wide(r, t)
         }
     }
 
-    /// [`revise`](ProgramPropagator::revise) when every bitset involved
-    /// is a single word (`|B| ≤ 64` and `|R^B| ≤ 64`): identical
-    /// semantics and identical observable order (trail entries ascend
-    /// per position, occurrence enqueues in list order), but all set
-    /// algebra happens in registers on `u64` scalars.
+    /// [`revise`](ProgramPropagator::revise) for an `A`-tuple `(x, y)`
+    /// of a binary relation over `|B| ≤ 64`: `x` keeps the values with a
+    /// neighbour in `dom(y)`, the union of the backward rows over
+    /// `dom(y)`, and `y` keeps the union of the forward rows over
+    /// `dom(x)`. A union over a full domain is the cached position
+    /// projection. Both read the domains on entry, as the live-tuple
+    /// kernels do, so a loop `(x, x)` prunes exactly as they would.
+    fn revise_binary(&mut self, r: RelId, t: usize, m: RelMeta, rows: usize) -> bool {
+        let tuple = self.a.relation(r).tuple(t);
+        let l = self.layout;
+        let program: &PropProgram = &self.program;
+        let words = self.arena.words_mut();
+        let (x, y) = (tuple[0].index(), tuple[1].index());
+        words[l.supported] = if words[l.sizes + y] == l.d as u64 {
+            program.projection_word(&m, 0)
+        } else {
+            program.row_union(rows + l.d, words[l.domains + y])
+        };
+        words[l.supported + 1] = if words[l.sizes + x] == l.d as u64 {
+            program.projection_word(&m, 1)
+        } else {
+            program.row_union(rows, words[l.domains + x])
+        };
+        self.prune_scalar(tuple)
+    }
+
+    /// [`revise`](ProgramPropagator::revise) for a non-binary relation
+    /// when every bitset involved is a single word (`|B| ≤ 64` and
+    /// `|R^B| ≤ 64`): the live witnesses and the supported sets they
+    /// scatter to are computed in registers on `u64` scalars.
     fn revise_scalar(&mut self, r: RelId, t: usize, m: RelMeta) -> bool {
         let ri = r.index();
-        let a = self.a;
         let program: &PropProgram = &self.program;
-        let tuple = a.relation(r).tuple(t);
+        let tuple = self.a.relation(r).tuple(t);
         let arity = tuple.len();
         let l = self.layout;
         let words = self.arena.words_mut();
@@ -940,9 +1019,21 @@ impl<'s> ProgramPropagator<'s> {
                 bits &= bits - 1;
             }
         }
+        self.prune_scalar(tuple)
+    }
 
-        // Intersect each element's domain with its supported set,
-        // trailing every removal so `undo` can restore it.
+    /// The removal half of the single-word kernels: intersects each
+    /// element's domain with its supported set (`supported[p]`, one
+    /// word per position), trailing every removal so `undo` can restore
+    /// it, and enqueues the tuples through each element that shrank.
+    /// Returns `false` at the first domain that empties.
+    // Forced inline: left as a call, it made a K3 establish about a
+    // tenth slower than the loop it replaced inside `revise_scalar`.
+    #[inline(always)]
+    fn prune_scalar(&mut self, tuple: &[Element]) -> bool {
+        let a = self.a;
+        let l = self.layout;
+        let words = self.arena.words_mut();
         for (p, &e) in tuple.iter().enumerate() {
             let ei = e.index();
             let sup = words[l.supported + p];

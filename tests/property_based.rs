@@ -563,32 +563,37 @@ proptest! {
     }
 
     /// The compiled engine agrees with the reference refinement on
-    /// templates past the single-word regime (universe > 64, often > 64
-    /// tuples per relation), forcing its multi-word kernels rather than
-    /// its scalar specialization: the establish fixpoint, every assign
-    /// along a random path, and the exact restore after unwinding.
-    /// Stress-runnable via `PROPTEST_CASES=5000`.
+    /// templates past the single-tuple-word regime, where the scalar
+    /// live-tuple kernel never runs: a wide template (universe > 64,
+    /// often > 64 tuples per relation) on the multi-word kernels, and a
+    /// narrow one (33–64 elements, > 64 tuples, self-loops) on the
+    /// binary neighbour-row kernel. For each: the establish fixpoint,
+    /// every assign along a random path, and the exact restore after
+    /// unwinding. Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
     fn compiled_engine_matches_interpreted_wide(
         a in digraph(6, 12),
-        b in wide_digraph(),
-        picks in proptest::collection::vec((0usize..8, 0usize..8), 0..3),
+        wide in wide_digraph(),
+        narrow in dense_narrow_digraph(),
+        picks in proptest::collection::vec((0usize..8, 0usize..64), 0..3),
     ) {
-        let mut comp = ProgramPropagator::new(&a, &b, compile_for(&b));
-        if !establish_matches_reference(&mut comp)? {
-            return Ok(());
-        }
-        let base = comp.domains_vec();
-        for (xe, vv) in picks {
-            let x = Element::new(xe % a.universe());
-            if !assign_matches_reference(&mut comp, x, vv)? {
-                break;
+        for b in [&wide, &narrow] {
+            let mut comp = ProgramPropagator::new(&a, b, compile_for(b));
+            if !establish_matches_reference(&mut comp)? {
+                continue;
             }
+            let base = comp.domains_vec();
+            for &(xe, vv) in &picks {
+                let x = Element::new(xe % a.universe());
+                if !assign_matches_reference(&mut comp, x, vv)? {
+                    break;
+                }
+            }
+            while comp.depth() > 0 {
+                comp.undo();
+            }
+            prop_assert_eq!(comp.domains_vec(), base);
         }
-        while comp.depth() > 0 {
-            comp.undo();
-        }
-        prop_assert_eq!(comp.domains_vec(), base);
     }
 
     /// Parking the engine and resuming it through a delta
@@ -957,6 +962,28 @@ fn wide_digraph() -> impl Strategy<Value = cqcs::structures::Structure> {
             }
             b.finish()
         })
+}
+
+/// A binary template whose domains fit one word but whose tuples do
+/// not: 33–64 elements (so bit 63 occurs), 65–400 drawn arcs, a loop on
+/// the top element and a few more loops, keeping more than 64 tuples.
+fn dense_narrow_digraph() -> impl Strategy<Value = cqcs::structures::Structure> {
+    (
+        33usize..=64,
+        proptest::collection::vec((0u32..64, 0u32..64), 65..=400),
+        proptest::collection::vec(0u32..64, 0..=4),
+    )
+        .prop_map(|(n, edges, loops)| {
+            let voc = generators::digraph_vocabulary();
+            let mut b = cqcs::structures::StructureBuilder::new(voc, n);
+            let top = n as u32 - 1;
+            for (x, y) in edges.into_iter().chain(loops.iter().map(|&v| (v, v))) {
+                let _ = b.add_fact("E", &[x % n as u32, y % n as u32]);
+            }
+            let _ = b.add_fact("E", &[top, top]);
+            b.finish()
+        })
+        .prop_filter("more than 64 tuples", |b| b.total_tuples() > 64)
 }
 
 /// The four decompositions the DP parity property runs: min-fill,
