@@ -5,7 +5,7 @@
 use cqcs_core::{backtracking_search, solve, SearchOptions, Strategy};
 use cqcs_pebble::consistency::{refine_domains, refine_domains_reference};
 use cqcs_pebble::{ProgramPropagator, PropProgram};
-use cqcs_structures::{generators, BitSet, Element, SupportIndex};
+use cqcs_structures::{generators, BitSet, Element};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 
@@ -71,7 +71,7 @@ fn bench_propagation_engine(c: &mut Criterion) {
         // The serving regime: the program is compiled once per template
         // (CompiledTemplate), so the fixpoint pays only for binding and
         // propagation.
-        let program = Arc::new(PropProgram::compile(&k3, &SupportIndex::build(&k3)));
+        let program = Arc::new(PropProgram::compile(&k3));
         group.bench_with_input(
             BenchmarkId::new("fixpoint_indexed_prebuilt", &id),
             &g,

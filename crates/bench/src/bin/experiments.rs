@@ -812,10 +812,10 @@ fn e13() {
 fn e14() {
     println!("## E14 — Session reuse: one compiled template, streaming instances\n");
     println!(
-        "`Session::compile(B)` fixes the template once (support index and \
-         propagation program, `B`'s Schaefer plan, the Booleanized template and its \
-         plan); `session.solve(a)` then pays only per-instance work. The rows cover \
-         every pre-engine route — Schaefer (G(16,20) → K2), Booleanization \
+        "`Session::compile(B)` fixes the template once (the propagation program \
+         with the support index it owns, `B`'s Schaefer plan, the Booleanized \
+         template and its plan); `session.solve(a)` then pays only per-instance \
+         work. The rows cover every pre-engine route — Schaefer (G(16,20) → K2), Booleanization \
          (D(12,0.2) → C4) and Acyclic (paths → TT4) — next to two K3 rows that reach \
          the engine. The one-shot column is `core::solve` per call — itself a \
          compile-then-solve wrapper over the same session layer, so node counts and \
@@ -1011,11 +1011,11 @@ fn e15() {
 fn e16() {
     println!("## E16 — Compiled propagation: flat programs, arena-resident state\n");
     println!(
-        "The MAC engine, compiled: `PropProgram` lowers the template's support \
-         index into flat CSR-style `u64` pools and `ProgramPropagator` executes \
-         it with every piece of per-instance mutable state (domains, trail, \
-         worklist ring, revision scratch) living at fixed word offsets in one \
-         arena allocation. Each workload runs the same MRV+MAC search twice: \
+        "The MAC engine, compiled: `PropProgram` owns the template's flat support \
+         index (every support bitset in one `u64` slab) plus neighbour rows of its \
+         binary relations, and `ProgramPropagator` executes it with every piece \
+         of per-instance mutable state (domains, trail, worklist ring, revision \
+         scratch) living at fixed word offsets in one arena allocation. Each workload runs the same MRV+MAC search twice: \
          on one engine whose arena is reused across the batch (the production \
          route in `Session::solve`/`solve_batch`/`par_solve_batch`, and the \
          1.00× row), and on a fresh engine and arena per instance (ablating \

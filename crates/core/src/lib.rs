@@ -16,9 +16,9 @@
 //!   the tractable route the paper proves correct, falling back to
 //!   search only when no theorem applies;
 //! * [`session`] — the serving shape of the same algorithm:
-//!   [`Session::compile`] fixes the template `B` once (support index,
-//!   `B`'s Schaefer plan, the Booleanized template and its plan — each
-//!   computed at most once) and [`Session::solve`] / [`Session::solve_batch`]
+//!   [`Session::compile`] fixes the template `B` once (the propagation
+//!   program with its support index, `B`'s Schaefer plan, the
+//!   Booleanized template and its plan — each computed at most once) and [`Session::solve`] / [`Session::solve_batch`]
 //!   stream instances against it. [`solve`] is a thin
 //!   compile-then-solve wrapper, so both entry points route
 //!   identically; a [`CompiledTemplate`] is immutable and `Sync`, ready

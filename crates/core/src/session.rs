@@ -3,14 +3,15 @@
 //! The paper's reduction sends CQ containment to `hom(A → B)` with one
 //! side fixed: in the CSP(`B`) serving regime many instances `A` stream
 //! against a single template `B`. A plain [`solve`](crate::solve) call
-//! rebuilds everything about `B` per instance — the
-//! [`SupportIndex`] behind arc-consistency propagation, `B`'s Schaefer
-//! plan (classification plus the lowered Theorem 3.4 algorithm), the
-//! Booleanized template and *its* plan. [`CompiledTemplate`] computes
-//! each of these once; [`Session`] then answers `hom(A → B)` per
-//! instance with only the genuinely per-instance work (the plans'
-//! propagation or elimination, acyclicity, `A`'s treewidth, arc
-//! consistency, search) left on the hot path.
+//! rebuilds everything about `B` per instance — the propagation
+//! [`PropProgram`] (with the support index that arc consistency and
+//! the Theorem 5.4 DP both read), `B`'s Schaefer plan (classification
+//! plus the lowered Theorem 3.4 algorithm), the Booleanized template
+//! and *its* plan. [`CompiledTemplate`] computes each of these once;
+//! [`Session`] then answers `hom(A → B)` per instance with only the
+//! genuinely per-instance work (the plans' propagation or elimination,
+//! acyclicity, `A`'s treewidth, arc consistency, search) left on the
+//! hot path.
 //!
 //! A `CompiledTemplate` is immutable after construction (the lazy
 //! fields are `OnceLock`s) and `Sync`, so one compiled template can be
@@ -71,20 +72,17 @@ use std::sync::{Arc, OnceLock};
 /// fresh set on its stack next to the caller's borrowed `B` — so the
 /// wrapper clones nothing and still runs the identical routing code.
 /// Every fact is built at its first read: the Schaefer plans when a
-/// solve first reaches stage 1 or 3, the support index and program when
-/// one first binds an engine.
+/// solve first reaches stage 1 or 3, the program when one first binds
+/// an engine or runs the forced Treewidth route.
 #[derive(Debug, Default)]
 pub(crate) struct TemplateFacts {
     /// `B`'s Schaefer plan, carrying its classification (`None` unless
     /// `B` is Boolean and within the bit-packed arity limit).
     schaefer: OnceLock<Option<SchaeferPlan>>,
-    /// Support index over `B`'s tuples, shared by every propagator the
-    /// template spawns and read by the treewidth DP's tuple checks.
-    support: OnceLock<Arc<SupportIndex>>,
-    /// The flat propagation program compiled from the support index —
-    /// what every MAC/AC route actually executes. Chained off
-    /// [`support`](TemplateFacts::support), so the index is built at
-    /// most once per template no matter how routes interleave.
+    /// The propagation program compiled for `B` — what every MAC/AC
+    /// route executes. It owns `B`'s support index, which the treewidth
+    /// DP's tuple checks read too, so the index is built at most once
+    /// per template no matter how routes interleave.
     program: OnceLock<Arc<PropProgram>>,
     /// The Booleanized template and its Schaefer plan (`None` when `B`
     /// is already Boolean, degenerate, or exceeds the bit-packed arity
@@ -109,19 +107,11 @@ impl TemplateFacts {
         self.schaefer_plan(b).map(SchaeferPlan::classes)
     }
 
-    /// The support index over `b`'s tuples (built on first use, then
-    /// shared by every subsequent solve).
-    fn support(&self, b: &Structure) -> &Arc<SupportIndex> {
-        self.support
-            .get_or_init(|| Arc::new(SupportIndex::build(b)))
-    }
-
-    /// The compiled propagation program over `b` (lowered from the
-    /// shared support index on first use, then shared by every
-    /// subsequent solve).
+    /// The compiled propagation program over `b` (built on first use,
+    /// then shared by every subsequent solve).
     fn program(&self, b: &Structure) -> &Arc<PropProgram> {
         self.program
-            .get_or_init(|| Arc::new(PropProgram::compile(b, self.support(b))))
+            .get_or_init(|| Arc::new(PropProgram::compile(b)))
     }
 
     /// The Booleanized template (Lemma 3.5) with its Schaefer plan, when
@@ -142,9 +132,10 @@ impl TemplateFacts {
 
 /// Everything the dispatcher ever needs to know about a fixed template
 /// `B`, computed at most once. [`compile`] itself only clones `B`; the
-/// Schaefer plan (with its classification), the support index, and the
-/// Booleanized template with its plan are each built lazily on first
-/// use, so a template never pays for a fact its routes don't read.
+/// Schaefer plan (with its classification), the propagation program
+/// (with its support index), and the Booleanized template with its plan
+/// are each built lazily on first use, so a template never pays for a
+/// fact its routes don't read.
 ///
 /// [`compile`]: CompiledTemplate::compile
 #[derive(Debug)]
@@ -174,24 +165,18 @@ impl CompiledTemplate {
         self.facts.schaefer(&self.b)
     }
 
-    /// The support index over `B`'s tuples (built on first use, then
-    /// shared by every subsequent solve).
-    pub fn support(&self) -> &Arc<SupportIndex> {
-        self.facts.support(&self.b)
-    }
-
-    /// The flat propagation program compiled for `B` (built on first
-    /// use from the shared support index) — what every MAC/AC solve
-    /// against this template executes.
+    /// The propagation program compiled for `B` (built on first use) —
+    /// what every MAC/AC solve against this template executes. Its
+    /// [`support`](PropProgram::support) index serves the treewidth DP.
     pub fn program(&self) -> &Arc<PropProgram> {
         self.facts.program(&self.b)
     }
 
-    /// Forces the lazy per-template state — the support index and the
-    /// propagation program chained off it — to exist *now*, on the
-    /// calling thread. Serving paths call this at registration time so
-    /// the first solve against a fresh template pays a hash probe, not
-    /// the full lowering.
+    /// Forces the lazy per-template state the engine and the DP read —
+    /// the propagation program and the support index it owns — to exist
+    /// *now*, on the calling thread. Serving paths call this at
+    /// registration time so the first solve against a fresh template
+    /// pays a hash probe, not the index build.
     pub fn warm(&self) {
         let _ = self.program();
     }
@@ -363,7 +348,12 @@ fn solve_on<'s>(
         ),
         Strategy::Acyclic => try_acyclic(a, b, &mut bufs.gyo)
             .ok_or(SolveError::RouteNotApplicable("A is not acyclic")),
-        Strategy::Treewidth => Ok(treewidth_route(a, b, facts.support(b), &mut bufs.dp)),
+        Strategy::Treewidth => Ok(treewidth_route(
+            a,
+            b,
+            facts.program(b).support(),
+            &mut bufs.dp,
+        )),
         Strategy::Generic(opts) => {
             // Every search runs on the scratch's compiled engine over the
             // template's program; a plain search (`mac = ac_preprocess =
@@ -465,7 +455,7 @@ pub(crate) fn auto_on_engine(
         };
     }
     if a.universe() > 0 && !proofs.tw_exceeds_budget {
-        let support = facts.support(b);
+        let support = facts.program(b).support();
         if let MinFillOutcome::Solved {
             width,
             homomorphism,
@@ -685,8 +675,8 @@ mod tests {
     fn compiled_template_is_shareable_across_sessions_and_threads() {
         let k3 = generators::complete_graph(3);
         let template = Arc::new(CompiledTemplate::compile(&k3));
-        // Force the lazy index once; clones of the Arc share it.
-        let _ = template.support();
+        // Force the lazy program once; clones of the Arc share it.
+        let _ = template.program();
         let handles: Vec<_> = (0..4u64)
             .map(|seed| {
                 let t = Arc::clone(&template);

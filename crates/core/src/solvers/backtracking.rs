@@ -23,7 +23,7 @@
 //! [`backtracking_search`] compiles `B` for the one call.
 
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
-use cqcs_structures::{Element, Homomorphism, Structure, SupportIndex};
+use cqcs_structures::{Element, Homomorphism, Structure};
 use std::sync::Arc;
 
 /// Search configuration (all on by default).
@@ -99,7 +99,7 @@ pub fn backtracking_search(
     b: &Structure,
     opts: SearchOptions,
 ) -> (Option<Homomorphism>, SearchStats) {
-    let program = Arc::new(PropProgram::compile(b, &SupportIndex::build(b)));
+    let program = Arc::new(PropProgram::compile(b));
     let mut prop = ProgramPropagator::new(a, b, program);
     backtracking_search_with(opts, &mut prop)
 }
@@ -287,7 +287,7 @@ mod tests {
     use cqcs_structures::homomorphism::homomorphism_exists;
 
     fn compile_for(b: &Structure) -> Arc<PropProgram> {
-        Arc::new(PropProgram::compile(b, &SupportIndex::build(b)))
+        Arc::new(PropProgram::compile(b))
     }
 
     fn all_option_combos() -> Vec<SearchOptions> {

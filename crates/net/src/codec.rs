@@ -101,10 +101,10 @@ pub const MAX_UNIVERSE: u32 = 1 << 20;
 /// Upper bound on the `u64` words a registered template's support
 /// index takes, Σ_r `arity_r · |B| · max(1, ⌈|R|/64⌉)` over its
 /// relations. Compiling a template builds one support bitset per
-/// (relation position, element), each `|R|` bits wide, and the
-/// propagation program copies them, so memory grows with both the
+/// (relation position, element), each `⌈|R|/64⌉` words wide, in the one
+/// slab the propagation program owns, so memory grows with both the
 /// universe and the tuple count: a 1 MiB frame of 131,053 binary tuples
-/// over 16,384 elements would otherwise cost about a gigabyte to
+/// over 16,384 elements would otherwise cost about half a gigabyte to
 /// compile, and a 4 MiB one more than a 4 GiB address space holds.
 /// `RegisterTemplate` decoding adds each relation's words as its tuple
 /// count is read, before its tuples, and rejects the template once the

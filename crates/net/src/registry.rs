@@ -52,8 +52,8 @@ impl TemplateRegistry {
         }
     }
 
-    /// Compiles, **warms** (pre-builds the support index and
-    /// propagation program — see [`CompiledTemplate::warm`]), and
+    /// Compiles, **warms** (pre-builds the propagation program and the
+    /// support index it owns — see [`CompiledTemplate::warm`]), and
     /// registers a template. Callers holding this registry behind a
     /// lock should prefer compiling+warming outside it and handing the
     /// result to [`TemplateRegistry::insert`]; this method is the

@@ -76,8 +76,8 @@
 //!   resets, scheduled panics and crashes) is switched by
 //!   [`ServerConfig::chaos`] and exercised by experiment E20.
 //!
-//! Registration pre-builds the template's support index and
-//! propagation program **before** taking the registry lock
+//! Registration pre-builds the template's propagation program and the
+//! support index it owns **before** taking the registry lock
 //! ([`CompiledTemplate::warm`]), so the first solve against a fresh
 //! template pays a hash probe, not a compile.
 
@@ -884,10 +884,10 @@ fn handle(shared: &Shared, request: Request, arrived: Instant) -> Response {
             Response::BatchSolved,
         ),
         Request::RegisterTemplate { template } => {
-            // Compile AND pre-build the serving-path state (support
-            // index, propagation program) before taking the registry
-            // lock: the heavy lowering happens here, and other
-            // connections never block on it.
+            // Compile AND pre-build the serving-path state (the
+            // propagation program and its support index) before taking
+            // the registry lock: the index build happens here, and
+            // other connections never block on it.
             let compiled = Arc::new(CompiledTemplate::compile(&template));
             compiled.warm();
             let id = registry(shared).insert(compiled);

@@ -7,7 +7,7 @@
 //! search stats — to what a direct in-process
 //! [`Session`](cqcs_core::Session) answers for the same instance.
 
-use cqcs_core::Session;
+use cqcs_core::{Route, Session};
 use cqcs_cq::{contained_in, parse_query};
 use cqcs_net::client::{Client, ClientError};
 use cqcs_net::codec::{
@@ -15,7 +15,7 @@ use cqcs_net::codec::{
     LEGACY_VERSION, PROTOCOL_VERSION,
 };
 use cqcs_net::server::{Server, ServerConfig};
-use cqcs_structures::{generators, Structure};
+use cqcs_structures::{generators, is_homomorphism, Structure, StructureBuilder};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -652,6 +652,49 @@ fn oversized_template_registration_is_refused_fast_and_connection_survives() {
         Response::decode_payload(kind, &payload).unwrap(),
         Response::Status(_)
     ));
+    server.shutdown();
+}
+
+#[test]
+fn template_at_the_support_cap_registers_and_serves() {
+    // The cap's own example: a binary `E` of 64 arcs over MAX_UNIVERSE
+    // elements charges 2 · 2^20 · ⌈64/64⌉ = 2^21 support words, exactly
+    // MAX_SUPPORT_WORDS. Registration builds its support index inline on
+    // the connection thread; the template then answers a directed path
+    // on the Acyclic route exactly as a direct session does, and the
+    // connection keeps serving.
+    use cqcs_net::codec::{MAX_SUPPORT_WORDS, MAX_UNIVERSE};
+    let universe = MAX_UNIVERSE as usize;
+    let stride = (MAX_UNIVERSE - 1) / 64;
+    let mut b = StructureBuilder::new(generators::digraph_vocabulary(), universe);
+    for i in 0..64 {
+        b.add_fact("E", &[i * stride, (i + 1) * stride]).unwrap();
+    }
+    let template = b.finish();
+    assert_eq!(2 * MAX_UNIVERSE as u64, MAX_SUPPORT_WORDS);
+    let server = default_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let id = client.register_template(&template).unwrap();
+    let path = generators::directed_path(8);
+    let over_wire = client.solve(id, &path).unwrap();
+    assert_eq!(over_wire.route, Route::Acyclic);
+    let h = over_wire
+        .homomorphism
+        .as_ref()
+        .expect("P8 maps into a 64-arc path");
+    assert!(is_homomorphism(h.as_slice(), &path, &template));
+    let in_process = Session::compile(&template).solve(&path);
+    assert!(
+        solutions_identical(&over_wire, &in_process),
+        "wire solution diverged: {over_wire:?} vs {in_process:?}"
+    );
+    // The same connection registers and solves on.
+    let k3 = client
+        .register_template(&generators::complete_graph(3))
+        .unwrap();
+    let c4 = client.solve(k3, &generators::undirected_cycle(4)).unwrap();
+    assert!(c4.homomorphism.is_some(), "C4 → K3");
+    assert_eq!(client.status().unwrap().templates, 2);
     server.shutdown();
 }
 

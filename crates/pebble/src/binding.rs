@@ -1,26 +1,19 @@
-//! The instance-binding seam of the propagation engine.
+//! The delta-admission seam of the propagation engine.
 //!
-//! What binding instance `A` against template `B` means — the
-//! vocabulary check, the universe size, the per-relation tuple
-//! geometry — and when a delta may repair a bound fixpoint instead of
-//! rebinding, described in one audited place, apart from the
+//! Whether a delta may repair a bound fixpoint instead of rebinding is
+//! decided in one audited place, apart from the
 //! [`ProgramPropagator`](crate::ProgramPropagator) that executes it:
-//!
-//! * [`InstanceBinding`] — the validated geometry of a fresh bind
-//!   (vocabulary-checked universe and tuple counts). The engine derives
-//!   its prefix-sum tuple bases and arena layout from it.
-//! * [`DeltaPlan`] / [`plan_delta`] — the admission decision for the
-//!   incremental delta-bind path: either a worklist seed list
-//!   (re-propagate only from the tuples a [`StructureDelta`] touched)
-//!   or a full rebind with the reason. The admission rules live here:
-//!   the engine sits at an established, consistent fixpoint; additions
-//!   only (retractions can restore support); no 0-ary additions (those
-//!   have a dedicated wipeout path in `establish`); no universe growth
-//!   (the arena layout is keyed on `|A|`); and a delta small relative
-//!   to the instance. No search frames are open, because only a parked
-//!   engine is repaired and
-//!   [`into_saved`](crate::ProgramPropagator::into_saved) parks only at
-//!   depth 0.
+//! [`DeltaPlan`] / [`plan_delta`] pick, for the incremental delta-bind
+//! path, either a worklist seed list (re-propagate only from the tuples
+//! a [`StructureDelta`] touched) or a full rebind with the reason. The
+//! admission rules live here: the engine sits at an established,
+//! consistent fixpoint; additions only (retractions can restore
+//! support); no 0-ary additions (those have a dedicated wipeout path in
+//! `establish`); no universe growth (the arena layout is keyed on
+//! `|A|`); and a delta small relative to the instance. No search frames
+//! are open, because only a parked engine is repaired and
+//! [`into_saved`](crate::ProgramPropagator::into_saved) parks only at
+//! depth 0.
 
 use cqcs_structures::{RelId, Structure, StructureDelta};
 
@@ -28,46 +21,6 @@ use cqcs_structures::{RelId, Structure, StructureDelta};
 /// "small": beyond one seeded tuple per `REBIND_FACTOR` instance
 /// tuples, fall back (the repair would re-revise most of `A` anyway).
 pub const REBIND_FACTOR: usize = 4;
-
-/// Validated fresh-bind geometry: what the engine needs to (re)size its
-/// per-instance state for `a` against template `b`.
-#[derive(Debug, Clone)]
-pub struct InstanceBinding {
-    /// `|A|`.
-    pub universe: usize,
-    /// `|B|` — the capacity of every domain.
-    pub domain_size: usize,
-    /// Per-relation tuple counts of `A`, in vocabulary order.
-    pub tuple_counts: Vec<u32>,
-}
-
-impl InstanceBinding {
-    /// Describes binding `a` against template `b`.
-    ///
-    /// # Panics
-    /// Panics if the structures are over different vocabularies — the
-    /// single authoritative check every bind path shares.
-    pub fn plan(a: &Structure, b: &Structure) -> InstanceBinding {
-        assert!(
-            a.same_vocabulary(b),
-            "arc consistency across different vocabularies"
-        );
-        InstanceBinding {
-            universe: a.universe(),
-            domain_size: b.universe(),
-            tuple_counts: a
-                .vocabulary()
-                .iter()
-                .map(|r| a.relation(r).len() as u32)
-                .collect(),
-        }
-    }
-
-    /// Total tuples across all relations.
-    pub fn total_tuples(&self) -> usize {
-        self.tuple_counts.iter().map(|&c| c as usize).sum()
-    }
-}
 
 /// The admission verdict for a delta bind: repair in place from the
 /// given worklist seeds, or rebind from scratch (with the reason, for
@@ -204,24 +157,6 @@ mod tests {
             DeltaPlan::Rebind { reason } => reason,
             DeltaPlan::Incremental { .. } => panic!("expected a rebind"),
         }
-    }
-
-    #[test]
-    fn binding_geometry() {
-        let a = generators::random_graph_nm(6, 9, 3);
-        let b = generators::complete_graph(3);
-        let bind = InstanceBinding::plan(&a, &b);
-        assert_eq!(bind.universe, 6);
-        assert_eq!(bind.domain_size, 3);
-        assert_eq!(bind.total_tuples(), a.total_tuples());
-    }
-
-    #[test]
-    #[should_panic(expected = "different vocabularies")]
-    fn binding_rejects_vocabulary_mismatch() {
-        let a = generators::random_graph_nm(4, 5, 0);
-        let other = generators::random_structure(3, &[3], 2, 0);
-        let _ = InstanceBinding::plan(&a, &other);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! specification the property suite checks the engine against.
 
 use crate::program::{ProgramPropagator, PropProgram};
-use cqcs_structures::{BitSet, Structure, SupportIndex};
+use cqcs_structures::{BitSet, Structure};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ pub fn arc_consistent_domains(a: &Structure, b: &Structure) -> ArcConsistency {
 /// Panics if the structures are over different vocabularies or the
 /// domain vector does not match `a`'s universe.
 pub fn refine_domains(a: &Structure, b: &Structure, domains: Vec<BitSet>) -> ArcConsistency {
-    let program = Arc::new(PropProgram::compile(b, &SupportIndex::build(b)));
+    let program = Arc::new(PropProgram::compile(b));
     let mut p = ProgramPropagator::new(a, b, program);
     p.restrict_domains(&domains);
     let consistent = p.establish();

@@ -14,14 +14,14 @@
 //!   executable specification, the re-scanning fixpoint loop
 //!   [`refine_domains_reference`](consistency::refine_domains_reference);
 //! * [`program`] — the propagation engine behind it: a [`PropProgram`]
-//!   lowers the template's support index into flat CSR-style `u64`
-//!   pools, and a [`ProgramPropagator`] executes it over a single arena
-//!   allocation with support-indexed revisions, a trail of domain
-//!   deltas for `assign`/`undo` in O(changed), and change-seeded
-//!   worklists, so MAC search never re-establishes consistency from
-//!   scratch;
-//! * [`binding`] — the engine's instance-binding seam: validated
-//!   fresh-bind geometry ([`InstanceBinding`]) and the admission rules
+//!   owns the template's flat support index
+//!   ([`SupportIndex`](cqcs_structures::SupportIndex)) plus per-value
+//!   neighbour rows of its binary relations, and a [`ProgramPropagator`]
+//!   executes it over a single arena allocation with support-indexed
+//!   revisions, a trail of domain deltas for `assign`/`undo` in
+//!   O(changed), and change-seeded worklists, so MAC search never
+//!   re-establishes consistency from scratch;
+//! * [`binding`] — the engine's delta-admission seam: the rules
 //!   ([`plan_delta`]) that decide when a
 //!   [`StructureDelta`](cqcs_structures::StructureDelta) can repair an
 //!   established fixpoint in place instead of rebinding from scratch;
@@ -35,7 +35,7 @@ pub mod game;
 pub mod program;
 pub mod solver;
 
-pub use binding::{plan_delta, DeltaPlan, EngineState, InstanceBinding, REBIND_FACTOR};
+pub use binding::{plan_delta, DeltaPlan, EngineState, REBIND_FACTOR};
 pub use consistency::{arc_consistent_domains, refine_domains, ArcConsistency};
 pub use game::{duplicator_wins, solve_game, Config, GameAnalysis};
 pub use program::{ProgramPropagator, PropProgram, SavedPropState};

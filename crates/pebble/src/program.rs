@@ -1,4 +1,5 @@
-//! Compiled propagation: flat programs and the arena-resident engine.
+//! Compiled propagation: template programs and the arena-resident
+//! engine.
 //!
 //! This is the crate's one (hyper)arc-consistency engine: the
 //! incremental filter behind MAC search in `cqcs-core`, the Auto
@@ -6,15 +7,18 @@
 //! [`refine_domains`](crate::consistency::refine_domains). It
 //! **compiles the template away**:
 //!
-//! * [`PropProgram`] lowers a [`SupportIndex`] over a fixed template
-//!   `B` into dense CSR-style pools — one flat `u64` slab holding every
+//! * [`PropProgram`] owns the fixed template `B`'s flat
+//!   [`SupportIndex`] — one `u64` slab holding every
 //!   `(relation, position, value) → supporting-tuple` bitset at a
-//!   computed offset, the position projections beside it, `B`'s
-//!   tuples flattened to a `u32` array, and, when `|B| ≤ 64`, each
-//!   binary relation's per-value neighbour words (forward rows
-//!   `{b : (a, b) ∈ R}` and backward rows `{a : (a, b) ∈ R}`). A
-//!   program is immutable, `Sync`, and shared via `Arc` by every worker
-//!   solving against its template.
+//!   computed offset, the position projections beside it — and adds
+//!   only what the index lacks: per-relation arities and, when
+//!   `|B| ≤ 64`, each binary relation's per-value neighbour words
+//!   (forward rows `{b : (a, b) ∈ R}` and backward rows
+//!   `{a : (a, b) ∈ R}`). The live-tuple kernels read `B`'s tuples
+//!   straight from its flat relation arrays. A program is immutable,
+//!   `Sync`, and shared via `Arc` by every worker solving against its
+//!   template; the treewidth DP reads the same index through
+//!   [`support`](PropProgram::support).
 //! * [`ProgramPropagator`] executes a program over one
 //!   [`PropArena`]: domains, domain sizes, the undo trail, the worklist
 //!   ring and its membership bitset, and the revision scratch sets all
@@ -45,30 +49,18 @@
 //!
 //! [`reset_for_instance`]: ProgramPropagator::reset_for_instance
 
-use crate::binding::{plan_delta, DeltaPlan, EngineState, InstanceBinding};
+use crate::binding::{plan_delta, DeltaPlan, EngineState};
 use cqcs_structures::arena::{
     all_zero, and_into, count_ones, fill_ones, for_each_set_bit, or_into, PropArena,
 };
 use cqcs_structures::{BitSet, Element, RelId, Structure, StructureDelta, SupportIndex};
 use std::sync::Arc;
 
-/// Per-relation geometry and pool offsets of a compiled program.
+/// Per-relation geometry of a compiled program: what the support index
+/// does not record.
 #[derive(Debug, Clone, Copy)]
 struct RelMeta {
     arity: usize,
-    tuple_count: usize,
-    /// `tuple_count.div_ceil(64)` — the stride of one support bitset.
-    tuple_words: usize,
-    /// Offset of this relation's support bitsets in `support_words`:
-    /// the set for `(p, v)` starts at
-    /// `support_base + (p * universe + v) * tuple_words`.
-    support_base: usize,
-    /// Offset of this relation's projections in `proj_words` (one
-    /// universe-sized bitset per position).
-    proj_base: usize,
-    /// Offset of this relation's flattened tuples in `b_tuples`
-    /// (`tuple_count * arity` entries, tuple-major).
-    tuples_base: usize,
     /// Offset of this relation's neighbour rows in `neighbour_words`,
     /// present exactly when the relation is binary and `1 ≤ |B| ≤ 64`: the
     /// forward row `{b : (a, b) ∈ R}` of `a` sits at `rows_base + a`,
@@ -77,26 +69,17 @@ struct RelMeta {
     rows_base: Option<usize>,
 }
 
-/// A template compiled to flat propagation pools — see the [module
-/// docs](self). Built once per template (from its shared
-/// [`SupportIndex`]) and handed to every [`ProgramPropagator`] via
-/// `Arc`.
+/// A template compiled for propagation — see the [module docs](self).
+/// Built once per template and handed to every [`ProgramPropagator`]
+/// via `Arc`.
 #[derive(Debug)]
 pub struct PropProgram {
-    /// `|B|`.
-    universe: usize,
-    /// `universe.div_ceil(64)` — the stride of one domain/projection.
-    word_blocks: usize,
+    /// The template's support bitsets and position projections.
+    support: SupportIndex,
     max_arity: usize,
+    /// The widest support bitset of any relation, in words.
+    max_tuple_words: usize,
     rels: Vec<RelMeta>,
-    /// All support bitsets, relation-major then position-major then
-    /// value-major, each `tuple_words(r)` words.
-    support_words: Vec<u64>,
-    /// All position projections, `word_blocks` words each.
-    proj_words: Vec<u64>,
-    /// `B`'s tuples flattened relation-major (components as element
-    /// indexes).
-    b_tuples: Vec<u32>,
     /// Every binary relation's forward and backward neighbour rows, one
     /// word per value, `2 * universe` words per relation (only when
     /// `1 ≤ universe ≤ 64`).
@@ -104,42 +87,18 @@ pub struct PropProgram {
 }
 
 impl PropProgram {
-    /// Lowers `support` (built over `b`) into flat pools.
-    ///
-    /// # Panics
-    /// Panics if the index does not match `b` (universe and per-relation
-    /// tuple counts are checked).
-    pub fn compile(b: &Structure, support: &SupportIndex) -> PropProgram {
-        assert_eq!(
-            support.universe(),
-            b.universe(),
-            "support index does not match the template"
-        );
+    /// Compiles `b`: builds its support index and, when `|B| ≤ 64`,
+    /// each binary relation's neighbour rows.
+    pub fn compile(b: &Structure) -> PropProgram {
+        let support = SupportIndex::build(b);
         let universe = b.universe();
-        let word_blocks = universe.div_ceil(64);
-        let nrels = b.vocabulary().len();
-        let mut rels = Vec::with_capacity(nrels);
-        let mut support_words = Vec::new();
-        let mut proj_words = Vec::new();
-        let mut b_tuples = Vec::new();
+        let mut rels = Vec::with_capacity(b.vocabulary().len());
         let mut neighbour_words = Vec::new();
         for r in b.vocabulary().iter() {
             let rel = b.relation(r);
-            assert_eq!(
-                support.tuple_count(r),
-                rel.len(),
-                "support index does not match the template"
-            );
-            let meta = RelMeta {
-                arity: rel.arity(),
-                tuple_count: rel.len(),
-                tuple_words: rel.len().div_ceil(64),
-                support_base: support_words.len(),
-                proj_base: proj_words.len(),
-                tuples_base: b_tuples.len(),
-                rows_base: (rel.arity() == 2 && word_blocks == 1).then_some(neighbour_words.len()),
-            };
-            if let Some(rows) = meta.rows_base {
+            let rows_base =
+                (rel.arity() == 2 && universe.div_ceil(64) == 1).then_some(neighbour_words.len());
+            if let Some(rows) = rows_base {
                 neighbour_words.resize(rows + 2 * universe, 0);
                 for w in rel.iter() {
                     let (x, y) = (w[0].index(), w[1].index());
@@ -147,25 +106,21 @@ impl PropProgram {
                     neighbour_words[rows + universe + y] |= 1u64 << x;
                 }
             }
-            for p in 0..meta.arity {
-                for v in 0..universe {
-                    support_words.extend_from_slice(support.supports(r, p, v).words());
-                }
-                proj_words.extend_from_slice(support.projection(r, p).words());
-            }
-            for t in 0..meta.tuple_count {
-                b_tuples.extend(rel.tuple(t).iter().map(|e| e.0));
-            }
-            rels.push(meta);
+            rels.push(RelMeta {
+                arity: rel.arity(),
+                rows_base,
+            });
         }
         PropProgram {
-            universe,
-            word_blocks,
             max_arity: b.vocabulary().max_arity(),
+            max_tuple_words: b
+                .vocabulary()
+                .iter()
+                .map(|r| support.tuple_words(r))
+                .max()
+                .unwrap_or(0),
+            support,
             rels,
-            support_words,
-            proj_words,
-            b_tuples,
             neighbour_words,
         }
     }
@@ -173,59 +128,32 @@ impl PropProgram {
     /// Universe size of the template this program was compiled for.
     #[inline]
     pub fn universe(&self) -> usize {
-        self.universe
+        self.support.universe()
+    }
+
+    /// The template's support index, which the treewidth DP's tuple
+    /// checks read too.
+    pub fn support(&self) -> &SupportIndex {
+        &self.support
     }
 
     /// Whether this program was compiled for a template with `b`'s
     /// shape (universe, relation count, arities, tuple counts) — the
     /// cheap validity check engine constructors run.
     pub fn matches(&self, b: &Structure) -> bool {
-        self.universe == b.universe()
+        self.universe() == b.universe()
             && self.rels.len() == b.vocabulary().len()
             && b.vocabulary().iter().all(|r| {
                 let rel = b.relation(r);
-                let m = &self.rels[r.index()];
-                m.arity == rel.arity() && m.tuple_count == rel.len()
+                self.rels[r.index()].arity == rel.arity()
+                    && self.support.tuple_count(r) == rel.len()
             })
-    }
-
-    /// Support bitset words for `(r, p, v)`.
-    #[inline]
-    fn supports(&self, ri: usize, p: usize, v: usize) -> &[u64] {
-        let m = &self.rels[ri];
-        let off = m.support_base + (p * self.universe + v) * m.tuple_words;
-        &self.support_words[off..off + m.tuple_words]
-    }
-
-    /// Projection bitset words for `(r, p)`.
-    #[inline]
-    fn projection(&self, ri: usize, p: usize) -> &[u64] {
-        let m = &self.rels[ri];
-        let off = m.proj_base + p * self.word_blocks;
-        &self.proj_words[off..off + self.word_blocks]
-    }
-
-    /// The `w`-th tuple of relation `ri` as flattened element indexes.
-    #[inline]
-    fn b_tuple(&self, ri: usize, w: usize) -> &[u32] {
-        let m = &self.rels[ri];
-        let off = m.tuples_base + w * m.arity;
-        &self.b_tuples[off..off + m.arity]
-    }
-
-    /// Single-word support set for `(r, p, v)` — the scalar form of
-    /// [`supports`](PropProgram::supports), valid only when the
-    /// relation's `tuple_words == 1`.
-    #[inline]
-    fn support_word(&self, m: &RelMeta, p: usize, v: usize) -> u64 {
-        debug_assert_eq!(m.tuple_words, 1);
-        self.support_words[m.support_base + p * self.universe + v]
     }
 
     /// The union of the neighbour rows at `base + v` over `v ∈ set`.
     #[inline]
     fn row_union(&self, base: usize, set: u64) -> u64 {
-        let rows = &self.neighbour_words[base..base + self.universe];
+        let rows = &self.neighbour_words[base..base + self.universe()];
         let mut acc = 0u64;
         let mut bits = set;
         while bits != 0 {
@@ -233,15 +161,6 @@ impl PropProgram {
             bits &= bits - 1;
         }
         acc
-    }
-
-    /// Single-word projection for `(r, p)` — the scalar form of
-    /// [`projection`](PropProgram::projection), valid only when
-    /// `word_blocks == 1`.
-    #[inline]
-    fn projection_word(&self, m: &RelMeta, p: usize) -> u64 {
-        debug_assert_eq!(self.word_blocks, 1);
-        self.proj_words[m.proj_base + p]
     }
 }
 
@@ -354,10 +273,7 @@ impl<'s> ProgramPropagator<'s> {
     /// # Panics
     /// Panics if `a` is over a different vocabulary than the template.
     pub fn reset_for_instance(&mut self, a: &'s Structure) {
-        assert!(
-            a.same_vocabulary(self.b),
-            "arc consistency across different vocabularies"
-        );
+        self.bind(a);
         self.a = a;
         self.frames.clear();
         self.trail_len = 0;
@@ -365,7 +281,6 @@ impl<'s> ProgramPropagator<'s> {
         self.queue_head = 0;
         self.queue_len = 0;
         self.established = false;
-        self.bind(a);
     }
 
     /// The in-place half of
@@ -408,16 +323,8 @@ impl<'s> ProgramPropagator<'s> {
         // re-dimensions. The queued flags are all-false at a fixpoint,
         // so zeroing the tail loses nothing.
         debug_assert_eq!(self.queue_len, 0, "fixpoint engines have empty worklists");
-        let bind = InstanceBinding::plan(a2, self.b);
-        debug_assert_eq!(bind.universe, self.layout.n);
-        self.a_bases.clear();
-        let mut total_tuples = 0u32;
-        for &count in &bind.tuple_counts {
-            self.a_bases.push(total_tuples);
-            total_tuples += count;
-        }
-        self.a_bases.push(total_tuples);
-        let queue_cap = total_tuples as usize;
+        debug_assert_eq!(a2.universe(), self.layout.n);
+        let queue_cap = self.fill_a_bases(a2);
         let l = &mut self.layout;
         debug_assert_eq!(l.queue, l.trail + l.n * l.d);
         l.queue_cap = queue_cap;
@@ -453,20 +360,12 @@ impl<'s> ProgramPropagator<'s> {
     /// queued bitset starts all-zero from
     /// [`PropArena::reset_zeroed`]. O(arena words).
     fn bind(&mut self, a: &'s Structure) {
-        let bind = InstanceBinding::plan(a, self.b);
+        let queue_cap = self.fill_a_bases(a);
         let prog = &self.program;
-        let n = bind.universe;
-        let d = prog.universe;
-        let wb = prog.word_blocks;
-        let max_tw = prog.rels.iter().map(|m| m.tuple_words).max().unwrap_or(0);
-        self.a_bases.clear();
-        let mut total_tuples = 0u32;
-        for &count in &bind.tuple_counts {
-            self.a_bases.push(total_tuples);
-            total_tuples += count;
-        }
-        self.a_bases.push(total_tuples);
-        let queue_cap = total_tuples as usize;
+        let n = a.universe();
+        let d = prog.universe();
+        let wb = d.div_ceil(64);
+        let max_tw = prog.max_tuple_words;
 
         let domains = 0;
         let supported = domains + n * wb;
@@ -499,6 +398,27 @@ impl<'s> ProgramPropagator<'s> {
             fill_ones(&mut words[domains + e * wb..domains + (e + 1) * wb], d);
         }
         words[sizes..sizes + n].fill(d as u64);
+    }
+
+    /// Fills `a_bases` with the prefix sums of `a`'s relation-major
+    /// tuple counts plus the total sentinel, and returns the total — the
+    /// worklist's capacity.
+    ///
+    /// # Panics
+    /// Panics if `a` is over a different vocabulary than the template.
+    fn fill_a_bases(&mut self, a: &Structure) -> usize {
+        assert!(
+            a.same_vocabulary(self.b),
+            "arc consistency across different vocabularies"
+        );
+        self.a_bases.clear();
+        let mut total = 0u32;
+        for r in a.vocabulary().iter() {
+            self.a_bases.push(total);
+            total += a.relation(r).len() as u32;
+        }
+        self.a_bases.push(total);
+        total as usize
     }
 
     /// The shared program this engine executes.
@@ -907,7 +827,7 @@ impl<'s> ProgramPropagator<'s> {
         true
     }
 
-    /// Revises one `A`-tuple against the compiled pools, word at a
+    /// Revises one `A`-tuple against the template's program, word at a
     /// time: computes each position's supported set, then applies the
     /// per-position removals `dom & !supported`, trailed in ascending
     /// order, enqueueing the tuples through any element that shrank.
@@ -930,11 +850,10 @@ impl<'s> ProgramPropagator<'s> {
     /// trail order and deletion counts do not depend on the kernel.
     #[inline]
     fn revise(&mut self, r: RelId, t: usize) -> bool {
-        let m = self.program.rels[r.index()];
-        if let Some(rows) = m.rows_base {
-            self.revise_binary(r, t, m, rows)
-        } else if self.layout.wb == 1 && m.tuple_words == 1 {
-            self.revise_scalar(r, t, m)
+        if let Some(rows) = self.program.rels[r.index()].rows_base {
+            self.revise_binary(r, t, rows)
+        } else if self.layout.wb == 1 && self.program.support.tuple_words(r) == 1 {
+            self.revise_scalar(r, t)
         } else {
             self.revise_wide(r, t)
         }
@@ -947,19 +866,19 @@ impl<'s> ProgramPropagator<'s> {
     /// `dom(x)`. A union over a full domain is the cached position
     /// projection. Both read the domains on entry, as the live-tuple
     /// kernels do, so a loop `(x, x)` prunes exactly as they would.
-    fn revise_binary(&mut self, r: RelId, t: usize, m: RelMeta, rows: usize) -> bool {
+    fn revise_binary(&mut self, r: RelId, t: usize, rows: usize) -> bool {
         let tuple = self.a.relation(r).tuple(t);
         let l = self.layout;
         let program: &PropProgram = &self.program;
         let words = self.arena.words_mut();
         let (x, y) = (tuple[0].index(), tuple[1].index());
         words[l.supported] = if words[l.sizes + y] == l.d as u64 {
-            program.projection_word(&m, 0)
+            program.support.projection_word(r, 0)
         } else {
             program.row_union(rows + l.d, words[l.domains + y])
         };
         words[l.supported + 1] = if words[l.sizes + x] == l.d as u64 {
-            program.projection_word(&m, 1)
+            program.support.projection_word(r, 1)
         } else {
             program.row_union(rows, words[l.domains + x])
         };
@@ -970,9 +889,9 @@ impl<'s> ProgramPropagator<'s> {
     /// when every bitset involved is a single word (`|B| ≤ 64` and
     /// `|R^B| ≤ 64`): the live witnesses and the supported sets they
     /// scatter to are computed in registers on `u64` scalars.
-    fn revise_scalar(&mut self, r: RelId, t: usize, m: RelMeta) -> bool {
-        let ri = r.index();
-        let program: &PropProgram = &self.program;
+    fn revise_scalar(&mut self, r: RelId, t: usize) -> bool {
+        let support = &self.program.support;
+        let b_rel = self.b.relation(r);
         let tuple = self.a.relation(r).tuple(t);
         let arity = tuple.len();
         let l = self.layout;
@@ -984,15 +903,11 @@ impl<'s> ProgramPropagator<'s> {
         {
             // Full domains: supported sets are the cached projections.
             for p in 0..arity {
-                words[l.supported + p] = program.projection_word(&m, p);
+                words[l.supported + p] = support.projection_word(r, p);
             }
         } else {
             // live = ∩_p ⋃_{v ∈ dom(e_p)} supports(r, p, v)
-            let mut live = if m.tuple_count == 64 {
-                u64::MAX
-            } else {
-                (1u64 << m.tuple_count) - 1
-            };
+            let mut live = u64::MAX >> (64 - b_rel.len());
             for (p, &e) in tuple.iter().enumerate() {
                 if live == 0 {
                     break;
@@ -1000,7 +915,7 @@ impl<'s> ProgramPropagator<'s> {
                 let mut acc = 0u64;
                 let mut bits = words[l.domains + e.index()];
                 while bits != 0 {
-                    acc |= program.support_word(&m, p, bits.trailing_zeros() as usize);
+                    acc |= support.support_word(r, p, bits.trailing_zeros() as usize);
                     bits &= bits - 1;
                 }
                 live &= acc;
@@ -1013,8 +928,8 @@ impl<'s> ProgramPropagator<'s> {
             let mut bits = live;
             while bits != 0 {
                 let w = bits.trailing_zeros() as usize;
-                for (p, &bv) in program.b_tuple(ri, w).iter().enumerate() {
-                    words[l.supported + p] |= 1u64 << bv;
+                for (p, bv) in b_rel.tuple(w).iter().enumerate() {
+                    words[l.supported + p] |= 1u64 << bv.index();
                 }
                 bits &= bits - 1;
             }
@@ -1075,15 +990,14 @@ impl<'s> ProgramPropagator<'s> {
     /// The general multi-word form of
     /// [`revise`](ProgramPropagator::revise).
     fn revise_wide(&mut self, r: RelId, t: usize) -> bool {
-        let ri = r.index();
         let a = self.a;
-        let program: &PropProgram = &self.program;
+        let support = &self.program.support;
+        let b_rel = self.b.relation(r);
         let tuple = a.relation(r).tuple(t);
         let arity = tuple.len();
-        let m = program.rels[ri];
         let l = self.layout;
         let wb = l.wb;
-        let tw = m.tuple_words;
+        let tw = support.tuple_words(r);
 
         let words = self.arena.words_mut();
         let (domains, rest) = words.split_at_mut(l.supported);
@@ -1097,15 +1011,15 @@ impl<'s> ProgramPropagator<'s> {
         if tuple.iter().all(|&e| sizes[e.index()] == l.d as u64) {
             // Every domain is still full (the common case on the first
             // establish wave): every tuple of `R^B` is live, so the
-            // supported sets are exactly the program's cached position
+            // supported sets are exactly the index's cached position
             // projections — one block copy each.
             for p in 0..arity {
-                supported[p * wb..(p + 1) * wb].copy_from_slice(program.projection(ri, p));
+                supported[p * wb..(p + 1) * wb].copy_from_slice(support.projection(r, p));
             }
         } else {
             // live = ∩_p ⋃_{v ∈ dom(e_p)} supports(r, p, v)
             let live = &mut live[..tw];
-            fill_ones(live, m.tuple_count);
+            fill_ones(live, b_rel.len());
             for (p, &e) in tuple.iter().enumerate() {
                 if all_zero(live) {
                     break;
@@ -1117,7 +1031,7 @@ impl<'s> ProgramPropagator<'s> {
                     let mut bits = dw;
                     while bits != 0 {
                         let v = wi * 64 + bits.trailing_zeros() as usize;
-                        or_into(acc, program.supports(ri, p, v));
+                        or_into(acc, support.supports(r, p, v));
                         bits &= bits - 1;
                     }
                 }
@@ -1130,8 +1044,9 @@ impl<'s> ProgramPropagator<'s> {
                 let mut bits = lw;
                 while bits != 0 {
                     let w = wi * 64 + bits.trailing_zeros() as usize;
-                    for (p, &bv) in program.b_tuple(ri, w).iter().enumerate() {
-                        supported[p * wb + bv as usize / 64] |= 1u64 << (bv % 64);
+                    for (p, bv) in b_rel.tuple(w).iter().enumerate() {
+                        let bv = bv.index();
+                        supported[p * wb + bv / 64] |= 1u64 << (bv % 64);
                     }
                     bits &= bits - 1;
                 }
@@ -1222,7 +1137,7 @@ mod tests {
     use cqcs_structures::generators;
 
     fn compile_for(b: &Structure) -> Arc<PropProgram> {
-        Arc::new(PropProgram::compile(b, &SupportIndex::build(b)))
+        Arc::new(PropProgram::compile(b))
     }
 
     /// Drives the engine through establish and a full sweep of single

@@ -377,11 +377,9 @@ fn advance(vals: &mut [u32], m: u32) -> bool {
 fn tuples_hold(vals: &[u32], checks: &[Check], arg_pos: &[u32], support: &SupportIndex) -> bool {
     checks.iter().all(|c| {
         let args = span(arg_pos, c.args, c.arity);
-        (0..support.tuple_count(c.rel).div_ceil(64)).any(|w| {
+        (0..support.tuple_words(c.rel)).any(|w| {
             args.iter().enumerate().fold(u64::MAX, |acc, (j, &p)| {
-                acc & support
-                    .supports(c.rel, j, vals[p as usize] as usize)
-                    .words()[w]
+                acc & support.supports(c.rel, j, vals[p as usize] as usize)[w]
             }) != 0
         })
     })

@@ -8,7 +8,7 @@ use cqcs::pebble::consistency::{arc_consistent_domains, refine_domains, refine_d
 use cqcs::pebble::program::{ProgramPropagator, PropProgram};
 use cqcs::structures::homomorphism::{find_homomorphism, homomorphism_exists};
 use cqcs::structures::product::{direct_product, projections};
-use cqcs::structures::{generators, is_homomorphism, BitSet, Element, SupportIndex};
+use cqcs::structures::{generators, is_homomorphism, BitSet, Element};
 use cqcs::treewidth::acyclic::{is_acyclic, yannakakis};
 use cqcs::treewidth::bb::{bb_treewidth, elimination_width};
 use cqcs::treewidth::dp::{
@@ -1105,9 +1105,9 @@ fn build_low_arity(n: usize, facts: &[(u8, u32, u32, bool)]) -> cqcs::structures
     b.finish()
 }
 
-/// The template's propagation program, compiled from a fresh index.
+/// The template's propagation program, with a fresh support index.
 fn compile_for(b: &cqcs::structures::Structure) -> std::sync::Arc<PropProgram> {
-    std::sync::Arc::new(PropProgram::compile(b, &SupportIndex::build(b)))
+    std::sync::Arc::new(PropProgram::compile(b))
 }
 
 /// Parks `prop` at depth 0, resumes it on `post` through `delta` and
@@ -1179,8 +1179,9 @@ fn assign_matches_reference(
 /// batch of session solves on every route that runs the propagation
 /// engine (the Auto dispatcher's AC prefilter, Generic MAC/AC searches,
 /// and plain Generic searches, which share the session's program
-/// without establishing it), the per-thread build counter moves exactly
-/// once.
+/// without establishing it) or the Theorem 5.4 DP (Auto's and the
+/// forced Treewidth route's tuple checks read the program's index), the
+/// per-thread build counter moves exactly once.
 #[test]
 fn support_index_built_once_per_template() {
     use cqcs::structures::support_builds_on_this_thread;
@@ -1210,6 +1211,7 @@ fn support_index_built_once_per_template() {
                 ac_preprocess: false,
             }),
         );
+        let _ = session.solve_with(a, SolveStrategy::Treewidth);
     }
     let _ = session.solve_batch(&batch);
     assert_eq!(
