@@ -1,7 +1,8 @@
 //! E17 benches: the delta-solve pipeline — `Session::watch` absorbing
-//! an additive edge ramp (resident fixpoint repaired per delta, routes
-//! skipped from cached monotone facts) vs from-scratch `Session::solve`
-//! calls on the same post-delta structures, and `DatalogWatch`
+//! an additive edge ramp (one `StructureDelta::apply` plus one Auto
+//! solve per delta, stages skipped from monotone proofs) vs
+//! from-scratch `Session::solve` calls on the same post-delta
+//! structures, and `DatalogWatch`
 //! maintaining transitive closure incrementally vs per-step
 //! `eval_semi_naive`.
 
@@ -63,7 +64,7 @@ fn bench_incremental(c: &mut Criterion) {
         let id = format!("G({n},{m0}→{m1})→K3");
         // The watch: register once (outside the ramp loop's measured
         // body this is the amortized one-time cost), then absorb the
-        // delta stream against the resident engine state.
+        // delta stream with the proofs the watch keeps.
         group.bench_with_input(BenchmarkId::new("watch", &id), &deltas, |bb, deltas| {
             bb.iter(|| {
                 let mut w = session.watch(&structures[0]);

@@ -1111,11 +1111,12 @@ fn e16() {
 fn e17() {
     println!("## E17 — Delta-solve pipeline: incremental watches vs from-scratch re-solves\n");
     println!(
-        "Register a check once, then stream edits: `Session::watch` keeps the \
-         compiled engine's arc-consistency fixpoint resident between updates \
-         (repairing it from the delta's seeds when the shared admission rules \
-         allow) and skips dispatch stages whose outcome is provable from \
-         cached monotone facts; `DatalogWatch` maintains the least fixpoint \
+        "Register a check once, then stream edits: each `Session::watch` \
+         update is one `StructureDelta::apply` plus the Auto solve a fresh \
+         `Session::solve` runs, minus the dispatch stages whose outcome is \
+         provable from monotone facts earlier updates established (and O(1) \
+         while additions keep an arc-refuted instance refuted); \
+         `DatalogWatch` maintains the least fixpoint \
          by counting (non-recursive) and DRed delete/re-derive (recursive \
          strata). Every update is compared against a from-scratch re-solve \
          on the post-delta structure — `Session::solve` for the homomorphism \
@@ -1145,8 +1146,8 @@ fn e17() {
     // --- Homomorphism streams: additive G(n, m) ramps against K3. The
     // nested random_graph_nm prefixes make each delta exactly one
     // undirected edge (2 facts); the registering solve certifies the
-    // instance's treewidth above the DP budget, so later updates repair
-    // the resident fixpoint and go straight to search.
+    // instance's treewidth above the DP budget, so later updates skip
+    // GYO and the DP stage and go from arc consistency to search.
     let k3 = generators::complete_graph(3);
     let ramps: &[(usize, usize, usize)] = if smoke() {
         &[(16, 28, 36)]

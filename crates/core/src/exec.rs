@@ -82,7 +82,6 @@ use std::sync::Arc;
 
 /// The borrow-free half of a [`WorkerScratch`]: everything that holds
 /// no reference to a template or an instance, so it can outlive them.
-/// A `WatchSession` keeps one set for its whole stream.
 #[derive(Debug, Default)]
 pub(crate) struct Buffers {
     /// The engine's arena, recycled into the next engine built.
@@ -133,20 +132,28 @@ impl<'s> WorkerScratch<'s> {
     /// pool is empty). Hand it back with
     /// [`release`](WorkerScratch::release).
     pub(crate) fn pooled() -> Self {
-        WorkerScratch {
-            bufs: POOL.take().unwrap_or_default(),
-            ..WorkerScratch::default()
-        }
+        WorkerScratch::over(POOL.take().unwrap_or_default())
     }
 
-    /// Returns the buffers to this thread's pool, recovering the arena
-    /// from the engine.
-    pub(crate) fn release(self) {
+    /// A scratch on caller-owned buffers (a `WatchSession` keeps one set
+    /// for its whole stream). Take them back with
+    /// [`into_buffers`](WorkerScratch::into_buffers).
+    pub(crate) fn over(bufs: Buffers) -> Self {
+        WorkerScratch { prog: None, bufs }
+    }
+
+    /// The buffers, with the arena recovered from the engine.
+    pub(crate) fn into_buffers(self) -> Buffers {
         let mut bufs = self.bufs;
         if let Some(prog) = self.prog {
             bufs.arena = prog.into_arena();
         }
-        POOL.set(Some(bufs));
+        bufs
+    }
+
+    /// Returns the buffers to this thread's pool.
+    pub(crate) fn release(self) {
+        POOL.set(Some(self.into_buffers()));
     }
 
     /// The pooled buffers (the engine, when built, holds the arena).

@@ -31,10 +31,10 @@
 //!   batch;
 //! * [`watch`] — the delta-solve pipeline: [`Session::watch`] registers
 //!   one instance and absorbs [`StructureDelta`](cqcs_structures::StructureDelta)
-//!   streams, repairing the parked arc-consistency fixpoint in place
-//!   and skipping routes whose outcome is provable from cached
-//!   monotone facts, with verdict/route/witness bit-identical to fresh
-//!   solves and notifications exactly on verdict flips.
+//!   streams, running the same Auto dispatch per update minus the
+//!   stages whose outcome is provable from monotone facts its earlier
+//!   updates established, with verdict/route/witness bit-identical to
+//!   fresh solves and notifications exactly on verdict flips.
 //!
 //! ```
 //! use cqcs_core::Session;

@@ -339,7 +339,7 @@ fn solve_on<'s>(
     assert!(a.same_vocabulary(b), "solve across different vocabularies");
     let bufs = scratch.buffers();
     match strategy {
-        Strategy::Auto => Ok(auto_on(b, facts, a, scratch)),
+        Strategy::Auto => Ok(auto_on(b, facts, a, scratch, &mut Proofs::default())),
         Strategy::Schaefer => try_schaefer(b, facts, a, &mut bufs.schaefer).ok_or(
             SolveError::RouteNotApplicable("B is not a Schaefer Boolean structure"),
         ),
@@ -371,19 +371,23 @@ fn solve_on<'s>(
 
 /// The uniform meta-algorithm (see `solvers::dispatch` for the route
 /// order and the theorems behind it), with every template-side fact
-/// read from the lazy cache. A fresh solve proves nothing in advance.
-fn auto_on<'s>(
+/// read from the lazy cache. Each set proof skips the stage it settles,
+/// and each stage that proves a fact sets it: a fresh solve passes
+/// `Proofs::default()`, a `WatchSession` the proofs its earlier updates
+/// established. This function and the two below are the only code that
+/// encodes the order.
+pub(crate) fn auto_on<'s>(
     b: &'s Structure,
     facts: &TemplateFacts,
     a: &'s Structure,
     scratch: &mut WorkerScratch<'s>,
+    proofs: &mut Proofs,
 ) -> Solution {
-    let mut proofs = Proofs::default();
-    if let Some(sol) = auto_before_engine(b, facts, a, scratch.buffers(), &mut proofs) {
+    if let Some(sol) = auto_before_engine(b, facts, a, scratch.buffers(), proofs) {
         return sol;
     }
     let (prop, search, dp) = scratch.compiled_engine(a, b, facts.program(b));
-    auto_on_engine(b, facts, a, prop, search, dp, &mut proofs)
+    auto_on_engine(b, facts, a, prop, search, dp, proofs)
 }
 
 /// Monotone facts about `A` that settle a stage's outcome in advance:
@@ -405,10 +409,9 @@ pub(crate) struct Proofs {
 }
 
 /// Stages 1–3 of the Auto order, which need no engine: Schaefer, GYO →
-/// Yannakakis, Booleanization. `None` means every one declined and the
-/// caller binds an engine for [`auto_on_engine`]. Together the two
-/// functions are the only code that encodes the order.
-pub(crate) fn auto_before_engine(
+/// Yannakakis, Booleanization. `None` means every one declined and
+/// [`auto_on`] binds an engine for [`auto_on_engine`].
+fn auto_before_engine(
     b: &Structure,
     facts: &TemplateFacts,
     a: &Structure,
@@ -427,10 +430,10 @@ pub(crate) fn auto_before_engine(
     try_booleanize(b, facts, a, &mut bufs.schaefer)
 }
 
-/// Stages 4–6 of the Auto order, on an engine the caller has bound to
+/// Stages 4–6 of the Auto order, on an engine [`auto_on`] has bound to
 /// `a` over the template's program: arc consistency, the Theorem 5.4 DP
 /// and generic search.
-pub(crate) fn auto_on_engine(
+fn auto_on_engine(
     b: &Structure,
     facts: &TemplateFacts,
     a: &Structure,
@@ -439,11 +442,10 @@ pub(crate) fn auto_on_engine(
     dp: &mut DpScratch,
     proofs: &mut Proofs,
 ) -> Solution {
-    // Establish arc consistency (or finish re-establishing it): a
-    // wipeout refutes the instance before the treewidth DP or search
-    // spends anything, and otherwise the same engine (shared program,
-    // filtered domains) is handed to the generic search instead of
-    // being rebuilt.
+    // Establish arc consistency: a wipeout refutes the instance before
+    // the treewidth DP or search spends anything, and otherwise the same
+    // engine (shared program, filtered domains) is handed to the generic
+    // search instead of being rebuilt.
     if a.universe() > 0 && b.universe() > 0 && !prop.establish() {
         return Solution {
             homomorphism: None,

@@ -3,27 +3,16 @@
 //! A [`Session`] answers `hom(A → B)` per instance; a `WatchSession`
 //! answers it per **edit**. Register the check once against a compiled
 //! template, then feed a stream of [`StructureDelta`]s: each
-//! [`apply`](WatchSession::apply) re-solves on the post-delta structure
-//! and reports exactly the goal-verdict flips. Three mechanisms keep
-//! the per-update cost proportional to the delta instead of the
-//! instance:
+//! [`apply`](WatchSession::apply) builds the post-delta structure, runs
+//! the same Auto dispatch [`Session::solve`] runs on it, and reports
+//! exactly the goal-verdict flips. An update costs one
+//! [`StructureDelta::apply`] plus one Auto solve, less whatever the
+//! watch can prove in advance; what survives an edit is monotonicity
+//! under added facts, so any retraction forgets it:
 //!
-//! * **Resident propagation state.** The compiled engine's
-//!   arena — fixpoint domains, trail, counters — is parked between
-//!   updates ([`SavedPropState`]) and rehydrated per delta
-//!   ([`ProgramPropagator::resume_with_delta`]); when the shared
-//!   admission rules (`cqcs_pebble::binding::plan_delta`) admit it, the
-//!   worklist is re-seeded from the added tuples only, so
-//!   re-establishing arc consistency costs O(delta's cone) rather than
-//!   O(A×B). Inadmissible deltas (retractions, universe growth, prior
-//!   wipeout) transparently rebind and establish from scratch.
-//! * **Provable route skips.** An update runs the very stage functions
-//!   [`Session::solve`] runs (`auto_before_engine` before the engine,
-//!   `auto_on_engine` on it), not a copy of them. The only difference
-//!   is what it passes in: the monotone proofs its earlier updates
-//!   established, each of which skips the stage whose outcome it
-//!   settles on the grown instance. All of them rest on monotonicity
-//!   under fact additions, so any retraction clears them.
+//! * **Provable route skips.** The update passes Auto the monotone
+//!   proofs its earlier updates established, each of which skips the
+//!   stage whose outcome it settles on the grown instance.
 //!   GYO-cyclicity persists when every scope has arity ≤ 2 (a new edge
 //!   can neither subsume a cycle edge nor enable an ear), and is passed
 //!   in only then; `tw(A) >` budget persists because the Gaifman graph
@@ -43,8 +32,8 @@
 //! [`Session::solve`] on the current structure after every update
 //! (pinned by the tests below, the facade property suite, and the
 //! CI-gated experiment E17). Search statistics are also identical on
-//! every route that executes; only the monotone-refutation fast path
-//! returns `stats: None` where a fresh solve would recount the
+//! every update that runs the solve; only the monotone-refutation fast
+//! path returns `stats: None` where a fresh solve would recount the
 //! establish deletions it provably does not need to repeat.
 //!
 //! ```
@@ -65,27 +54,19 @@
 //! the same flip-notification surface) is
 //! `cqcs_datalog::incremental::DatalogWatch`.
 
-use crate::exec::Buffers;
-use crate::session::{auto_before_engine, auto_on_engine, Proofs, Session};
+use crate::exec::{Buffers, WorkerScratch};
+use crate::session::{auto_on, Proofs, Session};
 use crate::solvers::dispatch::{Route, Solution};
 use crate::CompiledTemplate;
-use cqcs_pebble::program::{ProgramPropagator, SavedPropState};
 use cqcs_structures::{Structure, StructureDelta};
 use std::sync::Arc;
 
 /// Per-update path counters: how the watch actually absorbed its
-/// stream. `repaired_establishes + full_establishes` counts the updates
-/// that reached the propagation stage at all (earlier routes and the
-/// monotone fast path never touch the engine).
+/// stream.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WatchStats {
     /// Deltas absorbed so far (excluding the registering solve).
     pub updates: usize,
-    /// Propagation re-established in place from the delta's seeds.
-    pub repaired_establishes: usize,
-    /// Propagation rebuilt from scratch (first solve, retractions,
-    /// growth, prior wipeout, oversized delta).
-    pub full_establishes: usize,
     /// GYO acyclicity tests skipped via cached cyclicity.
     pub acyclicity_skips: usize,
     /// Treewidth stages skipped via a cached width lower bound.
@@ -102,14 +83,10 @@ pub struct WatchSession {
     template: Arc<CompiledTemplate>,
     current: Structure,
     solution: Solution,
-    /// Parked engine state from the latest update, when that update
-    /// reached the engine; any other route recycles it into
-    /// `bufs.arena`, so repair admission never sees a snapshot of an
-    /// older revision.
-    saved: Option<SavedPropState>,
     /// What the stages proved about `current`, kept across
     /// additions-only deltas and cleared by any retraction.
     proofs: Proofs,
+    /// The solve buffers, kept for the whole stream.
     bufs: Buffers,
     stats: WatchStats,
 }
@@ -144,12 +121,11 @@ impl WatchSession {
                 route: Route::Generic,
                 stats: None,
             },
-            saved: None,
             proofs: Proofs::default(),
             bufs: Buffers::default(),
             stats: WatchStats::default(),
         };
-        watch.resolve(a.clone(), None);
+        watch.resolve(a.clone(), false);
         watch
     }
 
@@ -162,24 +138,22 @@ impl WatchSession {
         let next = delta.apply(&self.current)?;
         let before = self.solution.homomorphism.is_some();
         self.stats.updates += 1;
-        self.resolve(next, Some(delta));
+        self.resolve(next, delta.additions_only());
         let after = self.solution.homomorphism.is_some();
         Ok((after != before).then_some(after))
     }
 
-    /// Solves `next` with [`Session::solve`]'s stage functions, passing
-    /// the proofs that still hold and an engine resumed from the parked
-    /// fixpoint (see the [module docs](self)). `delta` is `None` only
-    /// for the registering solve, which starts with no proofs.
-    fn resolve(&mut self, next: Structure, delta: Option<&StructureDelta>) {
-        let additions_only = delta.is_some_and(StructureDelta::additions_only);
+    /// Solves `next` with [`Session::solve`]'s Auto dispatch, passing
+    /// the proofs that still hold (see the [module docs](self)).
+    /// `additions_only` is `false` for the registering solve, which
+    /// starts with no proofs.
+    fn resolve(&mut self, next: Structure, additions_only: bool) {
         if !additions_only {
             // Retractions invalidate every monotone proof; the first
             // solve starts with none anyway.
             self.proofs = Proofs::default();
         }
-        let template = Arc::clone(&self.template);
-        let (b, facts, a) = (template.template(), &template.facts, &next);
+        let (b, facts) = (self.template.template(), &self.template.facts);
         // The GYO proof and the monotone refutation pin fresh behaviour
         // only when no hyperedge scope can exceed 2.
         let arity_le2 = b.vocabulary().max_arity() <= 2;
@@ -193,60 +167,26 @@ impl WatchSession {
         // the engine depend only on B, GYO stays cyclic, and the old
         // wipeout only deepens).
         let monotone = additions_only && arity_le2 && self.solution.route == Route::ArcRefuted;
-        let early = if monotone {
+        let solution = if monotone {
             self.stats.monotone_refutations += 1;
-            Some(Solution {
+            Solution {
                 homomorphism: None,
                 route: Route::ArcRefuted,
                 stats: None,
-            })
+            }
         } else {
-            auto_before_engine(b, facts, a, &mut self.bufs, &mut proofs)
-        };
-        // The parked snapshot describes the previous revision. The
-        // engine resumes it; an earlier answer leaves it stale, so only
-        // its allocation is kept.
-        let saved = self.saved.take();
-        let solution = match early {
-            Some(sol) => {
-                if let Some(saved) = saved {
-                    self.bufs.arena = saved.into_arena();
-                }
-                sol
-            }
-            None => {
-                let Buffers {
-                    arena, search, dp, ..
-                } = &mut self.bufs;
-                let program = Arc::clone(template.program());
-                let mut prop = match (saved, delta) {
-                    (Some(saved), Some(d)) => {
-                        ProgramPropagator::resume_with_delta(a, b, program, saved, d)
-                    }
-                    // Nothing to resume: bind on the spare arena. (The
-                    // registering solve, the one without a delta,
-                    // never has a parked state.)
-                    _ => ProgramPropagator::with_arena(a, b, program, std::mem::take(arena)),
-                };
-                if prop.is_established() {
-                    self.stats.repaired_establishes += 1;
-                } else {
-                    self.stats.full_establishes += 1;
-                }
-                let sol = auto_on_engine(b, facts, a, &mut prop, search, dp, &mut proofs);
-                self.saved = Some(prop.into_saved());
-                sol
-            }
-        };
-        if !monotone {
+            let mut scratch = WorkerScratch::over(std::mem::take(&mut self.bufs));
+            let sol = auto_on(b, facts, &next, &mut scratch, &mut proofs);
+            self.bufs = scratch.into_buffers();
             // A proof passed in skipped its stage whenever the solve got
             // that far: GYO runs right after Schaefer, and the DP stage
             // is the last before the search.
             self.stats.acyclicity_skips +=
-                usize::from(proven.gyo_cyclic && solution.route != Route::Schaefer);
+                usize::from(proven.gyo_cyclic && sol.route != Route::Schaefer);
             self.stats.treewidth_skips +=
-                usize::from(proven.tw_exceeds_budget && solution.route == Route::Generic);
-        }
+                usize::from(proven.tw_exceeds_budget && sol.route == Route::Generic);
+            sol
+        };
         self.proofs = proofs;
         self.solution = solution;
         self.current = next;
@@ -286,8 +226,10 @@ mod tests {
     use super::*;
     use cqcs_structures::{generators, Homomorphism, StructureBuilder};
 
-    /// Verdict, route, and witness parity against a fresh solve on the
-    /// watch's current structure — the module's contract.
+    /// Verdict, route, witness and stats parity against a fresh solve on
+    /// the watch's current structure — the module's contract. Only an
+    /// arc-refuted answer without stats (the monotone path) may differ
+    /// in stats.
     fn assert_parity(watch: &WatchSession, what: &str) {
         let fresh = Session::from_template(Arc::clone(watch.template())).solve(watch.current());
         assert_eq!(
@@ -300,7 +242,7 @@ mod tests {
             "{what}: witnesses differ"
         );
         assert_eq!(watch.solution().route, fresh.route, "{what}: routes differ");
-        if watch.solution().stats.is_some() {
+        if watch.solution().stats.is_some() || watch.solution().route != Route::ArcRefuted {
             assert_eq!(watch.solution().stats, fresh.stats, "{what}: stats differ");
         }
     }
@@ -373,8 +315,8 @@ mod tests {
         let stats = watch.stats();
         assert_eq!(stats.updates, (sym.len() - 8) / 2);
         assert!(
-            stats.repaired_establishes + stats.monotone_refutations > 0,
-            "the additive ramp must exercise a delta path: {stats:?}"
+            stats.acyclicity_skips + stats.treewidth_skips + stats.monotone_refutations > 0,
+            "the additive ramp must use a proof or a monotone refutation: {stats:?}"
         );
     }
 
@@ -415,6 +357,7 @@ mod tests {
         assert_eq!(watch.apply(&d).unwrap(), Some(false));
         assert_parity(&watch, "after the flip");
         assert_eq!(watch.solution().route, Route::ArcRefuted);
+        assert!(watch.solution().stats.is_some(), "the refuting solve ran");
 
         // Further additions hold the verdict — and take the O(1)
         // monotone path (stats intentionally absent there).
@@ -446,14 +389,14 @@ mod tests {
         let mut watch = session.watch(&a0);
         assert_parity(&watch, "registering solve");
 
-        // Retraction: clears the cache, rebinds, still pinned.
+        // Retraction: clears the proofs, still pinned.
         let mut d = StructureDelta::new(watch.current());
         d.retract_fact("E", &[sym[0].0, sym[0].1]).unwrap();
         d.retract_fact("E", &[sym[1].0, sym[1].1]).unwrap();
         watch.apply(&d).unwrap();
         assert_parity(&watch, "after retraction");
 
-        // Universe growth: layout re-keys, full rebind, still pinned.
+        // Universe growth: still pinned.
         let mut d = StructureDelta::new(watch.current());
         d.grow_universe(1);
         d.add_fact("E", &[7, 8]).unwrap();
@@ -464,11 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn pre_propagation_routes_invalidate_the_parked_state() {
+    fn route_changes_across_updates_stay_pinned() {
         // A template whose instances route through GYO/Yannakakis
-        // (acyclic instances) interleaved with cyclic ones: the parked
-        // snapshot from a propagating update must not be repaired
-        // against a delta whose base the engine never saw.
+        // (acyclic instances) interleaved with cyclic ones: every
+        // update's route follows the fresh solve's as it moves between
+        // the acyclic stage and the engine.
         let tt4 = generators::transitive_tournament(4);
         let session = Session::compile(&tt4);
         // A directed path: acyclic route, no propagation.
@@ -487,22 +430,20 @@ mod tests {
         watch.apply(&d).unwrap();
         assert_parity(&watch, "cyclic");
 
-        // Retract the closing edge — acyclic again, snapshot goes
-        // stale (recycled, not trusted)...
+        // Retract the closing edge — acyclic again...
         let mut d = StructureDelta::new(watch.current());
         d.retract_fact("E", &[3, 0]).unwrap();
         watch.apply(&d).unwrap();
         assert_eq!(watch.solution().route, Route::Acyclic);
         assert_parity(&watch, "acyclic again");
 
-        // ...so this delta (whose base the engine never bound) must
-        // not be "repaired" into the old arena.
+        // ...and cyclic once more, through the engine.
         let mut d = StructureDelta::new(watch.current());
         d.add_fact("E", &[3, 5]).unwrap();
         d.add_fact("E", &[5, 4]).unwrap();
         d.add_fact("E", &[4, 3]).unwrap();
         watch.apply(&d).unwrap();
-        assert_parity(&watch, "cyclic after stale snapshot");
+        assert_parity(&watch, "cyclic again");
     }
 
     #[test]
@@ -532,10 +473,10 @@ mod tests {
     fn e17_ramps_pin_the_watch_counters() {
         // E17's ramps: nested random_graph_nm(n, m, 7) prefixes against
         // K3, one undirected edge per delta. Every counter is pinned, so
-        // a watch that silently stopped repairing or skipping fails here
-        // even though each update stays pinned to a fresh solve. The
-        // 64-vertex ramp is over the probe's 48-vertex gate, so nothing
-        // proves its treewidth over budget.
+        // a watch that silently stopped skipping fails here even though
+        // each update stays pinned to a fresh solve. The 64-vertex ramp
+        // is over the probe's 48-vertex gate, so nothing proves its
+        // treewidth over budget.
         let session = Session::compile(&generators::complete_graph(3));
         for (n, m0, m1, tw_skips) in [(24, 40, 64, 24), (28, 48, 72, 24), (64, 120, 160, 0)] {
             let structures: Vec<Structure> = (m0..=m1)
@@ -553,13 +494,11 @@ mod tests {
             assert_eq!(
                 (
                     s.updates,
-                    s.repaired_establishes,
-                    s.full_establishes,
                     s.acyclicity_skips,
                     s.treewidth_skips,
                     s.monotone_refutations
                 ),
-                (updates, updates, 1, updates, tw_skips, 0),
+                (updates, updates, tw_skips, 0),
                 "G({n},{m0}→{m1}): {s:?}"
             );
         }
@@ -595,8 +534,8 @@ mod tests {
     fn vocabulary_mismatch_delta_is_an_error_not_a_panic() {
         // Regression: a delta anchored to a structure over a *different*
         // vocabulary must surface `Error::VocabularyMismatch` — never
-        // panic inside the incremental engine — and must leave the
-        // watch both unchanged and usable.
+        // panic inside the solve — and must leave the watch both
+        // unchanged and usable.
         let k3 = generators::complete_graph(3);
         let session = Session::compile(&k3);
         let a = generators::undirected_cycle(5);

@@ -1,7 +1,7 @@
 //! `cqcs-serve` — run a template-serving server on a TCP address.
 //!
 //! ```text
-//! cqcs-serve [ADDR] [--capacity N] [--queue N] [--idle-ms N]
+//! cqcs-serve [ADDR] [--capacity N] [--queue N]
 //! ```
 //!
 //! `ADDR` defaults to `127.0.0.1:7878`; use port 0 for an ephemeral
@@ -9,10 +9,9 @@
 //! it). The server runs until the process is killed.
 
 use cqcs_net::server::{Server, ServerConfig};
-use std::time::Duration;
 
 fn usage() -> ! {
-    eprintln!("usage: cqcs-serve [ADDR] [--capacity N] [--queue N] [--idle-ms N]");
+    eprintln!("usage: cqcs-serve [ADDR] [--capacity N] [--queue N]");
     std::process::exit(2);
 }
 
@@ -36,9 +35,6 @@ fn main() {
         match arg.as_str() {
             "--capacity" => cfg.registry_capacity = parse_value(&mut args, "--capacity"),
             "--queue" => cfg.max_queue_depth = parse_value(&mut args, "--queue"),
-            "--idle-ms" => {
-                cfg.idle_poll_interval = Duration::from_millis(parse_value(&mut args, "--idle-ms"));
-            }
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => addr = other.to_owned(),
             _ => usage(),

@@ -364,7 +364,7 @@ pub struct StatusInfo {
     pub deadline_expired: u64,
     /// Idle read-timeout wakeups across all connections since
     /// startup — a connection with no bytes pending should barely move
-    /// this (see `ServerConfig::idle_poll_interval`).
+    /// this (an idle connection polls every 500 ms).
     pub idle_wakeups: u64,
     /// Request panics caught (and answered as `Internal`) since
     /// startup — each would have been a dead connection without the

@@ -50,10 +50,9 @@
 //!   answered [`ErrorCode::DeadlineExceeded`] instead of being solved
 //!   late.
 //! * **Idle connections sleep.** A connection waiting for the *first*
-//!   byte of a frame polls at the wide
-//!   [`ServerConfig::idle_poll_interval`]; only mid-frame reads and
-//!   reply writes poll at [`ServerConfig::poll_interval`], so the
-//!   shutdown drain grace keeps its bound. The timeout is set before
+//!   byte of a frame polls every 500 ms; only mid-frame reads and reply
+//!   writes poll at [`ServerConfig::poll_interval`], so the shutdown
+//!   drain grace keeps its bound. The timeout is set before
 //!   each read and changes only when that read waits for something
 //!   else, so frames that each arrive in one read cost no `setsockopt`.
 //!   Pure idle wakeups are counted (`StatusInfo::idle_wakeups`) and
@@ -159,13 +158,6 @@ pub struct ServerConfig {
     /// the peer is not taking re-checks it. Nonzero, or
     /// [`Server::bind`] refuses the config.
     pub poll_interval: Duration,
-    /// Granularity at which a connection waiting for the *first* byte
-    /// of a frame re-checks the shutdown flag. Much wider than
-    /// [`ServerConfig::poll_interval`]: an idle connection has nothing
-    /// to drain, so waking it 40×/s is pure overhead. The cost is
-    /// shutdown noticing idle connections this much later, never
-    /// correctness. Nonzero, or [`Server::bind`] refuses the config.
-    pub idle_poll_interval: Duration,
     /// How long, once shutdown begins, a connection keeps waiting for
     /// the rest of a frame it already started reading, or for its peer
     /// to take the replies it owes. A well-behaved client finishes
@@ -184,12 +176,18 @@ impl Default for ServerConfig {
             registry_capacity: 64,
             max_queue_depth: 1024,
             poll_interval: Duration::from_millis(25),
-            idle_poll_interval: Duration::from_millis(500),
             shutdown_drain_grace: Duration::from_millis(1000),
             chaos: None,
         }
     }
 }
+
+/// Granularity at which a connection waiting for the *first* byte of a
+/// frame re-checks the shutdown flag. Much wider than
+/// [`ServerConfig::poll_interval`]: an idle connection has nothing to
+/// drain, so waking it 40×/s is pure overhead. The cost is shutdown
+/// noticing idle connections this much later, never correctness.
+const IDLE_POLL_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Bound on a connection's pending reply bytes: once the output buffer
 /// holds this much it is written at once, even if more frames are
@@ -261,16 +259,14 @@ impl Server {
     /// `InvalidInput`, before anything is bound, if
     /// `cfg.registry_capacity` is 0 (a registry with no room for a
     /// template), `cfg.max_queue_depth` is 0 (every solve would be
-    /// refused), or `cfg.poll_interval` or `cfg.idle_poll_interval` is
-    /// zero (`std` refuses a zero socket timeout, so reads would never
-    /// wake to notice shutdown); otherwise whatever binding the listener
-    /// returns.
+    /// refused), or `cfg.poll_interval` is zero (`std` refuses a zero
+    /// socket timeout, so reads would never wake to notice shutdown);
+    /// otherwise whatever binding the listener returns.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> std::io::Result<Server> {
         let zero = [
             ("registry_capacity", cfg.registry_capacity == 0),
             ("max_queue_depth", cfg.max_queue_depth == 0),
             ("poll_interval", cfg.poll_interval.is_zero()),
-            ("idle_poll_interval", cfg.idle_poll_interval.is_zero()),
         ];
         if let Some((field, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
             return Err(std::io::Error::new(
@@ -307,8 +303,11 @@ impl Server {
         self.shutdown_inner();
     }
 
-    /// Blocks until the acceptor exits (i.e. until another thread calls
-    /// nothing — effectively forever). The serve binary's main loop.
+    /// Blocks until the acceptor thread exits, then shuts down as
+    /// [`Server::shutdown`] does. Only a panic in the acceptor ends it
+    /// (shutting down needs the handle this call consumes), so in
+    /// practice this serves until the process is killed: the serve
+    /// binary's main loop.
     pub fn wait(mut self) {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -522,7 +521,7 @@ enum TimeoutMode {
 /// encoded into `out`, which is written just before any socket read,
 /// so the thread never waits for requests while it owes replies. The
 /// idle/poll timeout split lives here too: waiting for a frame's
-/// *first* byte uses the wide [`ServerConfig::idle_poll_interval`]
+/// *first* byte uses the wide [`IDLE_POLL_INTERVAL`]
 /// (wakeups counted), anything mid-frame the tight
 /// [`ServerConfig::poll_interval`] so the shutdown drain grace keeps
 /// its bound.
@@ -577,7 +576,7 @@ impl Connection {
     fn set_mode(&mut self, shared: &Shared, mode: TimeoutMode) {
         if self.mode != mode {
             let t = match mode {
-                TimeoutMode::Idle => shared.cfg.idle_poll_interval,
+                TimeoutMode::Idle => IDLE_POLL_INTERVAL,
                 _ => shared.cfg.poll_interval,
             };
             let _ = self.stream.set_read_timeout(Some(t));
@@ -1192,15 +1191,6 @@ mod tests {
             ..ServerConfig::default()
         };
         assert_refused(cfg, "poll_interval");
-    }
-
-    #[test]
-    fn zero_idle_poll_interval_is_refused() {
-        let cfg = ServerConfig {
-            idle_poll_interval: Duration::ZERO,
-            ..ServerConfig::default()
-        };
-        assert_refused(cfg, "idle_poll_interval");
     }
 
     #[test]

@@ -842,17 +842,15 @@ fn pipelined_multi_template_load_never_mismatches_correlation_ids() {
 
 #[test]
 fn idle_connection_does_not_inflate_wakeup_counters() {
-    // Wide idle interval, tight mid-frame interval: a connection that
-    // sits idle shorter than the idle interval must record zero idle
-    // wakeups (the pre-fix behavior polled at poll_interval, ~24 wakes
-    // in this window).
+    // Tight mid-frame interval: a connection that sits idle for less
+    // than the server's 500 ms idle interval must record zero idle
+    // wakeups (polling at poll_interval would show ~12 in this window).
     let server = server_with(ServerConfig {
         poll_interval: Duration::from_millis(25),
-        idle_poll_interval: Duration::from_millis(1200),
         ..ServerConfig::default()
     });
     let mut idle = Client::connect(server.local_addr()).unwrap();
-    std::thread::sleep(Duration::from_millis(600));
+    std::thread::sleep(Duration::from_millis(300));
     let status = idle.status().unwrap();
     assert_eq!(
         status.idle_wakeups, 0,

@@ -20,23 +20,19 @@
 //!   executes it over a single arena allocation with support-indexed
 //!   revisions, a trail of domain deltas for `assign`/`undo` in
 //!   O(changed), and change-seeded worklists, so MAC search never
-//!   re-establishes consistency from scratch;
-//! * [`binding`] — the engine's delta-admission seam: the rules
-//!   ([`plan_delta`]) that decide when a
-//!   [`StructureDelta`](cqcs_structures::StructureDelta) can repair an
-//!   established fixpoint in place instead of rebinding from scratch;
+//!   re-establishes consistency from scratch; each instance, a delta
+//!   watch's post-edit one included, has one entry: bind, then
+//!   establish;
 //! * [`solver`] — the decision procedure of Theorem 4.9: `Spoiler wins ⟹
 //!   no homomorphism` always, and the converse exactly when co-CSP(B)
 //!   is expressible in k-Datalog (Theorem 4.8).
 
-pub mod binding;
 pub mod consistency;
 pub mod game;
 pub mod program;
 pub mod solver;
 
-pub use binding::{plan_delta, DeltaPlan, EngineState, REBIND_FACTOR};
 pub use consistency::{arc_consistent_domains, refine_domains, ArcConsistency};
 pub use game::{duplicator_wins, solve_game, Config, GameAnalysis};
-pub use program::{ProgramPropagator, PropProgram, SavedPropState};
+pub use program::{ProgramPropagator, PropProgram};
 pub use solver::{pebble_filter, spoiler_wins, PebbleOutcome};

@@ -3,7 +3,8 @@
 //!
 //! This is the crate's one (hyper)arc-consistency engine: the
 //! incremental filter behind MAC search in `cqcs-core`, the Auto
-//! dispatcher's refutation prefilter, delta watches, and the one-shot
+//! dispatcher's refutation prefilter (which a delta watch runs like any
+//! other solve), and the one-shot
 //! [`refine_domains`](crate::consistency::refine_domains). It
 //! **compiles the template away**:
 //!
@@ -23,7 +24,9 @@
 //!   [`PropArena`]: domains, domain sizes, the undo trail, the worklist
 //!   ring and its membership bitset, and the revision scratch sets all
 //!   live at fixed word offsets in a single contiguous allocation,
-//!   reset in O(words) per instance ([`reset_for_instance`]).
+//!   reset in O(words) per instance ([`reset_for_instance`]). Every
+//!   instance enters the same way, bind → establish; nothing but the
+//!   arena's allocation outlives it.
 //!
 //! Compared with re-running the from-scratch refinement at every search
 //! node, the engine revises an `A`-tuple without rescanning `R^B`: a
@@ -49,11 +52,10 @@
 //!
 //! [`reset_for_instance`]: ProgramPropagator::reset_for_instance
 
-use crate::binding::{plan_delta, DeltaPlan, EngineState};
 use cqcs_structures::arena::{
     all_zero, and_into, count_ones, fill_ones, for_each_set_bit, or_into, PropArena,
 };
-use cqcs_structures::{BitSet, Element, RelId, Structure, StructureDelta, SupportIndex};
+use cqcs_structures::{BitSet, Element, RelId, Structure, SupportIndex};
 use std::sync::Arc;
 
 /// Per-relation geometry of a compiled program: what the support index
@@ -283,84 +285,30 @@ impl<'s> ProgramPropagator<'s> {
         self.established = false;
     }
 
-    /// The in-place half of
-    /// [`resume_with_delta`](ProgramPropagator::resume_with_delta):
-    /// when [`plan_delta`] admits repair, re-seeds the worklist with
-    /// exactly the added tuples and re-runs propagation on the resident
-    /// fixpoint. Sound because arc consistency is monotone under
-    /// additions: every old tuple was already revised against domains
-    /// at least as large, and any domain change re-enqueues its
-    /// neighbourhood, so seeding only the additions reaches the exact
-    /// gfp on `a2`. On any fallback — inadmissible delta, or a wipeout
-    /// mid-repair (whose partial trail is order-dependent) — the engine
-    /// is left freshly bound to `a2` and **not** established; the
-    /// caller re-runs `establish`. Returns `true` only on a successful
-    /// consistent repair.
-    fn try_repair(
-        &mut self,
-        a2: &'s Structure,
-        delta: &StructureDelta,
-        bound_universe: usize,
-        bound_tuples: usize,
-    ) -> bool {
-        let state = EngineState {
-            established: self.established,
-            consistent: self.is_consistent(),
-            bound_universe,
-            bound_tuples,
-        };
-        let seeds = match plan_delta(a2, self.b, delta, state) {
-            DeltaPlan::Incremental { seeds } => seeds,
-            DeltaPlan::Rebind { .. } => {
-                self.reset_for_instance(a2);
-                return false;
-            }
-        };
-        self.a = a2;
-        // |A| is unchanged (plan_delta rejects growth), so every region
-        // up to and including the trail keeps its offset; only the
-        // tuple-count-keyed tail (worklist ring + membership bitset)
-        // re-dimensions. The queued flags are all-false at a fixpoint,
-        // so zeroing the tail loses nothing.
-        debug_assert_eq!(self.queue_len, 0, "fixpoint engines have empty worklists");
-        debug_assert_eq!(a2.universe(), self.layout.n);
-        let queue_cap = self.fill_a_bases(a2);
-        let l = &mut self.layout;
-        debug_assert_eq!(l.queue, l.trail + l.n * l.d);
-        l.queue_cap = queue_cap;
-        l.queued = l.queue + queue_cap;
-        l.total = l.queued + queue_cap.div_ceil(64);
-        let (queue_off, total) = (l.queue, l.total);
-        self.arena.resize_tail_zeroed(queue_off, total);
-        self.queue_head = 0;
-        self.queue_len = 0;
-        for (r, t) in seeds {
-            let gid = self.a_bases[r.index()] as usize + t as usize;
-            self.push_queued(gid);
-        }
-        if !self.run_queue() {
-            // Wipeout mid-repair: the partial trail's order depends on
-            // the seed order, not the relation-major establish order;
-            // rebuild so the fallback establish reproduces the fresh
-            // engine exactly.
-            self.reset_for_instance(a2);
-            return false;
-        }
-        // A fresh establish on `a2` trails A×B minus the fixpoint,
-        // which is the old trail plus the repair's removals — the
-        // counts agree, only the (unobservable) order differs.
-        self.deletions = self.trail_len;
-        debug_assert!(self.is_consistent());
-        true
-    }
-
-    /// Computes the instance layout and initialises the arena regions
+    /// Fills `a_bases` with the prefix sums of `a`'s relation-major
+    /// tuple counts plus the total sentinel (the worklist's capacity),
+    /// computes the instance layout and initialises the arena regions
     /// that start non-zero (full domains, domain sizes). Everything
     /// else (trail, ring, scratch) is written before it is read; the
     /// queued bitset starts all-zero from
     /// [`PropArena::reset_zeroed`]. O(arena words).
+    ///
+    /// # Panics
+    /// Panics if `a` is over a different vocabulary than the template,
+    /// before any state changes.
     fn bind(&mut self, a: &'s Structure) {
-        let queue_cap = self.fill_a_bases(a);
+        assert!(
+            a.same_vocabulary(self.b),
+            "arc consistency across different vocabularies"
+        );
+        self.a_bases.clear();
+        let mut total = 0u32;
+        for r in a.vocabulary().iter() {
+            self.a_bases.push(total);
+            total += a.relation(r).len() as u32;
+        }
+        self.a_bases.push(total);
+        let queue_cap = total as usize;
         let prog = &self.program;
         let n = a.universe();
         let d = prog.universe();
@@ -400,27 +348,6 @@ impl<'s> ProgramPropagator<'s> {
         words[sizes..sizes + n].fill(d as u64);
     }
 
-    /// Fills `a_bases` with the prefix sums of `a`'s relation-major
-    /// tuple counts plus the total sentinel, and returns the total — the
-    /// worklist's capacity.
-    ///
-    /// # Panics
-    /// Panics if `a` is over a different vocabulary than the template.
-    fn fill_a_bases(&mut self, a: &Structure) -> usize {
-        assert!(
-            a.same_vocabulary(self.b),
-            "arc consistency across different vocabularies"
-        );
-        self.a_bases.clear();
-        let mut total = 0u32;
-        for r in a.vocabulary().iter() {
-            self.a_bases.push(total);
-            total += a.relation(r).len() as u32;
-        }
-        self.a_bases.push(total);
-        total as usize
-    }
-
     /// The shared program this engine executes.
     pub fn program(&self) -> &Arc<PropProgram> {
         &self.program
@@ -429,84 +356,6 @@ impl<'s> ProgramPropagator<'s> {
     /// Consumes the engine, yielding its arena for reuse.
     pub fn into_arena(self) -> PropArena {
         self.arena
-    }
-
-    /// Consumes the engine into a self-contained, borrow-free snapshot
-    /// of its bound state — arena, layout, counters — so a watch
-    /// session can park established state across deltas and re-borrow
-    /// the structures per update via
-    /// [`resume_with_delta`](ProgramPropagator::resume_with_delta).
-    ///
-    /// # Panics
-    /// Panics if assignment frames are open (park only at depth 0).
-    pub fn into_saved(self) -> SavedPropState {
-        assert!(
-            self.frames.is_empty(),
-            "into_saved with open assignment frames"
-        );
-        SavedPropState {
-            arena: self.arena,
-            layout: self.layout,
-            a_bases: self.a_bases,
-            trail_len: self.trail_len,
-            deletions: self.deletions,
-            established: self.established,
-            bound_universe: self.a.universe(),
-            bound_tuples: self.a.total_tuples(),
-        }
-    }
-
-    /// Rehydrates a parked [`SavedPropState`] against `a2` (described
-    /// by `delta` relative to the structure the state was saved on) and
-    /// immediately attempts the in-place repair. Whether the repair
-    /// landed or fell back to a fresh bind, the returned engine behaves
-    /// exactly like a fresh engine on `a2`: calling
-    /// [`establish`](ProgramPropagator::establish) is the caller's next
-    /// move, and it is instant (idempotent) when the repair succeeded.
-    ///
-    /// A snapshot whose geometry does not match `program` degrades to a
-    /// plain [`with_arena`](ProgramPropagator::with_arena) construction
-    /// recycling the allocation — always sound.
-    ///
-    /// # Panics
-    /// Panics if the structures are over different vocabularies or the
-    /// program was not compiled for `b`.
-    pub fn resume_with_delta(
-        a2: &'s Structure,
-        b: &'s Structure,
-        program: Arc<PropProgram>,
-        saved: SavedPropState,
-        delta: &StructureDelta,
-    ) -> ProgramPropagator<'s> {
-        assert!(
-            a2.same_vocabulary(b),
-            "arc consistency across different vocabularies"
-        );
-        assert!(program.matches(b), "program does not match the template");
-        let compatible = saved.layout.d == program.universe()
-            && saved.layout.n == saved.bound_universe
-            && saved.arena.len() == saved.layout.total;
-        if !compatible {
-            return Self::with_arena(a2, b, program, saved.arena);
-        }
-        let mut p = ProgramPropagator {
-            a: a2,
-            b,
-            program,
-            arena: saved.arena,
-            layout: saved.layout,
-            a_bases: saved.a_bases,
-            frames: Vec::new(),
-            trail_len: saved.trail_len,
-            deletions: saved.deletions,
-            queue_head: 0,
-            queue_len: 0,
-            established: saved.established,
-        };
-        // On fallback try_repair leaves the engine freshly bound to
-        // `a2`; either way the caller's next `establish` is correct.
-        let _ = p.try_repair(a2, delta, saved.bound_universe, saved.bound_tuples);
-        p
     }
 
     /// The instance's left structure.
@@ -626,14 +475,6 @@ impl<'s> ProgramPropagator<'s> {
     /// Number of open assignment frames.
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Whether [`establish`](ProgramPropagator::establish) has already
-    /// run on the bound instance — `true` immediately after
-    /// [`resume_with_delta`](ProgramPropagator::resume_with_delta)
-    /// exactly when the in-place repair landed.
-    pub fn is_established(&self) -> bool {
-        self.established
     }
 
     /// Whether every domain is nonempty.
@@ -1101,35 +942,6 @@ impl<'s> ProgramPropagator<'s> {
     }
 }
 
-/// A parked, borrow-free snapshot of a [`ProgramPropagator`]'s bound
-/// state (arena + layout + counters), produced by
-/// [`into_saved`](ProgramPropagator::into_saved) and rehydrated by
-/// [`resume_with_delta`](ProgramPropagator::resume_with_delta). Watch
-/// sessions own one per registered check, so compiled propagation
-/// state stays arena-resident across a delta stream without
-/// self-referential borrows.
-#[derive(Debug)]
-pub struct SavedPropState {
-    arena: PropArena,
-    layout: Layout,
-    a_bases: Vec<u32>,
-    trail_len: usize,
-    deletions: usize,
-    established: bool,
-    bound_universe: usize,
-    bound_tuples: usize,
-}
-
-impl SavedPropState {
-    /// Discards the snapshot's bound state, yielding only the arena
-    /// allocation for recycling into a fresh engine — for holders that
-    /// let their snapshot go stale (e.g. a watch whose route stopped
-    /// before propagation) but want to keep the allocation.
-    pub fn into_arena(self) -> PropArena {
-        self.arena
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1333,175 +1145,6 @@ mod tests {
         assert_eq!(p.domains_vec(), fresh.domains_vec());
     }
 
-    fn digraph(edges: &[(u32, u32)], n: usize) -> Structure {
-        use cqcs_structures::StructureBuilder;
-        let mut b = StructureBuilder::new(generators::digraph_vocabulary(), n);
-        for &(x, y) in edges {
-            b.add_fact("E", &[x, y]).unwrap();
-        }
-        b.finish()
-    }
-
-    const CHAIN_EDGES: [(u32, u32); 16] = [
-        (0, 1),
-        (1, 2),
-        (2, 3),
-        (3, 4),
-        (4, 5),
-        (5, 6),
-        (6, 7),
-        (7, 0),
-        (0, 2),
-        (1, 3),
-        (2, 4),
-        (3, 5),
-        (4, 6),
-        (5, 7),
-        (6, 0),
-        (7, 1),
-    ];
-
-    fn additive_chain() -> Vec<Structure> {
-        (0..=3)
-            .map(|i| digraph(&CHAIN_EDGES[..10 + 2 * i], 8))
-            .collect()
-    }
-
-    /// The one delta entry into the engine, as a watch session takes
-    /// it: park `p` at depth 0, resume it on `a2` through `delta`, and
-    /// establish. Returns the resumed engine and its verdict.
-    fn park_and_resume<'s>(
-        p: ProgramPropagator<'s>,
-        a2: &'s Structure,
-        delta: &StructureDelta,
-    ) -> (ProgramPropagator<'s>, bool) {
-        let (b, program) = (p.right(), Arc::clone(p.program()));
-        let mut resumed =
-            ProgramPropagator::resume_with_delta(a2, b, program, p.into_saved(), delta);
-        let ok = resumed.establish();
-        (resumed, ok)
-    }
-
-    #[test]
-    fn saved_state_resumes_across_a_delta_stream() {
-        // Park the engine's state between updates, rehydrate against
-        // each post-delta structure, and pin the result against a fresh
-        // engine at every step — verdict, fixpoint, deletions, depth 0
-        // and the assign/undo walk — for both a prune-free and a
-        // hard-pruning template.
-        let templates = [generators::complete_graph(3), digraph(&[(0, 1), (1, 2)], 3)];
-        let structures = additive_chain();
-        for b in &templates {
-            let program = compile_for(b);
-            let mut p = ProgramPropagator::new(&structures[0], b, Arc::clone(&program));
-            p.establish();
-            for w in structures.windows(2) {
-                let d = StructureDelta::between(&w[0], &w[1]).unwrap();
-                assert!(d.additions_only() && d.added().len() == 2);
-                let ok;
-                (p, ok) = park_and_resume(p, &w[1], &d);
-                let mut fresh = ProgramPropagator::new(&w[1], b, Arc::clone(&program));
-                assert_eq!(ok, fresh.establish(), "verdict");
-                assert_eq!(p.domains_vec(), fresh.domains_vec(), "fixpoint domains");
-                assert_eq!(p.deletions(), fresh.deletions(), "deletion counts");
-                assert_eq!(p.depth(), 0);
-                if !ok {
-                    continue;
-                }
-                for x in w[1].elements() {
-                    let Some(v) = p.domain_bitset(x).min() else {
-                        continue;
-                    };
-                    assert_eq!(p.assign(x, v), fresh.assign(x, v), "{x:?}:={v}");
-                    assert_eq!(p.domains_vec(), fresh.domains_vec(), "{x:?}:={v}");
-                    p.undo();
-                    fresh.undo();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resume_with_delta_rebinds_on_universe_growth() {
-        // The arena layout is keyed on |A|, so growth falls back to a
-        // full rebind — still observably a fresh establish on `a2`.
-        let b = generators::complete_graph(3);
-        let program = compile_for(&b);
-        let a = digraph(&CHAIN_EDGES[..10], 8);
-        let mut d = StructureDelta::new(&a);
-        d.grow_universe(2);
-        d.add_fact("E", &[7, 8]).unwrap();
-        d.add_fact("E", &[8, 9]).unwrap();
-        let a2 = d.apply(&a).unwrap();
-        let mut p = ProgramPropagator::new(&a, &b, Arc::clone(&program));
-        assert!(p.establish());
-        let (p, ok) = park_and_resume(p, &a2, &d);
-        assert!(ok);
-        let mut fresh = ProgramPropagator::new(&a2, &b, program);
-        assert!(fresh.establish());
-        assert_eq!(p.domains_vec(), fresh.domains_vec());
-        assert_eq!(p.deletions(), fresh.deletions());
-    }
-
-    #[test]
-    fn resume_with_delta_crossing_a_wipeout_matches_fresh() {
-        let b = digraph(&[(0, 1)], 2);
-        let program = compile_for(&b);
-        let a = digraph(&[(0, 1), (2, 3), (4, 5), (6, 7)], 8);
-        let mut d = StructureDelta::new(&a);
-        d.add_fact("E", &[1, 2]).unwrap();
-        let a2 = d.apply(&a).unwrap();
-        let mut p = ProgramPropagator::new(&a, &b, Arc::clone(&program));
-        assert!(p.establish());
-        let (p, ok) = park_and_resume(p, &a2, &d);
-        let mut fresh = ProgramPropagator::new(&a2, &b, program);
-        assert_eq!(ok, fresh.establish());
-        assert!(!ok, "path of length two is unsatisfiable here");
-        assert_eq!(p.domains_vec(), fresh.domains_vec());
-        assert_eq!(p.deletions(), fresh.deletions());
-    }
-
-    #[test]
-    fn resume_with_retractions_falls_back_exactly() {
-        let b = digraph(&[(0, 1), (1, 2)], 3);
-        let program = compile_for(&b);
-        let a = digraph(&CHAIN_EDGES[..12], 8);
-        let mut d = StructureDelta::new(&a);
-        d.retract_fact("E", &[0, 1]).unwrap();
-        d.add_fact("E", &[1, 0]).unwrap();
-        let a2 = d.apply(&a).unwrap();
-        let mut p = ProgramPropagator::new(&a, &b, Arc::clone(&program));
-        p.establish();
-        let (p, ok) = park_and_resume(p, &a2, &d);
-        let mut fresh = ProgramPropagator::new(&a2, &b, program);
-        assert_eq!(ok, fresh.establish());
-        assert_eq!(p.domains_vec(), fresh.domains_vec());
-        assert_eq!(p.deletions(), fresh.deletions());
-    }
-
-    #[test]
-    fn stale_saved_state_degrades_to_a_fresh_bind() {
-        // A snapshot taken against one template geometry must not leak
-        // into another: resume detects the mismatch and rebuilds.
-        let k3 = generators::complete_graph(3);
-        let k4 = generators::complete_graph(4);
-        let p3 = compile_for(&k3);
-        let p4 = compile_for(&k4);
-        let a = digraph(&CHAIN_EDGES[..10], 8);
-        let mut first = ProgramPropagator::new(&a, &k3, p3);
-        first.establish();
-        let saved = first.into_saved();
-        let mut d = StructureDelta::new(&a);
-        d.add_fact("E", &[0, 3]).unwrap();
-        let a2 = d.apply(&a).unwrap();
-        let mut p = ProgramPropagator::resume_with_delta(&a2, &k4, p4, saved, &d);
-        let ok = p.establish();
-        let mut fresh = ProgramPropagator::new(&a2, &k4, compile_for(&k4));
-        assert_eq!(ok, fresh.establish());
-        assert_eq!(p.domains_vec(), fresh.domains_vec());
-        assert_eq!(p.deletions(), fresh.deletions());
-    }
-
     #[test]
     #[should_panic(expected = "does not match the template")]
     fn mismatched_program_is_rejected() {
@@ -1520,31 +1163,6 @@ mod tests {
         let mut p = ProgramPropagator::new(&a, &b, compile_for(&b));
         let other = generators::random_structure(3, &[3], 2, 0);
         p.reset_for_instance(&other);
-    }
-
-    #[test]
-    #[should_panic(expected = "open assignment frames")]
-    fn into_saved_rejects_open_frames() {
-        // Only a parked engine is repaired, so parking is where the
-        // delta path's depth-0 rule is enforced.
-        let b = generators::complete_graph(3);
-        let a = generators::random_graph_nm(4, 5, 0);
-        let mut p = ProgramPropagator::new(&a, &b, compile_for(&b));
-        assert!(p.establish());
-        p.assign(Element(0), 0);
-        let _ = p.into_saved();
-    }
-
-    #[test]
-    #[should_panic(expected = "different vocabularies")]
-    fn resume_with_delta_rejects_vocabulary_mismatch() {
-        let b = generators::complete_graph(3);
-        let a = generators::random_graph_nm(4, 5, 0);
-        let mut p = ProgramPropagator::new(&a, &b, compile_for(&b));
-        p.establish();
-        let other = generators::random_structure(3, &[3], 2, 0);
-        let d = StructureDelta::new(&other);
-        park_and_resume(p, &other, &d);
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //! structures. That buys two things:
 //!
 //! 1. **O(words) reset.** Rebinding a worker to the next instance of a
-//!    batch is a single `clear + resize` of one `Vec<u64>` followed by
-//!    block writes for the regions that start non-zero (full domains,
-//!    domain sizes) — no per-object traversal, no allocator traffic
-//!    once the high-water mark is reached.
+//!    batch, or a delta watch to its post-edit instance, is a single
+//!    `clear + resize` of one `Vec<u64>` ([`PropArena::reset_zeroed`],
+//!    the arena's only re-dimensioning) followed by block writes for
+//!    the regions that start non-zero (full domains, domain sizes) — no
+//!    per-object traversal, no allocator traffic once the high-water
+//!    mark is reached, and nothing of the previous instance kept but the
+//!    allocation.
 //! 2. **Cache residency.** The MAC hot loop touches domains, supports,
 //!    and scratch accumulators in tight alternation; packing them into
 //!    one block keeps the working set dense and the index arithmetic
@@ -46,21 +49,6 @@ impl PropArena {
     pub fn reset_zeroed(&mut self, len: usize) {
         self.words.clear();
         self.words.resize(len, 0);
-    }
-
-    /// Re-dimensions the arena to exactly `len` words while
-    /// **preserving** the first `prefix` words; everything from `prefix`
-    /// on is zeroed. The delta-rebind path uses this to keep the
-    /// fixed-offset regions (domains, sizes, trail) resident while the
-    /// tail regions (worklist ring, membership bitset) are re-sized for
-    /// the new tuple count.
-    ///
-    /// # Panics
-    /// Panics if `prefix` exceeds either the current or the new length.
-    pub fn resize_tail_zeroed(&mut self, prefix: usize, len: usize) {
-        assert!(prefix <= self.words.len() && prefix <= len);
-        self.words.resize(len, 0);
-        self.words[prefix..].fill(0);
     }
 
     /// Number of words currently carved out.
@@ -190,23 +178,6 @@ mod tests {
             assert_eq!(a.len(), len);
             assert!(all_zero(a.words()), "len {len}");
         }
-    }
-
-    #[test]
-    fn resize_tail_preserves_prefix() {
-        let mut a = PropArena::new();
-        a.reset_zeroed(8);
-        for (i, w) in a.words_mut().iter_mut().enumerate() {
-            *w = i as u64 + 1;
-        }
-        a.resize_tail_zeroed(5, 12);
-        assert_eq!(a.len(), 12);
-        assert_eq!(&a.words()[..5], &[1, 2, 3, 4, 5]);
-        assert!(all_zero(&a.words()[5..]));
-        // Shrinking below the old length keeps the prefix too.
-        a.words_mut().fill(9);
-        a.resize_tail_zeroed(3, 4);
-        assert_eq!(a.words(), &[9, 9, 9, 0]);
     }
 
     #[test]

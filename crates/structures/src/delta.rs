@@ -3,16 +3,17 @@
 //! A [`StructureDelta`] describes how one instance evolves into the
 //! next — facts added, facts retracted, and universe growth — without
 //! materializing either endpoint. It is the contract shared by every
-//! incremental layer above this crate: the propagation engine's
-//! `resume_with_delta` repair path, the incremental Datalog maintenance, and
-//! the session-level watch streams all consume the same validated
-//! delta, so "what changed" is computed and checked exactly once.
+//! incremental layer above this crate: the incremental Datalog
+//! maintenance and the session-level watch streams consume the same
+//! validated delta, so "what changed" is computed and checked exactly
+//! once.
 //!
 //! Deltas are deliberately strict: [`StructureDelta::apply`] rejects
 //! vocabulary mismatches, additions of facts already present, and
 //! retractions of facts that are absent. Strictness is what lets the
-//! engines trust that an "additions-only" delta really is monotone —
-//! the property their worklist-reseeding correctness argument rests on.
+//! watches trust that an "additions-only" delta really is monotone —
+//! the property their counting maintenance and the monotone proofs a
+//! homomorphism watch keeps rest on.
 //!
 //! ```
 //! use cqcs_structures::{generators, StructureDelta};
@@ -28,6 +29,7 @@
 use crate::error::{Error, Result};
 use crate::structure::{Element, Structure, StructureBuilder};
 use crate::vocabulary::{RelId, Vocabulary};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A validated difference between two structures over one vocabulary:
@@ -232,7 +234,9 @@ impl StructureDelta {
                 base.universe()
             )));
         }
-        let mut seen_added: Vec<(RelId, &[Element])> = Vec::with_capacity(self.added.len());
+        // Checked in insertion order, so the first bad fact is the one
+        // reported; the sets make each duplicate check O(1).
+        let mut seen_added: HashSet<(RelId, &[Element])> = HashSet::with_capacity(self.added.len());
         for (r, t) in &self.added {
             if base.relation(*r).contains(t) {
                 return Err(Error::Invalid(format!(
@@ -240,15 +244,15 @@ impl StructureDelta {
                     self.voc.name(*r)
                 )));
             }
-            if seen_added.contains(&(*r, t.as_slice())) {
+            if !seen_added.insert((*r, t)) {
                 return Err(Error::Invalid(format!(
                     "fact {}{t:?} added twice",
                     self.voc.name(*r)
                 )));
             }
-            seen_added.push((*r, t));
         }
-        let mut seen_retracted: Vec<(RelId, &[Element])> = Vec::with_capacity(self.retracted.len());
+        let mut retracted: HashSet<(RelId, &[Element])> =
+            HashSet::with_capacity(self.retracted.len());
         for (r, t) in &self.retracted {
             if !base.relation(*r).contains(t) {
                 return Err(Error::Invalid(format!(
@@ -256,18 +260,18 @@ impl StructureDelta {
                     self.voc.name(*r)
                 )));
             }
-            if seen_retracted.contains(&(*r, t.as_slice())) {
+            if !retracted.insert((*r, t)) {
                 return Err(Error::Invalid(format!(
                     "fact {}{t:?} retracted twice",
                     self.voc.name(*r)
                 )));
             }
-            seen_retracted.push((*r, t));
         }
         let mut builder = StructureBuilder::new(Arc::clone(base.vocabulary()), self.new_universe);
         for r in base.vocabulary().iter() {
             for t in base.relation(r).iter() {
-                if seen_retracted.contains(&(r, t)) {
+                // An additions-only delta hashes no base tuple.
+                if !retracted.is_empty() && retracted.contains(&(r, t)) {
                     continue;
                 }
                 builder
@@ -308,16 +312,31 @@ mod tests {
 
     #[test]
     fn between_then_apply_round_trips() {
-        let a = digraph(&[(0, 1), (1, 2), (2, 0)], 3);
-        let a2 = digraph(&[(0, 1), (2, 1), (2, 0), (3, 3)], 4);
-        let d = StructureDelta::between(&a, &a2).unwrap();
-        assert_eq!(d.added().len(), 2);
-        assert_eq!(d.retracted().len(), 1);
-        assert!(d.grows_universe());
-        assert!(!d.additions_only());
-        let applied = d.apply(&a).unwrap();
-        assert_eq!(applied.universe(), a2.universe());
-        assert_eq!(facts(&applied), facts(&a2));
+        let small = (
+            digraph(&[(0, 1), (1, 2), (2, 0)], 3),
+            digraph(&[(0, 1), (2, 1), (2, 0), (3, 3)], 4),
+        );
+        // About 4,000 and 4,800 facts, with a few thousand retracted
+        // and added.
+        let large = (
+            generators::random_digraph(100, 0.4, 1),
+            generators::random_digraph(110, 0.4, 2),
+        );
+        for (a, a2) in [small, large] {
+            let d = StructureDelta::between(&a, &a2).unwrap();
+            // `facts` lists are sorted: relation-major, tuples sorted.
+            let (before, after) = (facts(&a), facts(&a2));
+            let added = after.iter().filter(|f| before.binary_search(f).is_err());
+            let retracted = before.iter().filter(|f| after.binary_search(f).is_err());
+            let (added, retracted) = (added.count(), retracted.count());
+            assert_eq!(d.added().len(), added);
+            assert_eq!(d.retracted().len(), retracted);
+            assert!(d.grows_universe());
+            assert!(!d.additions_only());
+            let applied = d.apply(&a).unwrap();
+            assert_eq!(applied.universe(), a2.universe());
+            assert_eq!(facts(&applied), after);
+        }
     }
 
     #[test]

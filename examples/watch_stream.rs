@@ -1,14 +1,13 @@
 //! Delta-solve watches: register a check once, stream edits, get
 //! notified exactly when the verdict flips.
 //!
-//! `Session::watch` keeps the compiled propagation engine's
-//! arc-consistency fixpoint resident between updates: a small
-//! `StructureDelta` re-seeds the worklist from its touched tuples
-//! instead of rebinding the instance from scratch, and dispatch stages
-//! whose outcome is provable from cached monotone facts (GYO
-//! cyclicity, treewidth lower bounds, arc-consistency refutations) are
-//! skipped. `DatalogWatch` does the same for least-fixpoint
-//! containment checks — counting for the non-recursive strata, DRed
+//! `Session::watch` applies each `StructureDelta` and runs the same
+//! Auto dispatch a fresh `Session::solve` runs, minus the stages whose
+//! outcome is provable from monotone facts its earlier updates
+//! established (GYO cyclicity, treewidth lower bounds); while additions
+//! keep an arc-refuted instance refuted, an update costs O(1).
+//! `DatalogWatch` maintains least-fixpoint containment checks
+//! incrementally — counting for the non-recursive strata, DRed
 //! delete/re-derive for the recursive ones. Both report `Some(verdict)`
 //! exactly when an update changes the answer, and both are pinned by
 //! tests and experiment E17 to agree with from-scratch re-solves.
@@ -72,11 +71,8 @@ fn main() {
     }
     let stats = watch.stats();
     println!(
-        "{} updates: {} fixpoint repairs, {} full establishes, {} monotone refutations\n",
-        stats.updates,
-        stats.repaired_establishes,
-        stats.full_establishes,
-        stats.monotone_refutations,
+        "{} updates: {} acyclicity skips, {} treewidth skips, {} monotone refutations\n",
+        stats.updates, stats.acyclicity_skips, stats.treewidth_skips, stats.monotone_refutations,
     );
 
     // --- A Datalog containment watch: "does this digraph have a

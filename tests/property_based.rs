@@ -596,88 +596,12 @@ proptest! {
         }
     }
 
-    /// Parking the engine and resuming it through a delta
-    /// (`into_saved` → `resume_with_delta` → `establish`, the path a
-    /// watch session takes) is a drop-in for a fresh bind on the
-    /// post-delta instance under arbitrary add/retract streams on
-    /// mixed-arity instances: after every step the engine reports the
-    /// same verdict, fixpoint (or partial wipeout) domains and deletion
-    /// count as a freshly bound, freshly established engine, at depth 0.
-    /// Covers both the incremental repair and the too-large-delta /
-    /// wipeout fallback paths, whichever the admission rules pick.
-    /// Stress-runnable via `PROPTEST_CASES=5000`.
-    #[test]
-    fn resume_with_delta_matches_fresh_bind(
-        (b, na, script) in delta_stream(4, 4, 5),
-    ) {
-        let (structures, deltas) = materialize_stream(na, &script);
-        let program = compile_for(&b);
-        let mut comp = ProgramPropagator::new(&structures[0], &b, std::sync::Arc::clone(&program));
-        comp.establish();
-        for (delta, post) in deltas.iter().zip(&structures[1..]) {
-            let ok;
-            (comp, ok) = park_and_resume(comp, post, delta);
-            let mut fresh = ProgramPropagator::new(post, &b, std::sync::Arc::clone(&program));
-            prop_assert_eq!(ok, fresh.establish(), "verdict");
-            prop_assert_eq!(comp.domains_vec(), fresh.domains_vec(), "domains");
-            prop_assert_eq!(comp.deletions(), fresh.deletions(), "deletions");
-            prop_assert_eq!(comp.depth(), 0);
-        }
-    }
-
-    /// The same pin on a wide template (universe > 64, multi-word
-    /// kernels) under an additive-then-churning digraph stream.
-    /// Stress-runnable via `PROPTEST_CASES=5000`.
-    #[test]
-    fn resume_with_delta_matches_fresh_bind_wide_template(
-        b in wide_digraph(),
-        n in 2usize..=6,
-        script in proptest::collection::vec(
-            proptest::collection::vec((0u32..6, 0u32..6), 1..=3), 1..=6,
-        ),
-    ) {
-        use cqcs::structures::StructureDelta;
-        let voc = generators::digraph_vocabulary();
-        let mut facts: HashSet<Vec<u32>> = HashSet::new();
-        let build = |facts: &HashSet<Vec<u32>>| {
-            let mut bb = cqcs::structures::StructureBuilder::new(
-                std::sync::Arc::clone(&voc), n,
-            );
-            for t in facts {
-                bb.add_fact("E", t).unwrap();
-            }
-            bb.finish()
-        };
-        let mut structures = vec![build(&facts)];
-        for step in &script {
-            for &(x, y) in step {
-                let t = vec![x % n as u32, y % n as u32];
-                if !facts.insert(t.clone()) {
-                    facts.remove(&t);
-                }
-            }
-            structures.push(build(&facts));
-        }
-        let program = compile_for(&b);
-        let mut comp = ProgramPropagator::new(&structures[0], &b, std::sync::Arc::clone(&program));
-        comp.establish();
-        for w in structures.windows(2) {
-            let delta = StructureDelta::between(&w[0], &w[1]).unwrap();
-            let ok;
-            (comp, ok) = park_and_resume(comp, &w[1], &delta);
-            let mut fresh = ProgramPropagator::new(&w[1], &b, std::sync::Arc::clone(&program));
-            prop_assert_eq!(ok, fresh.establish(), "wide verdict");
-            prop_assert_eq!(comp.domains_vec(), fresh.domains_vec(), "wide domains");
-            prop_assert_eq!(comp.deletions(), fresh.deletions(), "wide deletions");
-        }
-    }
-
     /// A `Session::watch` absorbing an arbitrary add/retract stream
     /// stays pinned to from-scratch `Session::solve` on every
     /// post-delta instance: same verdict, same route, bit-identical
-    /// witness, and identical search statistics whenever the watch
-    /// reports them (they are absent only on the O(1)
-    /// monotone-refutation path, which skips the solve entirely).
+    /// witness, and identical search statistics on every update except
+    /// those the O(1) monotone-refutation path answers (it skips the
+    /// solve entirely and reports no stats).
     /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
     fn watch_session_stays_pinned_to_fresh_solves(
@@ -688,6 +612,7 @@ proptest! {
         let mut watch = session.watch(&structures[0]);
         for (d, post) in deltas.iter().zip(&structures[1..]) {
             let before = watch.verdict();
+            let refutations = watch.stats().monotone_refutations;
             let flip = watch.apply(d).unwrap();
             prop_assert_eq!(flip, (watch.verdict() != before).then_some(watch.verdict()));
             let fresh = session.solve(post);
@@ -697,8 +622,10 @@ proptest! {
                 "witness"
             );
             prop_assert_eq!(watch.solution().route, fresh.route, "route");
-            if watch.solution().stats.is_some() {
+            if watch.stats().monotone_refutations == refutations {
                 prop_assert_eq!(&watch.solution().stats, &fresh.stats, "stats");
+            } else {
+                prop_assert_eq!(&watch.solution().stats, &None, "monotone stats");
             }
         }
     }
@@ -1108,21 +1035,6 @@ fn build_low_arity(n: usize, facts: &[(u8, u32, u32, bool)]) -> cqcs::structures
 /// The template's propagation program, with a fresh support index.
 fn compile_for(b: &cqcs::structures::Structure) -> std::sync::Arc<PropProgram> {
     std::sync::Arc::new(PropProgram::compile(b))
-}
-
-/// Parks `prop` at depth 0, resumes it on `post` through `delta` and
-/// establishes — the engine's one delta entry. Returns the resumed
-/// engine and its verdict.
-fn park_and_resume<'s>(
-    prop: ProgramPropagator<'s>,
-    post: &'s cqcs::structures::Structure,
-    delta: &cqcs::structures::StructureDelta,
-) -> (ProgramPropagator<'s>, bool) {
-    let (b, program) = (prop.right(), std::sync::Arc::clone(prop.program()));
-    let mut resumed =
-        ProgramPropagator::resume_with_delta(post, b, program, prop.into_saved(), delta);
-    let ok = resumed.establish();
-    (resumed, ok)
 }
 
 /// Establishes `prop` and checks it against the reference fixpoint from
