@@ -1,20 +1,28 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Regenerates every experiment table in EXPERIMENTS.md and checks the
+//! tables' gates on the rows it has just computed.
 //!
 //! ```text
 //! cargo run -p cqcs-bench --release --bin experiments > EXPERIMENTS.md  # all
 //! cargo run -p cqcs-bench --release --bin experiments -- E3 E6          # some
-//! EXPERIMENTS_SCALE=smoke cargo run -p cqcs-bench --bin experiments     # CI smoke
 //! ```
 //!
 //! All workloads are seeded, so every count, verdict, and route in the
 //! output is deterministic; only the timing cells (floats) vary between
-//! machines. `scripts/check_experiments.sh` exploits this: it
-//! regenerates the tables and diffs them against the committed
-//! `EXPERIMENTS.md` with the floats masked, so table rot fails CI
-//! without timings causing false alarms. `EXPERIMENTS_SCALE=smoke`
-//! bounds every size list for a fast sanity run.
+//! machines. A gated cell — E13's cross-validation, the E14–E20 parity
+//! and invariant cells, and the two timing floors (every E17 row ≥ 3×,
+//! E19's depth 8 ≥ 1.5×) — is checked with [`Gates`] next to the `row`
+//! that prints it. The binary runs every selected experiment first, then
+//! prints each failed gate on its own stderr line and exits 1 if any
+//! gate failed. `scripts/check_experiments.sh` runs it, diffs its output
+//! against the committed `EXPERIMENTS.md` with the floats masked (table
+//! rot fails CI without timings causing false alarms), and checks that
+//! `EXPERIMENTS_HISTORY.md` tracks the newest table, each step whatever
+//! the others return.
 
-use cqcs_bench::{closed_boolean_relation, growth_exponent, header, median_ms, row};
+use cqcs_bench::{
+    alternating_medians_ms, closed_boolean_relation, growth_exponent, header, median, median_ms,
+    row, Gates,
+};
 use cqcs_boolean::booleanize::{booleanize, booleanize_with_labels};
 use cqcs_boolean::formula_build;
 use cqcs_boolean::relation::{BooleanRelation, BooleanStructure};
@@ -47,23 +55,13 @@ use cqcs_treewidth::heuristics::{
     decomposition_from_elimination, min_degree_order, min_fill_order,
 };
 use cqcs_treewidth::lower_bounds::mmd_plus_lower_bound;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-/// `EXPERIMENTS_SCALE=smoke` bounds every size list for CI smoke runs.
-fn smoke() -> bool {
-    std::env::var("EXPERIMENTS_SCALE").is_ok_and(|v| v.eq_ignore_ascii_case("smoke"))
-}
+/// One experiment: prints its section and checks its gated cells.
+type Experiment = fn(&mut Gates);
 
-/// Picks the full or the smoke-bounded size list.
-fn sizes<'a>(full: &'a [usize], bounded: &'a [usize]) -> &'a [usize] {
-    if smoke() {
-        bounded
-    } else {
-        full
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id));
     if args.is_empty() {
@@ -75,11 +73,12 @@ fn main() {
         println!(
             "All workloads are seeded: counts, verdicts, and routes are deterministic; \
              timing cells vary by machine and are masked by `scripts/check_experiments.sh` \
-             when CI checks this file for rot."
+             when CI checks this file for rot. The binary checks every gated cell on the \
+             rows it has just computed, then names each failed gate on stderr and exits 1."
         );
         println!();
     }
-    let experiments: [(&str, fn()); 20] = [
+    let experiments: [(&str, Experiment); 20] = [
         ("E1", e1),
         ("E2", e2),
         ("E3", e3),
@@ -101,11 +100,20 @@ fn main() {
         ("E19", e19),
         ("E20", e20),
     ];
+    let mut gates = Gates::default();
     for (id, run) in experiments {
         if want(id) {
-            run();
+            run(&mut gates);
             println!();
         }
+    }
+    for failure in gates.failed() {
+        eprintln!("gate failed: {failure}");
+    }
+    if gates.passed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -145,11 +153,11 @@ fn horn_chain(template: &Structure, n: usize, seed: u64) -> Structure {
     b.finish()
 }
 
-fn e1() {
+fn e1(_: &mut Gates) {
     println!("## E1 — Schaefer recognition (Thm 3.1)\n");
     header(&["arity", "|R|", "classify time (ms)", "classes found"]);
-    for &arity in sizes(&[4usize, 6, 8, 10], &[4, 6]) {
-        for &seeds in sizes(&[4usize, 16, 64], &[4, 16]) {
+    for arity in [4usize, 6, 8, 10] {
+        for seeds in [4usize, 16, 64] {
             let tuples = closed_boolean_relation(arity, seeds, 7, |a, b, _| a & b);
             let r = BooleanRelation::new(arity, tuples).unwrap();
             let t = median_ms(5, || classify_relation(&r));
@@ -164,7 +172,7 @@ fn e1() {
     }
 }
 
-fn e2() {
+fn e2(_: &mut Gates) {
     println!("## E2 — Defining-formula construction (Thm 3.2)\n");
     header(&[
         "class",
@@ -173,7 +181,7 @@ fn e2() {
         "formula size",
         "round-trip models == R",
     ]);
-    for &arity in sizes(&[4usize, 6, 8], &[4]) {
+    for arity in [4usize, 6, 8] {
         let horn = BooleanRelation::new(
             arity,
             closed_boolean_relation(arity, 5, 11, |a, b, _| a & b),
@@ -226,7 +234,7 @@ fn e2() {
     }
 }
 
-fn e3() {
+fn e3(_: &mut Gates) {
     println!("## E3 — Formula route (Thm 3.3) vs direct route (Thm 3.4)\n");
     header(&[
         "‖A‖ (Horn chain)",
@@ -237,7 +245,7 @@ fn e3() {
     let template = horn_template();
     let mut formula_pts = Vec::new();
     let mut direct_pts = Vec::new();
-    for &n in sizes(&[100usize, 200, 400, 800, 1600], &[100, 200]) {
+    for n in [100usize, 200, 400, 800, 1600] {
         let a = horn_chain(&template, n, 3);
         let tf = median_ms(3, || solve_schaefer_via_formulas(&a, &template).unwrap());
         let td = median_ms(3, || solve_schaefer(&a, &template).unwrap());
@@ -261,7 +269,7 @@ fn e3() {
     );
 }
 
-fn e4() {
+fn e4(_: &mut Gates) {
     println!("## E4 — Booleanization (Lemma 3.5, Examples 3.7/3.8)\n");
     header(&["|B|", "bits", "‖A_b‖/‖A‖", "hom preserved (20 seeds)"]);
     for &m in &[3usize, 4, 8, 16] {
@@ -303,7 +311,7 @@ fn e4() {
     }
 }
 
-fn e5() {
+fn e5(_: &mut Gates) {
     println!("## E5 — Saraiya two-atom containment (Prop 3.6)\n");
     header(&[
         "chain length of Q2",
@@ -311,7 +319,7 @@ fn e5() {
         "generic (ms)",
         "agree",
     ]);
-    for &len in sizes(&[4usize, 8, 16, 32], &[4, 8]) {
+    for len in [4usize, 8, 16, 32] {
         // Q1: two-atom query  Q(X) :- E(X,Y), E(Y,X).
         let q1 = parse_query("Q(X) :- E(X, Y), E(Y, X).").unwrap();
         // Q2: a chain of length `len` from X.
@@ -332,15 +340,15 @@ fn e5() {
     }
 }
 
-fn e6() {
+fn e6(_: &mut Gates) {
     println!("## E6 — Existential k-pebble game cost (Thm 4.7/4.9, O(n^2k))\n");
     header(&["k", "n", "time (ms)", "configs generated", "surviving"]);
     for &k in &[2usize, 3] {
         let mut pts = Vec::new();
         let ns: &[usize] = if k == 2 {
-            sizes(&[6, 9, 12, 15, 18], &[6, 9])
+            &[6, 9, 12, 15, 18]
         } else {
-            sizes(&[5, 7, 9, 11], &[5])
+            &[5, 7, 9, 11]
         };
         for &n in ns {
             let a = generators::random_digraph(n, 0.3, 5);
@@ -364,7 +372,7 @@ fn e6() {
     }
 }
 
-fn e7() {
+fn e7(_: &mut Gates) {
     println!("## E7 — Canonical program ρ_B ≡ pebble game (Thm 4.7(2)/4.8)\n");
     header(&[
         "template",
@@ -409,7 +417,7 @@ fn e7() {
     }
 }
 
-fn e8() {
+fn e8(_: &mut Gates) {
     println!("## E8 — Bounded treewidth uniformizes (Thm 5.4)\n");
     header(&[
         "k",
@@ -422,7 +430,7 @@ fn e8() {
     let k3 = generators::complete_graph(3);
     for &k in &[1usize, 2, 3] {
         let mut dp_pts = Vec::new();
-        for &n in sizes(&[10usize, 20, 40, 80], &[10, 20]) {
+        for n in [10usize, 20, 40, 80] {
             let a = generators::partial_ktree(n, k, 0.85, 21);
             let tdp = median_ms(3, || homomorphism_via_treewidth(&a, &k3));
             let (h, w) = homomorphism_via_treewidth(&a, &k3);
@@ -445,7 +453,7 @@ fn e8() {
     }
 }
 
-fn e9() {
+fn e9(_: &mut Gates) {
     println!("## E9 — Binary (dual-graph) encoding (Lemma 5.5)\n");
     header(&[
         "seed",
@@ -472,7 +480,7 @@ fn e9() {
     }
 }
 
-fn e10() {
+fn e10(_: &mut Gates) {
     println!("## E10 — Chandra–Merlin equivalences (Thm 2.1)\n");
     header(&[
         "pair",
@@ -536,7 +544,7 @@ fn e10() {
     println!("\nhom(A→B) ⟺ Q_B ⊑ Q_A on random digraphs: {agree}/10 agree");
 }
 
-fn e11() {
+fn e11(_: &mut Gates) {
     println!("## E11 — Dichotomy boundary: CSP(K2) vs CSP(K3) (§2, Hell–Nešetřil)\n");
     header(&[
         "instance family",
@@ -583,7 +591,7 @@ fn e11() {
     );
 }
 
-fn e12() {
+fn e12(_: &mut Gates) {
     println!("## E12 — Ablations\n");
     println!("### Backtracking heuristics (3-coloring random graphs)\n");
     println!(
@@ -599,7 +607,7 @@ fn e12() {
         "mean time (ms)",
     ]);
     let k3 = generators::complete_graph(3);
-    let trials: u64 = if smoke() { 3 } else { 10 };
+    let trials: u64 = 10;
     for (name, opts) in [
         (
             "plain",
@@ -661,7 +669,7 @@ fn e12() {
         "agree",
     ]);
     let program = canonical_program(&generators::complete_graph(2), 2);
-    for &n in sizes(&[4usize, 6, 8], &[4, 6]) {
+    for n in [4usize, 6, 8] {
         let a = generators::random_digraph(n, 0.3, 17);
         let nv = eval_naive(&program, &a);
         let sn = eval_semi_naive(&program, &a);
@@ -710,7 +718,7 @@ fn e12() {
     }
 }
 
-fn e13() {
+fn e13(gates: &mut Gates) {
     println!("## E13 — Exact treewidth cross-validation: branch & bound vs subset DP\n");
     println!(
         "The QuickBB-style branch and bound (`bb_treewidth`) lifted the exact \
@@ -730,7 +738,7 @@ fn e13() {
         "B&B (ms)",
         "decomposition",
     ]);
-    for &n in sizes(&[14usize, 18, 20], &[12]) {
+    for n in [14usize, 18, 20] {
         for mult in [2usize, 3] {
             let m = (n * mult).min(n * (n - 1) / 2);
             let s = generators::random_graph_nm(n, m, 7);
@@ -739,6 +747,13 @@ fn e13() {
             // this table, and the point is the gap, not the noise floor.
             let (dp, t_dp) = cqcs_bench::time_ms(|| dp_treewidth(&g));
             let (r, t_bb) = cqcs_bench::time_ms(|| bb_treewidth(&g));
+            let decomposition = validated(&g, &r);
+            gates.check(dp == r.width, || {
+                format!("E13 G({n},{m}): DP width {dp} ≠ B&B width {}", r.width)
+            });
+            gates.check(decomposition == "valid", || {
+                format!("E13 G({n},{m}): decomposition {decomposition}")
+            });
             row(&[
                 format!("G({n},{m})"),
                 dp.to_string(),
@@ -747,7 +762,7 @@ fn e13() {
                 r.nodes.to_string(),
                 format!("{t_dp:.3}"),
                 format!("{t_bb:.3}"),
-                validated(&g, &r),
+                decomposition,
             ]);
         }
     }
@@ -764,7 +779,7 @@ fn e13() {
         "decomposition",
     ]);
     let big: Vec<(String, UndirectedGraph)> = {
-        let mut cases: Vec<(String, Structure)> = vec![
+        let cases: Vec<(String, Structure)> = vec![
             (
                 "partial 3-tree".into(),
                 generators::partial_ktree(40, 3, 0.8, 2),
@@ -778,13 +793,11 @@ fn e13() {
                 generators::partial_ktree(60, 5, 0.9, 7),
             ),
             ("G(40,60)".into(), generators::random_graph_nm(40, 60, 3)),
+            ("G(48,72)".into(), generators::random_graph_nm(48, 72, 9)),
+            ("4×10 grid".into(), generators::grid_graph(4, 10)),
+            ("5×8 grid".into(), generators::grid_graph(5, 8)),
+            ("C64".into(), generators::undirected_cycle(64)),
         ];
-        if !smoke() {
-            cases.push(("G(48,72)".into(), generators::random_graph_nm(48, 72, 9)));
-            cases.push(("4×10 grid".into(), generators::grid_graph(4, 10)));
-            cases.push(("5×8 grid".into(), generators::grid_graph(5, 8)));
-            cases.push(("C64".into(), generators::undirected_cycle(64)));
-        }
         cases
             .into_iter()
             .map(|(name, s)| (name, cqcs_structures::gaifman_graph(&s)))
@@ -795,6 +808,10 @@ fn e13() {
         let md = elimination_width(&g, &min_degree_order(&g));
         let mf = elimination_width(&g, &min_fill_order(&g));
         let (r, t_bb) = cqcs_bench::time_ms(|| bb_treewidth(&g));
+        let decomposition = validated(&g, &r);
+        gates.check(decomposition == "valid", || {
+            format!("E13 {name}: decomposition {decomposition}")
+        });
         row(&[
             name,
             g.len().to_string(),
@@ -804,12 +821,12 @@ fn e13() {
             r.width.to_string(),
             r.nodes.to_string(),
             format!("{t_bb:.3}"),
-            validated(&g, &r),
+            decomposition,
         ]);
     }
 }
 
-fn e14() {
+fn e14(gates: &mut Gates) {
     println!("## E14 — Session reuse: one compiled template, streaming instances\n");
     println!(
         "`Session::compile(B)` fixes the template once (the propagation program \
@@ -820,7 +837,7 @@ fn e14() {
          the engine. The one-shot column is `core::solve` per call — itself a \
          compile-then-solve wrapper over the same session layer, so node counts and \
          verdicts must be identical between the two columns (checked per row; a \
-         `false` fails CI via `scripts/check_experiments.sh`). Timing columns are \
+         `false` is a failed gate). Timing columns are \
          machine-dependent (masked in CI) and tracked across PRs in \
          `EXPERIMENTS_HISTORY.md`.\n"
     );
@@ -834,7 +851,7 @@ fn e14() {
         "nodes agree",
         "verdicts agree",
     ]);
-    let count = if smoke() { 8u64 } else { 32 };
+    let count = 32u64;
     let k2 = generators::complete_graph(2);
     let k3 = generators::complete_graph(3);
     let c4 = generators::directed_cycle(4);
@@ -895,6 +912,8 @@ fn e14() {
             .zip(&session_sols)
             .all(|(o, s)| o.homomorphism.is_some() == s.homomorphism.is_some());
         let nodes_agree = nodes_of(&one_shot) == nodes_of(&session_sols);
+        gates.check(nodes_agree, || format!("E14 {name}: node counts disagree"));
+        gates.check(verdicts_agree, || format!("E14 {name}: verdicts disagree"));
         row(&[
             name,
             count.to_string(),
@@ -908,7 +927,7 @@ fn e14() {
     }
 }
 
-fn e15() {
+fn e15(gates: &mut Gates) {
     println!("## E15 — Parallel batch: scoped workers on one counter over one template\n");
     println!(
         "`Session::par_solve_batch(batch, threads)` fans a batch out to up to \
@@ -917,8 +936,8 @@ fn e15() {
          persistent scratch (propagator reset per instance, pooled search/GYO \
          buffers). The `identical` column checks the parallel output against the \
          sequential `solve_batch` **bit for bit** — verdicts, routes, witnesses, \
-         and search statistics, in order — and a `false` fails CI via \
-         `scripts/check_experiments.sh`. Timing and speedup cells are \
+         and search statistics, in order — and a `false` is a failed gate (the \
+         `seq` row compares nothing and carries none). Timing and speedup cells are \
          machine-dependent (masked in CI) and tracked across PRs in \
          `EXPERIMENTS_HISTORY.md`; the `cpus` column records the host's \
          available parallelism so a reader can tell when a row oversubscribes — \
@@ -936,7 +955,7 @@ fn e15() {
         "identical",
     ]);
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let count = if smoke() { 8u64 } else { 32 };
+    let count = 32u64;
     let k3 = generators::complete_graph(3);
     let c4 = generators::directed_cycle(4);
     let workloads: Vec<(String, Vec<Structure>, &Structure)> = vec![
@@ -991,6 +1010,10 @@ fn e15() {
         for threads in [1usize, 2, 4, 8] {
             let par = session.par_solve_batch(&batch, threads);
             let t_par = median_ms(3, || session.par_solve_batch(&batch, threads));
+            let parity = identical(&seq, &par);
+            gates.check(parity, || {
+                format!("E15 {name} threads={threads}: parallel ≠ sequential")
+            });
             row(&[
                 name.clone(),
                 count.to_string(),
@@ -1002,13 +1025,13 @@ fn e15() {
                     .to_string(),
                 format!("{:.4}", t_par / count as f64),
                 format!("{:.2}×", t_seq / t_par),
-                identical(&seq, &par).to_string(),
+                parity.to_string(),
             ]);
         }
     }
 }
 
-fn e16() {
+fn e16(gates: &mut Gates) {
     println!("## E16 — Compiled propagation: flat programs, arena-resident state\n");
     println!(
         "The MAC engine, compiled: `PropProgram` owns the template's flat support \
@@ -1021,8 +1044,8 @@ fn e16() {
          1.00× row), and on a fresh engine and arena per instance (ablating \
          allocation reuse). The `identical` column compares the fresh-arena \
          run's witnesses and full search statistics bit-for-bit against the \
-         reused-arena run — a `false` fails CI via \
-         `scripts/check_experiments.sh`. Timing and speedup cells are \
+         reused-arena run — a `false` is a failed gate (the reused-arena row, \
+         compared with itself, carries none). Timing and speedup cells are \
          machine-dependent (masked in CI) and tracked across PRs in \
          `EXPERIMENTS_HISTORY.md`, which also keeps the last ratio against \
          the interpreted engine earlier versions of this table ran.\n"
@@ -1036,7 +1059,7 @@ fn e16() {
         "speedup",
         "identical",
     ]);
-    let count = if smoke() { 8u64 } else { 32 };
+    let count = 32u64;
     let k3 = generators::complete_graph(3);
     let workloads: Vec<(String, Vec<Structure>)> = [(12usize, 24usize), (16, 32), (20, 40)]
         .into_iter()
@@ -1095,6 +1118,10 @@ fn e16() {
             ("compiled (arena reused)", reference.clone(), t_reused),
             ("compiled (fresh arena)", fresh(), median_ms(3, fresh)),
         ] {
+            let parity = identical(&reference, &sols);
+            if engine == "compiled (fresh arena)" {
+                gates.check(parity, || format!("E16 {name}: fresh arena ≠ reused arena"));
+            }
             row(&[
                 name.clone(),
                 count.to_string(),
@@ -1102,13 +1129,13 @@ fn e16() {
                 engine.into(),
                 format!("{:.4}", t / count as f64),
                 format!("{:.2}×", t_reused / t),
-                identical(&reference, &sols).to_string(),
+                parity.to_string(),
             ]);
         }
     }
 }
 
-fn e17() {
+fn e17(gates: &mut Gates) {
     println!("## E17 — Delta-solve pipeline: incremental watches vs from-scratch re-solves\n");
     println!(
         "Register a check once, then stream edits: each `Session::watch` \
@@ -1122,9 +1149,11 @@ fn e17() {
          on the post-delta structure — `Session::solve` for the homomorphism \
          streams (verdict, route, and witness must match), `eval_semi_naive` \
          for the Datalog stream (goal verdict and the full IDB fact sets \
-         must match) — and any `false` in the `identical` column fails CI \
-         via `scripts/check_experiments.sh`, which also requires the \
-         committed per-update speedup of every row to stay ≥ 3×. Timing and \
+         must match) — and any `false` in the `identical` column is a \
+         failed gate, as is a row whose per-update speedup is under 3×. \
+         Watch and fresh are timed in alternating passes, the side that \
+         goes first flipping on every pass, and each reports the median of \
+         its {E17_PASSES} passes (registration excluded). Timing and \
          speedup cells are machine-dependent (masked in the rot diff) and \
          tracked across PRs in `EXPERIMENTS_HISTORY.md`.\n"
     );
@@ -1149,12 +1178,7 @@ fn e17() {
     // instance's treewidth above the DP budget, so later updates skip
     // GYO and the DP stage and go from arc consistency to search.
     let k3 = generators::complete_graph(3);
-    let ramps: &[(usize, usize, usize)] = if smoke() {
-        &[(16, 28, 36)]
-    } else {
-        &[(24, 40, 64), (28, 48, 72)]
-    };
-    for &(n, m0, m1) in ramps {
+    for (n, m0, m1) in [(24usize, 40usize, 64usize), (28, 48, 72)] {
         let structures: Vec<Structure> = (m0..=m1)
             .map(|m| generators::random_graph_nm(n, m, 7))
             .collect();
@@ -1163,6 +1187,7 @@ fn e17() {
             .map(|w| StructureDelta::between(&w[0], &w[1]).expect("nested prefixes"))
             .collect();
         hom_watch_row(
+            gates,
             &format!("G({n},{m0}→{m1}) → K3"),
             &k3,
             &structures,
@@ -1208,7 +1233,7 @@ fn e17() {
         };
         let m0 = 40usize;
         let adds_before = 6usize;
-        let adds_after = if smoke() { 4 } else { 14 };
+        let adds_after = 14usize;
         let digraph = |m: usize, pinned: bool| {
             let mut b = StructureBuilder::new(Arc::clone(&voc), n);
             for &(x, y) in &pairs[..m] {
@@ -1233,6 +1258,7 @@ fn e17() {
             .map(|w| StructureDelta::between(&w[0], &w[1]).expect("nested prefixes"))
             .collect();
         hom_watch_row(
+            gates,
             &format!("G({n},{m0}→{}) +pin → K3⁺P", m0 + adds_before + adds_after),
             &template,
             &structures,
@@ -1247,14 +1273,14 @@ fn e17() {
     // `eval_semi_naive` on every post-delta structure.
     {
         let program = cqcs_datalog::programs::cycle_detection();
-        let n = if smoke() { 24usize } else { 64 };
+        let n = 64usize;
         let voc = generators::digraph_vocabulary();
         let mut b = StructureBuilder::new(Arc::clone(&voc), n);
         for i in 0..n as u32 - 1 {
             b.add_fact("E", &[i, i + 1]).unwrap();
         }
         let a0 = b.finish();
-        let steps = if smoke() { 8 } else { 48 };
+        let steps = 48;
         let mut structures = vec![a0];
         let mut deltas: Vec<StructureDelta> = Vec::new();
         for i in 0..steps as u32 {
@@ -1295,42 +1321,52 @@ fn e17() {
                 }
             }
         }
-        let t_watch = median_ms(3, || {
-            let mut w = cqcs_datalog::DatalogWatch::new(&program, &structures[0]);
-            let (_, t) = cqcs_bench::time_ms(|| {
-                for d in &deltas {
-                    w.apply(d).unwrap();
-                }
-            });
-            t
-        });
-        let t_fresh = median_ms(3, || {
-            let (_, t) = cqcs_bench::time_ms(|| {
-                for post in &structures[1..] {
-                    std::hint::black_box(eval_semi_naive(&program, post));
-                }
-            });
-            t
-        });
-        let upd = deltas.len() as f64;
-        row(&[
-            format!("TC cycle stream, path({n}) ±E"),
-            deltas.len().to_string(),
-            "1".into(),
-            flips.to_string(),
-            format!("{:.4}", t_watch / upd),
-            format!("{:.4}", t_fresh / upd),
-            format!("{:.2}×", t_fresh / t_watch),
-            identical.to_string(),
-        ]);
+        let (t_watch, t_fresh) = alternating_medians_ms(
+            E17_PASSES,
+            || {
+                let mut w = cqcs_datalog::DatalogWatch::new(&program, &structures[0]);
+                cqcs_bench::time_ms(|| {
+                    for d in &deltas {
+                        w.apply(d).unwrap();
+                    }
+                })
+                .1
+            },
+            || {
+                cqcs_bench::time_ms(|| {
+                    for post in &structures[1..] {
+                        std::hint::black_box(eval_semi_naive(&program, post));
+                    }
+                })
+                .1
+            },
+        );
+        e17_row(
+            gates,
+            &format!("TC cycle stream, path({n}) ±E"),
+            deltas.len(),
+            1,
+            flips,
+            (t_watch, t_fresh),
+            identical,
+        );
     }
 }
 
+/// Timed passes per side of each E17 row: enough that one host
+/// hiccup cannot decide a median.
+const E17_PASSES: usize = 21;
+
+/// The ≥ 3× per-update floor on every E17 row.
+const E17_FLOOR: f64 = 3.0;
+
 /// One E17 homomorphism-stream row: parity + flips on a dedicated pass,
-/// then median timings of the watch's apply loop (registration
-/// excluded — it is the one-time cost the stream amortizes) against
-/// from-scratch `Session::solve` calls on every post-delta structure.
+/// then median timings, over alternating passes, of the watch's apply
+/// loop (registration excluded — it is the one-time cost the stream
+/// amortizes) against from-scratch `Session::solve` calls on every
+/// post-delta structure.
 fn hom_watch_row(
+    gates: &mut Gates,
     name: &str,
     template: &Structure,
     structures: &[Structure],
@@ -1349,32 +1385,62 @@ fn hom_watch_row(
         }
         identical &= same(watch.solution(), &session.solve(post));
     }
-    let t_watch = median_ms(3, || {
-        let mut w = session.watch(&structures[0]);
-        let (_, t) = cqcs_bench::time_ms(|| {
-            for d in deltas {
-                std::hint::black_box(w.apply(d).unwrap());
-            }
-        });
-        t
+    let timings = alternating_medians_ms(
+        E17_PASSES,
+        || {
+            let mut w = session.watch(&structures[0]);
+            cqcs_bench::time_ms(|| {
+                for d in deltas {
+                    std::hint::black_box(w.apply(d).unwrap());
+                }
+            })
+            .1
+        },
+        || {
+            cqcs_bench::time_ms(|| {
+                for post in &structures[1..] {
+                    std::hint::black_box(session.solve(post));
+                }
+            })
+            .1
+        },
+    );
+    e17_row(
+        gates,
+        name,
+        deltas.len(),
+        max_facts,
+        flips,
+        timings,
+        identical,
+    );
+}
+
+/// Prints one E17 row from its whole-stream `(watch, fresh)` median
+/// milliseconds and checks its parity and its speedup floor.
+fn e17_row(
+    gates: &mut Gates,
+    name: &str,
+    updates: usize,
+    max_facts: usize,
+    flips: usize,
+    (t_watch, t_fresh): (f64, f64),
+    identical: bool,
+) {
+    let upd = updates as f64;
+    let speedup = t_fresh / t_watch;
+    gates.check(identical, || format!("E17 {name}: watch ≠ from-scratch"));
+    gates.check(speedup >= E17_FLOOR, || {
+        format!("E17 {name}: speedup {speedup:.2}× under the {E17_FLOOR}× floor")
     });
-    let t_fresh = median_ms(3, || {
-        let (_, t) = cqcs_bench::time_ms(|| {
-            for post in &structures[1..] {
-                std::hint::black_box(session.solve(post));
-            }
-        });
-        t
-    });
-    let upd = deltas.len() as f64;
     row(&[
         name.to_string(),
-        deltas.len().to_string(),
+        updates.to_string(),
         max_facts.to_string(),
         flips.to_string(),
         format!("{:.4}", t_watch / upd),
         format!("{:.4}", t_fresh / upd),
-        format!("{:.2}×", t_fresh / t_watch),
+        format!("{speedup:.2}×"),
         identical.to_string(),
     ]);
 }
@@ -1390,7 +1456,7 @@ fn validated(g: &UndirectedGraph, r: &cqcs_treewidth::BbResult) -> String {
     }
 }
 
-fn e18() {
+fn e18(gates: &mut Gates) {
     println!("## E18 — Network front end: wire parity and per-kind conformance\n");
     println!(
         "An in-process `cqcs-net` server on an ephemeral port (default config), \
@@ -1399,12 +1465,12 @@ fn e18() {
          answers each connection on its own thread. The `identical` column \
          compares every networked solution **bit for bit** (verdict, witness, \
          route, search stats) against a direct in-process `Session::solve` of \
-         the same instance; a `false` fails CI via \
-         `scripts/check_experiments.sh`. Serving throughput and latency are \
-         measured by the benchmark in `perfbench/`, not here.\n"
+         the same instance; a `false` is a failed gate. Serving throughput \
+         and latency are measured by the benchmark in `perfbench/`, not \
+         here.\n"
     );
     header(&["clients", "requests", "identical"]);
-    let per_client = if smoke() { 8usize } else { 64 };
+    let per_client = 64usize;
     let template = generators::complete_graph(3);
 
     for clients in [1usize, 4, 16] {
@@ -1432,6 +1498,9 @@ fn e18() {
             identical &= h.join().expect("client thread");
         }
         server.shutdown();
+        gates.check(identical, || {
+            format!("E18 {clients} clients: wire ≠ in-process")
+        });
         row(&[
             clients.to_string(),
             (clients * per_client).to_string(),
@@ -1452,22 +1521,18 @@ fn e18() {
             .map(|s| generators::random_graph_nm(8, 12, 1000 + s))
             .collect();
 
+        let mut kind_row = |kind: &str, checks: usize, ok: bool| {
+            gates.check(ok, || format!("E18 {kind}: wire ≠ in-process"));
+            row(&[kind.into(), checks.to_string(), ok.to_string()]);
+        };
         let id = c.register_template(&template).expect("register");
         let id2 = c.register_template(&template).expect("register again");
-        row(&[
-            "register_template".into(),
-            "2".into(),
-            (id != id2).to_string(),
-        ]);
+        kind_row("register_template", 2, id != id2);
 
         let solve_ok = instances
             .iter()
             .all(|a| solutions_identical(&c.solve(id, a).expect("solve"), &direct.solve(a)));
-        row(&[
-            "solve".into(),
-            instances.len().to_string(),
-            solve_ok.to_string(),
-        ]);
+        kind_row("solve", instances.len(), solve_ok);
 
         let wire_batch = c.solve_batch(id2, &instances).expect("solve_batch");
         let direct_batch = direct.solve_batch(&instances);
@@ -1476,11 +1541,7 @@ fn e18() {
                 .iter()
                 .zip(direct_batch.iter())
                 .all(|(w, d)| solutions_identical(w, d));
-        row(&[
-            "solve_batch".into(),
-            instances.len().to_string(),
-            batch_ok.to_string(),
-        ]);
+        kind_row("solve_batch", instances.len(), batch_ok);
 
         let queries = [
             ("Q(X) :- E(X, Y), E(Y, X).", "Q(X) :- E(X, Y)."),
@@ -1492,18 +1553,14 @@ fn e18() {
                 .expect("decidable");
             c.containment(q1, q2).expect("containment") == expected
         });
-        row(&[
-            "containment".into(),
-            queries.len().to_string(),
-            containment_ok.to_string(),
-        ]);
+        kind_row("containment", queries.len(), containment_ok);
 
         let status = c.status().expect("status");
         let status_ok = status.protocol_version == PROTOCOL_VERSION
             && status.templates == 2
             && status.solves == (2 * instances.len()) as u64
             && status.queue_depth == 0;
-        row(&["status".into(), "1".into(), status_ok.to_string()]);
+        kind_row("status", 1, status_ok);
         server.shutdown();
     }
 }
@@ -1563,7 +1620,13 @@ fn pipelined_with_latencies(
     (sols, latencies)
 }
 
-fn e19() {
+/// Timed passes per E19 depth; each row reports their median.
+const E19_PASSES: usize = 5;
+
+/// The depth-8 throughput floor over depth 1.
+const E19_FLOOR: f64 = 1.5;
+
+fn e19(gates: &mut Gates) {
     println!("## E19 — Pipelined serving: depth sweep and pooled-buffer evidence\n");
     println!(
         "The pipelined data plane measured end to end. **Depth sweep:** one \
@@ -1575,18 +1638,18 @@ fn e19() {
          the client submits a window in one buffered write, and the \
          server's connection thread drains it in one read, answers its \
          frames in order, and writes every reply in one write before it \
-         reads again. `speedup` is \
-         throughput over the depth-1 row (best of 3 passes each); the \
-         committed depth-8 value is CI-gated ≥ 1.5× by \
-         `scripts/check_experiments.sh`. `buf growths` counts pooled \
+         reads again. `req/s` is the median of {E19_PASSES} timed passes \
+         and the latency percentiles pool all of them; `speedup` is \
+         throughput over the depth-1 row, and the depth-8 value is gated \
+         ≥ {E19_FLOOR}×. `buf growths` counts pooled \
          frame-buffer capacity growths ([`cqcs_net::pool`]) across the \
          measured passes, after a warmup pass has sized every reusable \
-         buffer: the pinned 0 is the zero-allocation evidence for the \
+         buffer: the gated 0 is the zero-allocation evidence for the \
          steady-state hot path, on both sides of the socket. `identical` \
-         compares every wire solution bit for bit against a direct \
-         in-process `Session::solve`.\n"
+         compares every wire solution of every pass bit for bit against \
+         a direct in-process `Session::solve`.\n"
     );
-    let requests = if smoke() { 256usize } else { 1024 };
+    let requests = 1024usize;
     let template = generators::complete_graph(3);
     let instances: Vec<Structure> = (0..requests)
         .map(|i| generators::directed_path(2 + i % 3))
@@ -1621,34 +1684,46 @@ fn e19() {
         // growth counter is snapshotted.
         let _ = pipelined_with_latencies(&mut c, id, &instances, depth);
         let growths_before = frame_buf_growths();
-        let mut best = f64::MAX;
-        let mut last = None;
-        for _ in 0..3 {
+        let mut secs = Vec::with_capacity(E19_PASSES);
+        let mut passes = Vec::with_capacity(E19_PASSES);
+        for _ in 0..E19_PASSES {
             let t0 = std::time::Instant::now();
-            let pass = pipelined_with_latencies(&mut c, id, &instances, depth);
-            best = best.min(t0.elapsed().as_secs_f64());
-            last = Some(pass);
+            passes.push(pipelined_with_latencies(&mut c, id, &instances, depth));
+            secs.push(t0.elapsed().as_secs_f64());
         }
         let growth_delta = frame_buf_growths() - growths_before;
-        let (sols, mut lats) = last.expect("three passes ran");
-        let identical = sols
-            .iter()
-            .zip(&instances)
-            .all(|(s, a)| solutions_identical(s, &direct.solve(a)));
-        lats.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let rps = requests as f64 / best;
+        let identical = passes.iter().all(|(sols, _)| {
+            sols.iter()
+                .zip(&instances)
+                .all(|(s, a)| solutions_identical(s, &direct.solve(a)))
+        });
+        let mut lats: Vec<f64> = passes.into_iter().flat_map(|(_, l)| l).collect();
+        lats.sort_by(f64::total_cmp);
+        let rps = requests as f64 / median(secs);
         if depth == 1 {
             base_rps = rps;
+        }
+        let speedup = rps / base_rps;
+        gates.check(identical, || {
+            format!("E19 depth {depth}: wire ≠ in-process")
+        });
+        gates.check(growth_delta == 0, || {
+            format!("E19 depth {depth}: {growth_delta} frame-buffer growths")
+        });
+        if depth == 8 {
+            gates.check(speedup >= E19_FLOOR, || {
+                format!("E19 depth 8: speedup {speedup:.2}× under the {E19_FLOOR}× floor")
+            });
         }
         row(&[
             depth.to_string(),
             requests.to_string(),
-            "3".into(),
+            E19_PASSES.to_string(),
             format!("{:.1}", rps),
             format!("{:.4}", percentile(&lats, 0.50)),
             format!("{:.4}", percentile(&lats, 0.95)),
             format!("{:.4}", percentile(&lats, 0.99)),
-            format!("{:.2}×", rps / base_rps),
+            format!("{speedup:.2}×"),
             growth_delta.to_string(),
             identical.to_string(),
         ]);
@@ -1658,7 +1733,7 @@ fn e19() {
 
 // ---------------------------------------------------------------------
 
-fn e20() {
+fn e20(gates: &mut Gates) {
     println!("## E20 — Chaos: fault-injected transport, resilient client, self-healing server\n");
     println!(
         "The failure model measured end to end. Each row runs the full \
@@ -1673,24 +1748,20 @@ fn e20() {
          drives everything through [`cqcs_net::ResilientClient`] — capped \
          exponential backoff with seeded jitter, reconnect + registration \
          replay, retry-flagged re-submissions. The **invariant columns are \
-         the contract** and are CI-gated by `scripts/check_experiments.sh` \
-         at every rate: `terminated` (every request ends in a solution or \
-         a typed error — no hangs), `lost+dup` (each logical request is \
+         the contract** and are gated at every rate: `terminated` (every \
+         request ends in a solution or a typed error — no hangs), \
+         `lost+dup` (each logical request is \
          answered exactly once), `identical` (every successful solution is \
          bit-identical to a direct in-process `Session::solve` — chaos \
          may slow answers, never change them). The volatile cell counts \
          the machinery working (retries, reconnects, panics caught, \
-         connections crashed, accept faults, injected faults) and varies with \
-         scheduling, so the rot check masks it like a timing cell. The \
-         zero-rate row pins the production path: no faults, no retries, \
-         no chaos machinery on the wire.\n"
+         connections crashed, accept faults, the faults injected during the \
+         row) and varies with scheduling, so the rot check masks it like a \
+         timing cell. The zero-rate row pins the production path: no \
+         faults (gated), no retries, no chaos machinery on the wire.\n"
     );
-    let requests = if smoke() { 24usize } else { 96 };
-    let rates: &[f64] = if smoke() {
-        &[0.0, 0.10]
-    } else {
-        &[0.0, 0.02, 0.05, 0.10, 0.25]
-    };
+    let requests = 96usize;
+    let rates: &[f64] = &[0.0, 0.02, 0.05, 0.10, 0.25];
     let template = generators::complete_graph(3);
     let direct = Session::compile(&template);
     let instances: Vec<Structure> = (0..requests)
@@ -1706,6 +1777,7 @@ fn e20() {
         "volatile (masked)",
     ]);
     for (ix, &rate) in rates.iter().enumerate() {
+        let faults_before = cqcs_net::faults_injected();
         let chaos = (rate > 0.0).then(|| ChaosConfig {
             seed: 0xE20 + ix as u64,
             fault_rate: rate,
@@ -1755,11 +1827,27 @@ fn e20() {
         let lost = requests - ok - typed_err;
         let status = client.status().expect("status");
         server.shutdown();
+        let lost_dup = lost as u64 + client.duplicates();
+        let faults = cqcs_net::faults_injected() - faults_before;
+        gates.check(lost == 0, || {
+            format!("E20 rate {rate:.2}: {lost} requests lost")
+        });
+        gates.check(lost_dup == 0, || {
+            format!("E20 rate {rate:.2}: lost+dup {lost_dup}")
+        });
+        gates.check(identical, || {
+            format!("E20 rate {rate:.2}: wire ≠ in-process")
+        });
+        if rate == 0.0 {
+            gates.check(faults == 0, || {
+                format!("E20 rate 0.00: {faults} faults injected")
+            });
+        }
         row(&[
             format!("{rate:.2}"),
             requests.to_string(),
             (lost == 0).to_string(),
-            (lost as u64 + client.duplicates()).to_string(),
+            lost_dup.to_string(),
             identical.to_string(),
             format!(
                 "ok={ok} err={typed_err} retries={} reconnects={} panics={} crashes={} \
@@ -1770,7 +1858,7 @@ fn e20() {
                 status.connections_crashed,
                 status.accept_faults,
                 status.client_retries,
-                cqcs_net::faults_injected(),
+                faults,
             ),
         ]);
     }
@@ -1794,11 +1882,12 @@ fn e20() {
         "identical",
         "volatile (masked)",
     ]);
-    let piped = if smoke() { 24usize } else { 48 };
+    let piped = 48usize;
     let window_instances: Vec<Structure> = (0..piped)
         .map(|i| generators::random_graph_nm(7, 10, 1000 + i as u64))
         .collect();
     for (ix, &rate) in [0.0f64, 0.25].iter().enumerate() {
+        let faults_before = cqcs_net::faults_injected();
         let chaos = (rate > 0.0).then(|| ChaosConfig {
             seed: 0x20E2 + ix as u64,
             fault_rate: rate,
@@ -1838,6 +1927,18 @@ fn e20() {
             .zip(&window_instances)
             .all(|(s, a)| solutions_identical(s, &direct.solve(a)));
         server.shutdown();
+        let faults = cqcs_net::faults_injected() - faults_before;
+        gates.check(settled == piped, || {
+            format!("E20 pipelined rate {rate:.2}: {settled} of {piped} settled")
+        });
+        gates.check(identical, || {
+            format!("E20 pipelined rate {rate:.2}: wire ≠ in-process")
+        });
+        if rate == 0.0 {
+            gates.check(faults == 0, || {
+                format!("E20 pipelined rate 0.00: {faults} faults injected")
+            });
+        }
         row(&[
             format!("{rate:.2}"),
             "8".into(),
@@ -1846,11 +1947,10 @@ fn e20() {
             settled.to_string(),
             identical.to_string(),
             format!(
-                "retries={} reconnects={} stale_dropped={} faults={}",
+                "retries={} reconnects={} stale_dropped={} faults={faults}",
                 client.retries(),
                 client.reconnects(),
                 client.duplicates(),
-                cqcs_net::faults_injected(),
             ),
         ]);
     }

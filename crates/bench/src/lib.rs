@@ -1,9 +1,9 @@
 //! # cqcs-bench — workloads and the experiment harness
 //!
-//! Shared generators and measurement helpers for the criterion benches
-//! (`benches/`) and the deterministic table generator
-//! (`src/bin/experiments.rs`), which regenerates every table in
-//! `EXPERIMENTS.md`.
+//! Shared generators, measurement helpers and the gate recorder of the
+//! deterministic table generator (`src/bin/experiments.rs`), which
+//! regenerates every table in `EXPERIMENTS.md` and checks each table's
+//! gates on the rows it has just computed.
 
 use std::time::Instant;
 
@@ -14,12 +14,66 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
+/// Median of `samples` (the upper middle one of an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    assert!(!samples.is_empty());
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Median-of-`runs` timing (milliseconds) of `f`.
 pub fn median_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    assert!(runs >= 1);
-    let mut times: Vec<f64> = (0..runs).map(|_| time_ms(&mut f).1).collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    median((0..runs).map(|_| time_ms(&mut f).1).collect())
+}
+
+/// Medians of `passes` passes each of `a` and `b`, which return the
+/// milliseconds they timed. The two alternate, and the side that goes
+/// first flips on every pass, so a host slowdown lands on both sides
+/// alike instead of deciding their ratio.
+pub fn alternating_medians_ms(
+    passes: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (f64, f64) {
+    let (mut ta, mut tb) = (Vec::with_capacity(passes), Vec::with_capacity(passes));
+    for pass in 0..passes {
+        if pass % 2 == 0 {
+            ta.push(a());
+            tb.push(b());
+        } else {
+            tb.push(b());
+            ta.push(a());
+        }
+    }
+    (median(ta), median(tb))
+}
+
+/// The gates one run of the experiments binary checks on the rows it
+/// computes: a parity or invariant cell, or a timing floor. Every
+/// failure is kept, in the order checked, so one failing gate cannot
+/// hide the ones after it.
+#[derive(Debug, Default)]
+pub struct Gates {
+    failed: Vec<String>,
+}
+
+impl Gates {
+    /// Records `failure` unless `ok` holds.
+    pub fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) {
+        if !ok {
+            self.failed.push(failure());
+        }
+    }
+
+    /// Every failed gate, in the order checked.
+    pub fn failed(&self) -> &[String] {
+        &self.failed
+    }
+
+    /// Whether every gate checked so far held.
+    pub fn passed(&self) -> bool {
+        self.failed.is_empty()
+    }
 }
 
 /// Fits the growth exponent `p` of `t = c·n^p` from `(n, t)` samples by
@@ -129,5 +183,38 @@ mod tests {
     fn median_is_positive() {
         let m = median_ms(3, || (0..1000).sum::<u64>());
         assert!(m >= 0.0);
+    }
+
+    #[test]
+    fn alternating_medians_flip_the_first_side() {
+        let order = std::cell::RefCell::new(String::new());
+        let mut next = 0.0;
+        let (a, b) = alternating_medians_ms(
+            5,
+            || {
+                order.borrow_mut().push('a');
+                next += 1.0;
+                next
+            },
+            || {
+                order.borrow_mut().push('b');
+                10.0
+            },
+        );
+        assert_eq!(order.into_inner(), "abbaabbaab");
+        assert_eq!((a, b), (3.0, 10.0));
+    }
+
+    #[test]
+    fn gates_keep_every_failure_in_order() {
+        let mut gates = Gates::default();
+        assert!(gates.passed());
+        gates.check(true, || unreachable!("a held gate formats nothing"));
+        assert!(gates.passed() && gates.failed().is_empty());
+        gates.check(false, || "E17 first".into());
+        gates.check(true, || "E18 held".into());
+        gates.check(false, || "E19 second".into());
+        assert!(!gates.passed());
+        assert_eq!(gates.failed(), ["E17 first", "E19 second"]);
     }
 }

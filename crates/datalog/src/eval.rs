@@ -572,8 +572,8 @@ mod tests {
     #[test]
     fn semi_naive_matches_naive_on_rho_b() {
         // The delta-range rework must stay pinned to the naive
-        // evaluator on the canonical-program workload the benches
-        // measure: same facts for every predicate, same goal verdict.
+        // evaluator on the canonical-program workload E12 measures:
+        // same facts for every predicate, same goal verdict.
         let program = crate::canonical::canonical_program(&generators::complete_graph(2), 2);
         for seed in 0..6u64 {
             let input = generators::random_digraph(5, 0.3, seed);

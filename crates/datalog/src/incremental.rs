@@ -47,8 +47,8 @@ struct Stratum {
     recursive: bool,
 }
 
-/// Update-path counters, exposed so tests and benches can assert the
-/// incremental path actually ran.
+/// Update-path counters, exposed so tests can assert the incremental
+/// path actually ran.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IncStats {
     /// Deltas absorbed by the counting/DRed path.

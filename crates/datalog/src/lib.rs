@@ -16,7 +16,7 @@
 //!   k-Datalog program expressing "the Spoiler wins the existential
 //!   k-pebble game on (A, B)" for fixed B;
 //! * [`programs`] — textbook programs (non-2-colorability from §4.1,
-//!   reachability) used across tests and benches;
+//!   reachability) used across tests and the experiment tables;
 //! * [`incremental`] — delta maintenance of the least fixpoint:
 //!   counting for non-recursive predicates, DRed delete/re-derive for
 //!   recursive strata, and a [`DatalogWatch`] that notifies exactly on

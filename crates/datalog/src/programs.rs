@@ -1,4 +1,5 @@
-//! Textbook programs used across tests, examples, and benches.
+//! Textbook programs used across tests, examples, and the experiment
+//! tables.
 
 use crate::ast::Program;
 use crate::parser::parse_program;

@@ -72,8 +72,7 @@ pub fn refine_domains(a: &Structure, b: &Structure, domains: Vec<BitSet>) -> Arc
 /// Kept as the executable specification that [`ProgramPropagator`] is
 /// tested against (same fixpoint, verdict, and deletion count whenever
 /// consistent — on wipeout the pruning order, and hence the partially
-/// pruned domains, may differ), and as the baseline the ablation
-/// benches measure the incremental engine's speedup over.
+/// pruned domains, may differ).
 pub fn refine_domains_reference(
     a: &Structure,
     b: &Structure,

@@ -71,8 +71,7 @@ pub(crate) fn fill_count(adj: &[BitSet], alive: &BitSet, v: usize) -> usize {
 
 /// The from-scratch min-fill order: rescans every live vertex's fill
 /// count at every step. Kept as the executable specification for
-/// [`min_fill_order`] (the test suite pins the two to identical orders)
-/// and as the bench baseline.
+/// [`min_fill_order`] (the test suite pins the two to identical orders).
 pub fn min_fill_order_reference(g: &UndirectedGraph) -> Vec<usize> {
     greedy_order(g, |adj, v, eliminated| {
         let neighbors: Vec<usize> = adj[v].iter().filter(|&u| !eliminated[u]).collect();
