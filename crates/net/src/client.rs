@@ -19,6 +19,14 @@
 //! matching. On the raw [`Client::recv`] path errors come back as
 //! values — a pipelined caller needs to know *which* id failed.
 //!
+//! Submissions are buffered and written just before a read that would
+//! block, the rule the server's connection threads follow too: a
+//! receive that finds a whole reply already buffered writes nothing.
+//! So a caller that keeps a window in flight and submits one request
+//! after each receive sends one write per drained window, not one per
+//! request, and [`Client::flush`] is there for callers that need their
+//! bytes on the wire now.
+//!
 //! The write scratch and payload read buffer are owned by the client
 //! and reused across requests ([`crate::pool`]): a steady-state solve
 //! round-trip allocates no frame buffers on this side either.
@@ -192,7 +200,12 @@ impl Client {
             Some(fault) => Box::new(FaultStream::new(stream, fault.clone())),
             None => Box::new(stream),
         };
-        Ok(Client {
+        Ok(Client::over(stream))
+    }
+
+    /// A client speaking over an already configured transport.
+    pub(crate) fn over(stream: Box<dyn Transport>) -> Client {
+        Client {
             stream,
             next_id: 1,
             write_buf: Vec::new(),
@@ -200,11 +213,21 @@ impl Client {
             rd_start: 0,
             rd_end: 0,
             payload_buf: Vec::new(),
-        })
+        }
     }
 
     fn buffered(&self) -> usize {
         self.rd_end - self.rd_start
+    }
+
+    /// Whether a whole response frame, header and payload, is already
+    /// buffered, so that receiving it reads nothing from the socket.
+    fn frame_buffered(&self) -> bool {
+        let Some(header) = self.read_buf[self.rd_start..self.rd_end].get(..HEADER_LEN) else {
+            return false;
+        };
+        let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
+        self.buffered() - HEADER_LEN >= len as usize
     }
 
     /// Blocks until at least `need` contiguous response bytes are
@@ -236,11 +259,13 @@ impl Client {
     /// Submissions are **buffered**: consecutive `submit` calls append
     /// frames to the client's write scratch and go out in one write
     /// when the scratch passes a threshold, when [`Client::flush`] is
-    /// called, or — automatically — when [`Client::recv`] or
-    /// [`Client::try_recv`] runs. A pipelined window therefore costs
-    /// one syscall, not one per request, and the flush-before-recv rule
-    /// means no caller can deadlock waiting for a response to an
-    /// unsent request.
+    /// called, or — automatically — just before [`Client::recv`] or
+    /// [`Client::try_recv`] would read the socket. A receive that finds
+    /// a whole reply already buffered writes nothing. So a window costs
+    /// one write, not one per request, even for a caller that submits
+    /// one request after each receive. And because pending submissions
+    /// are written before any read that would block, no caller can
+    /// deadlock waiting for a response to an unsent request.
     pub fn submit(&mut self, request: &Request) -> Result<u64, ClientError> {
         self.submit_with(request, false)
     }
@@ -272,9 +297,10 @@ impl Client {
         Ok(id)
     }
 
-    /// Writes out any buffered submissions. Called automatically by the
-    /// receive paths; explicit calls only matter for callers that
-    /// submit and then wait on something other than this connection.
+    /// Writes out any buffered submissions now. The receive paths call
+    /// it just before they read the socket; explicit calls only matter
+    /// for callers that submit and then wait on something other than
+    /// this connection.
     pub fn flush(&mut self) -> Result<(), ClientError> {
         if !self.write_buf.is_empty() {
             self.stream.write_all(&self.write_buf)?;
@@ -289,8 +315,15 @@ impl Client {
     /// back as a **value** here, not an `Err` — a pipelined caller
     /// needs to know which of its outstanding requests failed and keep
     /// receiving the rest.
+    ///
+    /// A reply already buffered (one read usually brings a window of
+    /// them) is returned without touching the socket, and pending
+    /// submissions stay buffered. Otherwise they are written first,
+    /// then the read blocks: write before a read that would block.
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
-        self.flush()?;
+        if !self.frame_buffered() {
+            self.flush()?;
+        }
         self.fill(HEADER_LEN)?;
         let header: [u8; HEADER_LEN] = self.read_buf[self.rd_start..self.rd_start + HEADER_LEN]
             .try_into()
@@ -316,14 +349,17 @@ impl Client {
     /// response bytes have arrived yet. Probes with a nonblocking
     /// `peek` — which never consumes — so the framing cannot desync:
     /// once the first byte of a frame is visible, the read proceeds
-    /// blocking as usual.
+    /// blocking as usual. Pending submissions are written before the
+    /// probe, so a caller polling this method never waits on requests
+    /// it has not sent.
     pub fn try_recv(&mut self) -> Result<Option<(u64, Response)>, ClientError> {
-        self.flush()?;
         if self.buffered() > 0 {
-            // A previous fill already banked response bytes; parse from
-            // the buffer without touching the socket.
+            // A previous fill already banked response bytes: `recv`
+            // parses a whole frame from the buffer, or writes and reads
+            // the rest of a partial one.
             return self.recv().map(Some);
         }
+        self.flush()?;
         self.stream.set_nonblocking(true)?;
         let mut probe = [0u8; 1];
         let ready = match self.stream.peek(&mut probe) {
@@ -410,10 +446,11 @@ impl Client {
     /// reordering — the server answers in completion order).
     ///
     /// Depth 1 degrades to strict request/response; depth `k` sends
-    /// the window in one write, which the server reads in one read and
-    /// answers in one write, so the per-request syscall and wakeup
-    /// costs are shared across the window. The first server-side error
-    /// aborts with [`ClientError::Server`].
+    /// the window in one write (the receive that blocks writes it),
+    /// which the server reads in one read and answers in one write, so
+    /// the per-request syscall and wakeup costs are shared across the
+    /// window. The first server-side error aborts with
+    /// [`ClientError::Server`].
     pub fn solve_pipelined(
         &mut self,
         template_id: u64,
@@ -442,9 +479,9 @@ impl Client {
             }
         };
         while next < instances.len() || !pending.is_empty() {
-            // Refill the window, then block for one response (this is
-            // what flushes the refills, as one write) and drain every
-            // other response that came back with it. Draining before
+            // Refill the window, then block for one response (the
+            // receive writes the refills, as one write, before it reads)
+            // and drain every other response that came back with it. Draining before
             // the next refill is what keeps the batching self-
             // sustaining: the server reads the k submissions that went
             // out together in one read, answers them in one write, and
@@ -508,5 +545,196 @@ impl Client {
             Response::Status(info) => Ok(info),
             _ => Err(ClientError::Unexpected("expected Status")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{HEADER_LEN, MAX_NAME_LEN};
+    use std::collections::VecDeque;
+    use std::io;
+    use std::net::Shutdown;
+    use std::sync::{Arc, Mutex};
+
+    /// What the client did to its transport, in order.
+    #[derive(Debug, PartialEq)]
+    enum Op {
+        /// One `write` call, with the bytes it carried.
+        Write(Vec<u8>),
+        Read,
+        Peek,
+    }
+
+    /// An in-memory server: each read hands out the next scripted chunk
+    /// (then EOF), a peek with no chunk left would block, and every
+    /// call is logged.
+    struct ScriptedServer {
+        replies: VecDeque<Vec<u8>>,
+        log: Arc<Mutex<Vec<Op>>>,
+    }
+
+    impl Read for ScriptedServer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.log.lock().unwrap().push(Op::Read);
+            let Some(chunk) = self.replies.pop_front() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl Write for ScriptedServer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.log.lock().unwrap().push(Op::Write(buf.to_vec()));
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Transport for ScriptedServer {
+        fn peek(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.log.lock().unwrap().push(Op::Peek);
+            match self.replies.front() {
+                Some(chunk) => {
+                    buf[0] = chunk[0];
+                    Ok(1)
+                }
+                None => Err(io::ErrorKind::WouldBlock.into()),
+            }
+        }
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_write_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_nonblocking(&self, _: bool) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_nodelay(&self, _: bool) -> io::Result<()> {
+            Ok(())
+        }
+        fn shutdown(&self, _: Shutdown) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A client whose reads return `replies`, one chunk per read, and
+    /// the log of what it does to its transport.
+    fn scripted(replies: Vec<Vec<u8>>) -> (Client, Arc<Mutex<Vec<Op>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let server = ScriptedServer {
+            replies: replies.into(),
+            log: Arc::clone(&log),
+        };
+        (Client::over(Box::new(server)), log)
+    }
+
+    /// The `Containment` replies with ids `ids`, framed back to back.
+    fn replies(ids: impl IntoIterator<Item = u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for id in ids {
+            Response::Containment { contained: true }
+                .encode_into(id, &mut out)
+                .unwrap();
+        }
+        out
+    }
+
+    /// The `Status` requests with ids `ids`, framed back to back.
+    fn requests(ids: impl IntoIterator<Item = u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for id in ids {
+            Request::Status.encode_into(id, &mut out).unwrap();
+        }
+        out
+    }
+
+    fn take(log: &Mutex<Vec<Op>>) -> Vec<Op> {
+        std::mem::take(&mut *log.lock().unwrap())
+    }
+
+    #[test]
+    fn recv_writes_the_window_once_before_it_reads() {
+        let (mut client, log) = scripted(vec![replies([1, 2, 3]), replies([4])]);
+        for _ in 0..3 {
+            client.submit(&Request::Status).unwrap();
+        }
+        assert!(take(&log).is_empty(), "submit buffers");
+        // Nothing is buffered, so the three submissions leave in one
+        // write before the read that brings all three replies.
+        assert_eq!(client.recv().unwrap().0, 1);
+        assert_eq!(take(&log), [Op::Write(requests(1..=3)), Op::Read]);
+        // Closed loop: one submission after each receive. Replies 2 and
+        // 3 are buffered, so those receives touch nothing.
+        for want in [2, 3] {
+            client.submit(&Request::Status).unwrap();
+            assert_eq!(client.recv().unwrap().0, want);
+        }
+        assert!(take(&log).is_empty(), "buffered replies write nothing");
+        // The buffer is drained: the two refills leave in one write.
+        assert_eq!(client.recv().unwrap().0, 4);
+        assert_eq!(take(&log), [Op::Write(requests(4..=5)), Op::Read]);
+    }
+
+    #[test]
+    fn a_partial_reply_is_written_for_before_the_rest_is_read() {
+        let frames = replies([1, 2]);
+        let cut = frames.len() - 3;
+        let (mut client, log) = scripted(vec![frames[..cut].to_vec(), frames[cut..].to_vec()]);
+        client.submit(&Request::Status).unwrap();
+        client.submit(&Request::Status).unwrap();
+        assert_eq!(client.recv().unwrap().0, 1);
+        take(&log);
+        client.submit(&Request::Status).unwrap();
+        // Reply 2 is buffered only in part: finishing it blocks, so the
+        // pending submission goes out first.
+        assert_eq!(client.recv().unwrap().0, 2);
+        assert_eq!(take(&log), [Op::Write(requests([3])), Op::Read]);
+    }
+
+    #[test]
+    fn try_recv_writes_before_it_probes() {
+        let (mut client, log) = scripted(Vec::new());
+        client.submit(&Request::Status).unwrap();
+        assert!(client.try_recv().unwrap().is_none());
+        assert_eq!(take(&log), [Op::Write(requests([1])), Op::Peek]);
+        // A buffered reply comes back without a write or a probe.
+        let (mut client, log) = scripted(vec![replies([1, 2])]);
+        client.submit(&Request::Status).unwrap();
+        client.submit(&Request::Status).unwrap();
+        assert_eq!(client.recv().unwrap().0, 1);
+        take(&log);
+        client.submit(&Request::Status).unwrap();
+        assert_eq!(client.try_recv().unwrap().unwrap().0, 2);
+        assert!(take(&log).is_empty());
+    }
+
+    #[test]
+    fn submit_still_flushes_past_the_threshold() {
+        let (mut client, log) = scripted(Vec::new());
+        let query = "x".repeat(MAX_NAME_LEN);
+        let containment = Request::Containment {
+            q1: query.clone(),
+            q2: query,
+        };
+        let frame_len = containment.encode(0).unwrap().len();
+        let below = FLUSH_THRESHOLD / frame_len;
+        for _ in 0..below {
+            client.submit(&containment).unwrap();
+        }
+        assert!(take(&log).is_empty(), "below the threshold, submit buffers");
+        client.submit(&containment).unwrap();
+        let ops = take(&log);
+        assert_eq!(ops.len(), 1, "{} ops", ops.len());
+        let Op::Write(bytes) = &ops[0] else {
+            panic!("expected a write, got {:?}", ops[0]);
+        };
+        assert_eq!(bytes.len(), (below + 1) * frame_len);
+        assert!(bytes.len() >= FLUSH_THRESHOLD && frame_len > HEADER_LEN);
     }
 }

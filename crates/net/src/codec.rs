@@ -66,6 +66,8 @@
 
 use cqcs_core::{Route, SearchStats, Solution};
 use cqcs_structures::{Element, Homomorphism, Structure, StructureBuilder, Vocabulary};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// First two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"CQ";
@@ -452,6 +454,12 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// Bytes left after the cursor: what can still back a claimed
+    /// count.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
         if len > MAX_NAME_LEN.max(MAX_PAYLOAD as usize) {
@@ -492,72 +500,184 @@ fn encode_structure(out: &mut Vec<u8>, s: &Structure) {
     }
 }
 
-/// Decodes one structure of a request, adding its universe to
-/// `universe_total`, the request's running sum, which must stay within
-/// [`MAX_UNIVERSE`]. A template (`template = true`) must also stay
-/// within [`MAX_SUPPORT_WORDS`].
-fn decode_structure(
-    r: &mut Reader<'_>,
-    universe_total: &mut u64,
-    template: bool,
-) -> Result<Structure, DecodeError> {
-    let nrels = r.u16()? as usize;
-    let mut voc = Vocabulary::new();
-    for _ in 0..nrels {
-        let name_len = r.u16()? as usize;
-        if name_len > MAX_NAME_LEN {
-            return Err(DecodeError::Oversized(name_len as u64));
-        }
-        let name = std::str::from_utf8(r.bytes(name_len)?).map_err(|_| DecodeError::BadUtf8)?;
-        let arity = r.u16()? as usize;
-        let id = voc
-            .add(name, arity)
-            .map_err(|e| DecodeError::Invalid(e.to_string()))?;
-        if id.index() + 1 != voc.len() {
-            // `add` deduplicates same-name-same-arity symbols; a wire
-            // vocabulary must list each symbol exactly once.
-            return Err(DecodeError::Invalid(format!(
-                "relation symbol `{name}` listed twice"
-            )));
-        }
-    }
-    let voc = voc.into_shared();
-    let universe_claim = r.u32()?;
-    *universe_total += u64::from(universe_claim);
-    if *universe_total > u64::from(MAX_UNIVERSE) {
-        // The universe is a bare count, not backed by payload bytes;
-        // materializing it allocates per-element, so an unbounded claim
-        // is a remote-allocation DoS. Reject before the builder exists.
-        return Err(DecodeError::Oversized(*universe_total));
-    }
-    let universe = universe_claim as usize;
-    let mut builder = StructureBuilder::new(std::sync::Arc::clone(&voc), universe);
-    let mut tuple: Vec<Element> = Vec::new();
-    let mut support_words = 0u64;
-    for rel in voc.iter() {
-        let ntuples = r.u32()? as usize;
-        let arity = voc.arity(rel);
-        if template {
-            // Charge this relation's support bitsets before reading a
-            // tuple: each term is below 2^62 and the sum so far within
-            // the bound, so the addition cannot overflow.
-            let row_words = (ntuples as u64).div_ceil(64).max(1);
-            support_words += arity as u64 * u64::from(universe_claim) * row_words;
-            if support_words > MAX_SUPPORT_WORDS {
-                return Err(DecodeError::Oversized(support_words));
+/// The fewest payload bytes an encoded structure takes: an empty
+/// vocabulary (`u16`) and the universe size (`u32`).
+const MIN_STRUCTURE_BYTES: usize = 6;
+
+/// Decodes the structures of one stream of requests, keeping the
+/// vocabulary of the last one.
+///
+/// Instances sent against one template repeat its vocabulary. While
+/// the wire symbols repeat the kept vocabulary (the same names and
+/// arities in the same order, compared in place), a decoded structure
+/// shares the kept `Arc`. Any difference rereads the symbols, builds
+/// and validates a fresh vocabulary as a first decode would, and keeps
+/// that one instead. Either way the structure is the same: the kept
+/// and the fresh vocabulary differ only in which `Arc` holds equal
+/// content. [`Request::decode_payload`] runs one decoder per thread.
+#[derive(Debug, Default)]
+pub struct RequestDecoder {
+    vocabulary: Option<Arc<Vocabulary>>,
+}
+
+thread_local! {
+    /// The decoder [`Request::decode_payload`] runs on this thread. A
+    /// server connection runs on its own thread, so it keeps one
+    /// vocabulary, as it keeps one payload buffer.
+    static THREAD_DECODER: RefCell<RequestDecoder> = RefCell::default();
+}
+
+impl RequestDecoder {
+    /// Decodes a request payload whose frame header was already parsed.
+    /// The result, error or request, is the one a fresh decoder gives.
+    pub fn decode_payload(&mut self, kind: u8, payload: &[u8]) -> Result<Request, DecodeError> {
+        let mut r = Reader::new(payload);
+        let mut universe_total = 0u64;
+        let req = match kind {
+            K_REGISTER => Request::RegisterTemplate {
+                template: self.structure(&mut r, &mut universe_total, true)?,
+            },
+            K_SOLVE => Request::Solve {
+                template_id: r.u64()?,
+                deadline_ms: r.u32()?,
+                instance: self.structure(&mut r, &mut universe_total, false)?,
+            },
+            K_SOLVE_BATCH => {
+                let template_id = r.u64()?;
+                let deadline_ms = r.u32()?;
+                let n = r.u32()? as usize;
+                if n > MAX_PAYLOAD as usize {
+                    return Err(DecodeError::Oversized(n as u64));
+                }
+                let mut instances = Vec::with_capacity(n.min(r.remaining() / MIN_STRUCTURE_BYTES));
+                for _ in 0..n {
+                    instances.push(self.structure(&mut r, &mut universe_total, false)?);
+                }
+                Request::SolveBatch {
+                    template_id,
+                    deadline_ms,
+                    instances,
+                }
             }
-        }
-        for _ in 0..ntuples {
-            tuple.clear();
-            for _ in 0..arity {
-                tuple.push(Element(r.u32()?));
+            K_CONTAINMENT => Request::Containment {
+                q1: r.str()?.to_owned(),
+                q2: r.str()?.to_owned(),
+            },
+            K_STATUS => Request::Status,
+            k => return Err(DecodeError::UnknownKind(k)),
+        };
+        r.done()?;
+        Ok(req)
+    }
+
+    /// Decodes a structure's vocabulary: the kept one while the wire
+    /// symbols repeat it, else a fresh one, which is kept from then on.
+    fn vocabulary(&mut self, r: &mut Reader<'_>) -> Result<Arc<Vocabulary>, DecodeError> {
+        let nrels = r.u16()? as usize;
+        if let Some(kept) = &self.vocabulary {
+            let symbols_at = r.pos;
+            if kept.len() == nrels && repeats(r, kept) {
+                return Ok(Arc::clone(kept));
             }
-            builder
-                .add_tuple(rel, &tuple)
+            r.pos = symbols_at;
+        }
+        let mut voc = Vocabulary::new();
+        for _ in 0..nrels {
+            let name_len = r.u16()? as usize;
+            if name_len > MAX_NAME_LEN {
+                return Err(DecodeError::Oversized(name_len as u64));
+            }
+            let name = std::str::from_utf8(r.bytes(name_len)?).map_err(|_| DecodeError::BadUtf8)?;
+            let arity = r.u16()? as usize;
+            let id = voc
+                .add(name, arity)
                 .map_err(|e| DecodeError::Invalid(e.to_string()))?;
+            if id.index() + 1 != voc.len() {
+                // `add` deduplicates same-name-same-arity symbols; a wire
+                // vocabulary must list each symbol exactly once.
+                return Err(DecodeError::Invalid(format!(
+                    "relation symbol `{name}` listed twice"
+                )));
+            }
         }
+        let voc = voc.into_shared();
+        self.vocabulary = Some(Arc::clone(&voc));
+        Ok(voc)
     }
-    Ok(builder.finish())
+
+    /// Decodes one structure of a request, adding its universe to
+    /// `universe_total`, the request's running sum, which must stay
+    /// within [`MAX_UNIVERSE`]. A template (`template = true`) must also
+    /// stay within [`MAX_SUPPORT_WORDS`].
+    fn structure(
+        &mut self,
+        r: &mut Reader<'_>,
+        universe_total: &mut u64,
+        template: bool,
+    ) -> Result<Structure, DecodeError> {
+        let voc = self.vocabulary(r)?;
+        let universe_claim = r.u32()?;
+        *universe_total += u64::from(universe_claim);
+        if *universe_total > u64::from(MAX_UNIVERSE) {
+            // The universe is a bare count, not backed by payload bytes;
+            // materializing it allocates per-element, so an unbounded
+            // claim is a remote-allocation DoS. Reject before the builder
+            // exists.
+            return Err(DecodeError::Oversized(*universe_total));
+        }
+        let universe = universe_claim as usize;
+        let mut builder = StructureBuilder::new(Arc::clone(&voc), universe);
+        let mut tuple: Vec<Element> = Vec::with_capacity(voc.max_arity());
+        let mut support_words = 0u64;
+        for rel in voc.iter() {
+            let ntuples = r.u32()? as usize;
+            let arity = voc.arity(rel);
+            if template {
+                // Charge this relation's support bitsets before reading a
+                // tuple: each term is below 2^62 and the sum so far within
+                // the bound, so the addition cannot overflow.
+                let row_words = (ntuples as u64).div_ceil(64).max(1);
+                support_words += arity as u64 * u64::from(universe_claim) * row_words;
+                if support_words > MAX_SUPPORT_WORDS {
+                    return Err(DecodeError::Oversized(support_words));
+                }
+            }
+            if arity == 0 {
+                // Every 0-ary tuple is `()` and reads no bytes: the
+                // relation holds it or not, however many are claimed.
+                if ntuples > 0 {
+                    builder
+                        .add_tuple(rel, &[])
+                        .map_err(|e| DecodeError::Invalid(e.to_string()))?;
+                }
+                continue;
+            }
+            // Each tuple takes 4 bytes per position, so the payload left
+            // bounds what a claimed count can reserve.
+            builder.reserve(rel, ntuples.min(r.remaining() / (4 * arity)));
+            for _ in 0..ntuples {
+                tuple.clear();
+                for _ in 0..arity {
+                    tuple.push(Element(r.u32()?));
+                }
+                builder
+                    .add_tuple(rel, &tuple)
+                    .map_err(|e| DecodeError::Invalid(e.to_string()))?;
+            }
+        }
+        Ok(builder.finish())
+    }
+}
+
+/// Whether the next symbols on the wire are `voc`'s, in order, with the
+/// same names and arities; consumes them if so. A short read counts as
+/// a difference: the caller then rereads the symbols and reports it.
+fn repeats(r: &mut Reader<'_>, voc: &Vocabulary) -> bool {
+    voc.symbols().all(|(_, name, arity)| {
+        r.u16().is_ok_and(|len| usize::from(len) == name.len())
+            && r.bytes(name.len()).is_ok_and(|b| b == name.as_bytes())
+            && r.u16().is_ok_and(|a| usize::from(a) == arity)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -569,6 +689,10 @@ const ROUTE_ACYCLIC: u8 = 2;
 const ROUTE_ARC_REFUTED: u8 = 3;
 const ROUTE_TREEWIDTH: u8 = 4;
 const ROUTE_GENERIC: u8 = 5;
+
+/// The fewest payload bytes an encoded solution takes: the witness
+/// flag, the route tag and the stats flag.
+const MIN_SOLUTION_BYTES: usize = 3;
 
 fn encode_solution(out: &mut Vec<u8>, sol: &Solution) {
     match &sol.homomorphism {
@@ -614,7 +738,8 @@ fn decode_solution(r: &mut Reader<'_>) -> Result<Solution, DecodeError> {
             if len > MAX_UNIVERSE as usize {
                 return Err(DecodeError::Oversized(len as u64));
             }
-            let mut map = Vec::with_capacity(len.min(1 << 20));
+            // 4 bytes per element: the payload left bounds the claim.
+            let mut map = Vec::with_capacity(len.min(r.remaining() / 4));
             for _ in 0..len {
                 map.push(Element(r.u32()?));
             }
@@ -827,45 +952,10 @@ impl Request {
         Ok((id, Request::decode_payload(kind, payload)?))
     }
 
-    /// Decodes a request payload whose frame header was already parsed.
+    /// Decodes a request payload whose frame header was already parsed,
+    /// with this thread's [`RequestDecoder`].
     pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Request, DecodeError> {
-        let mut r = Reader::new(payload);
-        let mut universe_total = 0u64;
-        let req = match kind {
-            K_REGISTER => Request::RegisterTemplate {
-                template: decode_structure(&mut r, &mut universe_total, true)?,
-            },
-            K_SOLVE => Request::Solve {
-                template_id: r.u64()?,
-                deadline_ms: r.u32()?,
-                instance: decode_structure(&mut r, &mut universe_total, false)?,
-            },
-            K_SOLVE_BATCH => {
-                let template_id = r.u64()?;
-                let deadline_ms = r.u32()?;
-                let n = r.u32()? as usize;
-                if n > MAX_PAYLOAD as usize {
-                    return Err(DecodeError::Oversized(n as u64));
-                }
-                let mut instances = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    instances.push(decode_structure(&mut r, &mut universe_total, false)?);
-                }
-                Request::SolveBatch {
-                    template_id,
-                    deadline_ms,
-                    instances,
-                }
-            }
-            K_CONTAINMENT => Request::Containment {
-                q1: r.str()?.to_owned(),
-                q2: r.str()?.to_owned(),
-            },
-            K_STATUS => Request::Status,
-            k => return Err(DecodeError::UnknownKind(k)),
-        };
-        r.done()?;
-        Ok(req)
+        THREAD_DECODER.with(|d| d.borrow_mut().decode_payload(kind, payload))
     }
 }
 
@@ -957,7 +1047,7 @@ impl Response {
                 if n > MAX_PAYLOAD as usize {
                     return Err(DecodeError::Oversized(n as u64));
                 }
-                let mut sols = Vec::with_capacity(n.min(1 << 16));
+                let mut sols = Vec::with_capacity(n.min(r.remaining() / MIN_SOLUTION_BYTES));
                 for _ in 0..n {
                     sols.push(decode_solution(&mut r)?);
                 }
@@ -1477,6 +1567,55 @@ mod tests {
             Response::decode(&buf).unwrap_err(),
             DecodeError::Oversized(u64::from(MAX_UNIVERSE) + 1)
         );
+    }
+
+    #[test]
+    fn count_claims_reserve_only_what_the_payload_backs() {
+        // Each frame claims far more than its bytes hold: a 2^20-element
+        // witness, 65,536 solutions or instances, or 2^24 binary tuples
+        // (more than fit in a frame). Decoding reserves what the bytes
+        // left can back, then finds them missing.
+        let mut witness = vec![1]; // has witness
+        put_u32(&mut witness, MAX_UNIVERSE);
+        put_u32(&mut witness, 7); // one element of 2^20
+        let mut batch_solved = Vec::new();
+        put_u32(&mut batch_solved, 1 << 16);
+        batch_solved.extend_from_slice(&[0, ROUTE_GENERIC, 0]); // one of 65,536
+        for (kind, p) in [(K_SOLVED, witness), (K_BATCH_SOLVED, batch_solved)] {
+            assert_eq!(
+                Response::decode(&test_frame(kind, 0, &p)).unwrap_err(),
+                DecodeError::Truncated
+            );
+        }
+        let mut solve_batch = batch_payload(&[3]);
+        solve_batch[12..16].copy_from_slice(&(1u32 << 16).to_le_bytes());
+        let mut tuples = empty_instance_payload(2, 8);
+        let count_at = tuples.len() - 4;
+        tuples[count_at..].copy_from_slice(&(1u32 << 24).to_le_bytes());
+        put_u32(&mut tuples, 0);
+        put_u32(&mut tuples, 1); // one tuple of 2^24
+        for (kind, p) in [(K_SOLVE_BATCH, solve_batch), (K_SOLVE, tuples)] {
+            assert_eq!(
+                Request::decode(&test_frame(kind, 0, &p)).unwrap_err(),
+                DecodeError::Truncated
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_ary_claim_holds_one_fact_and_reads_no_bytes() {
+        // A 0-ary relation claiming u32::MAX facts holds `()` once; its
+        // claim is backed by no bytes, and decoding adds the fact once.
+        let mut p = empty_instance_payload(0, 1);
+        let count_at = p.len() - 4;
+        p[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (_, Request::Solve { instance, .. }) =
+            Request::decode(&test_frame(K_SOLVE, 0, &p)).unwrap()
+        else {
+            panic!("wrong kind");
+        };
+        let s = instance.vocabulary().lookup("E").unwrap();
+        assert_eq!(instance.relation(s).len(), 1);
     }
 
     #[test]

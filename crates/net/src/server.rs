@@ -40,7 +40,10 @@
 //!   output buffer live as long as the connection ([`crate::pool`]); at
 //!   steady state a solve round-trip allocates no frame buffers on the
 //!   server at all (experiment E19 gates this via the pool's growth
-//!   counter).
+//!   counter). Decoding keeps one vocabulary per connection the same
+//!   way: the connection thread's
+//!   [`RequestDecoder`](crate::codec::RequestDecoder) hands every
+//!   instance that repeats the last vocabulary the same `Arc`.
 //! * **Admission control.** At most `max_queue_depth` solves are
 //!   admitted and not yet answered across all connections; a solve
 //!   beyond that is answered [`ErrorCode::Overloaded`]. Requests may

@@ -16,13 +16,18 @@
 //!    or a crash. The one deliberate exception: the 8 correlation-id
 //!    bytes are opaque to the codec, so corrupting them changes the id
 //!    and nothing else.
+//! 3. **Decode shortcuts**: structures framed by hand, with tuples out
+//!    of order and repeated, decode to what `StructureBuilder` builds
+//!    from the same tuples; and a decoder that keeps its last
+//!    vocabulary across a stream of frames over changing vocabularies
+//!    decodes every frame, error or request, as a fresh decoder does.
 //!
 //! Run with `PROPTEST_CASES=5000` for the CI stress setting.
 
 use cqcs_core::{Route, SearchStats, Solution};
 use cqcs_net::codec::{
-    solutions_identical, structures_identical, DecodeError, Request, Response, StatusInfo,
-    HEADER_LEN, LEGACY_VERSION, MAX_PAYLOAD, MAX_UNIVERSE, PROTOCOL_VERSION,
+    solutions_identical, structures_identical, DecodeError, Request, RequestDecoder, Response,
+    StatusInfo, HEADER_LEN, LEGACY_VERSION, MAX_PAYLOAD, MAX_UNIVERSE, PROTOCOL_VERSION,
 };
 use cqcs_structures::{Element, Homomorphism, Structure, StructureBuilder, Vocabulary};
 use proptest::prelude::*;
@@ -111,6 +116,114 @@ fn text() -> impl Strategy<Value = String> {
             .map(|b| ALPHABET[b as usize % ALPHABET.len()])
             .collect()
     })
+}
+
+/// A relation symbol as a peer lists it: name and arity.
+type Symbol = (&'static str, u16);
+
+/// The vocabularies the decode-shortcut properties alternate between:
+/// a base one, a name at another arity, other names, the same symbols
+/// in another order, a prefix of the base, and an extension with a
+/// 0-ary symbol.
+const VOCABULARIES: [&[Symbol]; 7] = [
+    &[("E", 2), ("P", 1)],
+    &[("E", 3), ("P", 1)],
+    &[("E", 2), ("P", 2)],
+    &[("F", 2), ("P", 1)],
+    &[("P", 1), ("E", 2)],
+    &[("E", 2)],
+    &[("E", 2), ("P", 1), ("S", 0)],
+];
+
+// Request kinds, as the codec numbers them.
+const K_REGISTER: u8 = 0x01;
+const K_SOLVE: u8 = 0x02;
+const K_SOLVE_BATCH: u8 = 0x03;
+
+/// Appends a structure as a peer frames it: `symbols`, `universe`, then
+/// each relation's tuples, the ones in `pool` cut to its arity, in
+/// pool order (unsorted, repeats kept).
+fn put_structure(out: &mut Vec<u8>, symbols: &[Symbol], universe: u32, pool: &[Vec<u32>]) {
+    out.extend_from_slice(&(symbols.len() as u16).to_le_bytes());
+    for (name, arity) in symbols {
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&arity.to_le_bytes());
+    }
+    out.extend_from_slice(&universe.to_le_bytes());
+    for &(_, arity) in symbols {
+        out.extend_from_slice(&(pool.len() as u32).to_le_bytes());
+        for t in pool {
+            for e in &t[..usize::from(arity)] {
+                out.extend_from_slice(&e.to_le_bytes());
+            }
+        }
+    }
+}
+
+/// What `StructureBuilder` makes of the same tuples, added in pool order.
+fn built(symbols: &[Symbol], universe: u32, pool: &[Vec<u32>]) -> Structure {
+    let voc = Vocabulary::from_symbols(symbols.iter().map(|&(n, a)| (n, usize::from(a))))
+        .expect("distinct names")
+        .into_shared();
+    let mut b = StructureBuilder::new(std::sync::Arc::clone(&voc), universe as usize);
+    for (r, &(_, arity)) in voc.iter().zip(symbols) {
+        for t in pool {
+            let t: Vec<Element> = t[..usize::from(arity)]
+                .iter()
+                .map(|&e| Element(e))
+                .collect();
+            b.add_tuple(r, &t).expect("tuple in range");
+        }
+    }
+    b.finish()
+}
+
+/// Structural identity plus equal occurrence lists.
+fn same_structure(a: &Structure, b: &Structure) -> bool {
+    structures_identical(a, b) && a.elements().all(|e| a.occurrences(e) == b.occurrences(e))
+}
+
+/// Whether two decodes of one payload agree: the same error, or the
+/// same request with the same structures.
+fn same_decode(a: &Result<Request, DecodeError>, b: &Result<Request, DecodeError>) -> bool {
+    match (a, b) {
+        (Err(x), Err(y)) => x == y,
+        (
+            Ok(Request::RegisterTemplate { template: x }),
+            Ok(Request::RegisterTemplate { template: y }),
+        ) => same_structure(x, y),
+        (
+            Ok(Request::Solve {
+                template_id: i,
+                deadline_ms: d,
+                instance: x,
+            }),
+            Ok(Request::Solve {
+                template_id: j,
+                deadline_ms: e,
+                instance: y,
+            }),
+        ) => i == j && d == e && same_structure(x, y),
+        (
+            Ok(Request::SolveBatch {
+                template_id: i,
+                deadline_ms: d,
+                instances: xs,
+            }),
+            Ok(Request::SolveBatch {
+                template_id: j,
+                deadline_ms: e,
+                instances: ys,
+            }),
+        ) => {
+            i == j
+                && d == e
+                && xs.len() == ys.len()
+                && xs.iter().zip(ys).all(|(x, y)| same_structure(x, y))
+        }
+        _ => false,
+    }
 }
 
 proptest! {
@@ -397,5 +510,92 @@ proptest! {
             Request::decode(&v1).unwrap_err(),
             DecodeError::UnsupportedVersion(LEGACY_VERSION)
         );
+    }
+
+    // -----------------------------------------------------------------
+    // Decode shortcuts: sorted tuples taken as sent, kept vocabularies.
+
+    /// Tuples framed out of order and with repeats decode to the
+    /// structure the builder makes of them: the same tuples, sorted and
+    /// deduplicated, and the same occurrence lists.
+    #[test]
+    fn decode_matches_the_builder(
+        v in 0usize..VOCABULARIES.len(),
+        universe in 1u32..=4,
+        pool in proptest::collection::vec(proptest::collection::vec(0u32..4, 3), 0..12),
+        repeat in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        let symbols = VOCABULARIES[v];
+        let mut pool: Vec<Vec<u32>> = pool
+            .into_iter()
+            .map(|t| t.into_iter().map(|e| e % universe).collect())
+            .collect();
+        let again: Vec<Vec<u32>> =
+            pool.iter().zip(&repeat).filter(|(_, r)| **r).map(|(t, _)| t.clone()).collect();
+        pool.extend(again);
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&7u64.to_le_bytes()); // template id
+        payload.extend_from_slice(&0u32.to_le_bytes()); // no deadline
+        put_structure(&mut payload, symbols, universe, &pool);
+        let decoded = RequestDecoder::default().decode_payload(K_SOLVE, &payload);
+        let Ok(Request::Solve { instance, .. }) = decoded else {
+            panic!("a valid frame failed to decode: {decoded:?}");
+        };
+        let expected = built(symbols, universe, &pool);
+        prop_assert!(same_structure(&instance, &expected));
+        // Sorting the pool first (the order an encoder sends) changes
+        // nothing either.
+        pool.sort();
+        prop_assert!(same_structure(&instance, &built(symbols, universe, &pool)));
+    }
+
+    /// One decoder kept across a stream of frames, as a server
+    /// connection keeps it, decodes each frame exactly as a fresh
+    /// decoder and the thread's decoder do, whichever vocabulary the
+    /// frame before used: request or error. Frames mix registrations,
+    /// solves and two-vocabulary batches, with out-of-range elements and
+    /// truncations among them.
+    #[test]
+    fn a_kept_decoder_decodes_as_a_fresh_one(
+        frames in proptest::collection::vec(
+            (
+                0usize..VOCABULARIES.len(),
+                0u32..=4,
+                proptest::collection::vec(proptest::collection::vec(0u32..5, 3), 0..4),
+                0u8..4,
+                any::<u16>(),
+            ),
+            1..10,
+        ),
+    ) {
+        let mut kept = RequestDecoder::default();
+        for (v, universe, pool, shape, cut) in frames {
+            let symbols = VOCABULARIES[v];
+            let mut payload = Vec::new();
+            let kind = match shape {
+                0 => K_REGISTER,
+                3 => K_SOLVE_BATCH,
+                _ => K_SOLVE,
+            };
+            if kind != K_REGISTER {
+                payload.extend_from_slice(&3u64.to_le_bytes()); // template id
+                payload.extend_from_slice(&9u32.to_le_bytes()); // deadline
+            }
+            if kind == K_SOLVE_BATCH {
+                payload.extend_from_slice(&2u32.to_le_bytes()); // two instances
+                let other = VOCABULARIES[(v + 1) % VOCABULARIES.len()];
+                put_structure(&mut payload, other, universe, &pool);
+            }
+            put_structure(&mut payload, symbols, universe, &pool);
+            if shape == 2 {
+                // Cut anywhere, the vocabulary included.
+                payload.truncate(usize::from(cut) % payload.len());
+            }
+            let fresh = RequestDecoder::default().decode_payload(kind, &payload);
+            let kept_decode = kept.decode_payload(kind, &payload);
+            prop_assert!(same_decode(&kept_decode, &fresh), "{kept_decode:?} vs {fresh:?}");
+            let thread_decode = Request::decode_payload(kind, &payload);
+            prop_assert!(same_decode(&thread_decode, &fresh), "{thread_decode:?} vs {fresh:?}");
+        }
     }
 }

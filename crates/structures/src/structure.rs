@@ -61,10 +61,11 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Sorts and deduplicates `count` tuples laid out back to back in
-    /// `raw`. Sorting goes through a permutation of tuple ids, so each
-    /// tuple is copied once.
-    fn from_flat(arity: usize, count: usize, raw: &[Element]) -> Relation {
+    /// The relation of `count` tuples laid out back to back in `raw`.
+    /// Tuples already strictly ascending are taken as they are, `raw`
+    /// included. Otherwise they are sorted through a permutation of
+    /// tuple ids, so each tuple is copied once, and deduplicated.
+    fn from_flat(arity: usize, count: usize, raw: Vec<Element>) -> Relation {
         if arity == 0 {
             // Every 0-ary tuple is `()`: the relation holds it or not.
             return Relation {
@@ -74,6 +75,13 @@ impl Relation {
             };
         }
         let tuple = |i: usize| &raw[i * arity..(i + 1) * arity];
+        if (1..count).all(|i| tuple(i - 1) < tuple(i)) {
+            return Relation {
+                arity,
+                ntuples: count,
+                data: raw,
+            };
+        }
         let ids = u32::try_from(count).expect("tuple ids fit in u32");
         let mut perm: Vec<u32> = (0..ids).collect();
         perm.sort_unstable_by(|&i, &j| tuple(i as usize).cmp(tuple(j as usize)));
@@ -370,6 +378,17 @@ impl StructureBuilder {
         Ok(())
     }
 
+    /// Reserves room for `additional` more tuples of relation `r`, so
+    /// that adding them does not reallocate. The caller bounds
+    /// `additional` by what it can back: the builder allocates
+    /// `additional · arity` elements up front.
+    pub fn reserve(&mut self, r: RelId, additional: usize) {
+        let elements = additional
+            .checked_mul(self.voc.arity(r))
+            .expect("reserved tuples fit in memory");
+        self.flat[r.index()].reserve_exact(elements);
+    }
+
     /// Adds a tuple by relation name and raw element indices.
     pub fn add_fact(&mut self, name: &str, tuple: &[u32]) -> Result<()> {
         let r = self.voc.require(name)?;
@@ -378,14 +397,18 @@ impl StructureBuilder {
     }
 
     /// Finalizes: sorts and deduplicates every relation, then lays out
-    /// the occurrence lists.
+    /// the occurrence lists. A relation whose tuples were added in
+    /// strictly ascending order, as an encoded or already built
+    /// structure lists them, keeps its tuple storage as it is, with no
+    /// sort and no copy. The result does not depend on the order the
+    /// tuples were added in.
     pub fn finish(self) -> Structure {
         let universe = self.universe;
         let voc = self.voc;
         let relations: Vec<Relation> = voc
             .iter()
             .zip(self.flat.into_iter().zip(self.counts))
-            .map(|(r, (raw, count))| Relation::from_flat(voc.arity(r), count, &raw))
+            .map(|(r, (raw, count))| Relation::from_flat(voc.arity(r), count, raw))
             .collect();
         let (occ_start, occurrences) = occurrence_csr(universe, &relations);
         Structure {
@@ -537,6 +560,69 @@ mod tests {
         assert!(s.relation(sym).contains(&[]));
         assert!(!s_empty.relation(sym).contains(&[]));
         assert_eq!(s.relation(sym).len(), 1);
+    }
+
+    /// A structure over `E/2`, `S/0` and `T/3` whose tuples are added
+    /// in the order given (0-ary facts `s` times).
+    fn built(edges: &[[u32; 2]], s: usize, triples: &[[u32; 3]]) -> Structure {
+        let voc = Vocabulary::from_symbols([("E", 2), ("S", 0), ("T", 3)])
+            .unwrap()
+            .into_shared();
+        let mut b = StructureBuilder::new(voc, 4);
+        for e in edges {
+            b.add_fact("E", e).unwrap();
+        }
+        for _ in 0..s {
+            b.add_fact("S", &[]).unwrap();
+        }
+        for t in triples {
+            b.add_fact("T", t).unwrap();
+        }
+        b.finish()
+    }
+
+    fn assert_same(a: &Structure, b: &Structure) {
+        for r in a.vocabulary().iter() {
+            let (ra, rb) = (a.relation(r), b.relation(r));
+            assert_eq!(ra.len(), rb.len());
+            assert!(ra.iter().eq(rb.iter()));
+        }
+        for e in a.elements() {
+            assert_eq!(a.occurrences(e), b.occurrences(e), "{e:?}");
+        }
+    }
+
+    #[test]
+    fn finish_ignores_the_order_tuples_were_added_in() {
+        let edges = [[0, 1], [0, 3], [1, 1], [2, 0], [3, 2]];
+        let triples = [[0, 0, 1], [1, 2, 3], [3, 3, 3]];
+        let sorted = built(&edges, 1, &triples);
+        let e = sorted.vocabulary().lookup("E").unwrap();
+        assert_eq!(sorted.relation(e).len(), 5);
+        let mut rev_edges = edges;
+        rev_edges.reverse();
+        let mut rev_triples = triples;
+        rev_triples.reverse();
+        // Reversed, and with every tuple (0-ary facts too) repeated in
+        // place or later on.
+        let reversed = built(&rev_edges, 1, &rev_triples);
+        let dup_edges: Vec<[u32; 2]> = edges.iter().chain(&rev_edges).copied().collect();
+        let dup_triples: Vec<[u32; 3]> = triples.iter().flat_map(|t| [*t, *t]).collect();
+        let duplicated = built(&dup_edges, 3, &dup_triples);
+        for other in [&reversed, &duplicated] {
+            assert_same(&sorted, other);
+        }
+        // Empty relations and an absent 0-ary fact.
+        let empty = built(&[], 0, &[]);
+        assert!(empty
+            .vocabulary()
+            .iter()
+            .all(|r| empty.relation(r).is_empty()));
+        assert_same(&empty, &built(&[], 0, &[]));
+        // A sorted run with one repeat at its end still deduplicates.
+        let repeat_last = built(&[[0, 1], [2, 0], [2, 0]], 2, &[]);
+        assert_eq!(repeat_last.relation(e).len(), 2);
+        assert_same(&repeat_last, &built(&[[2, 0], [0, 1]], 1, &[]));
     }
 
     #[test]
