@@ -32,7 +32,16 @@
 //! encoded as their vocabulary (symbol names + arities) followed by the
 //! universe size and each relation's sorted tuple list. Decoding works
 //! over a borrowed `&[u8]` with a cursor — the only allocations are the
-//! decoded values themselves — and **never panics** on malformed input:
+//! decoded values themselves, and a structure's vocabulary is one of
+//! them only when it differs from the last one decoded: a
+//! [`RequestDecoder`] keeps that vocabulary and hands the same `Arc` to
+//! every structure whose wire symbols repeat it.
+//! [`Request::decode_payload`] runs one decoder per thread, so a server
+//! connection keeps one vocabulary, retained like its pooled payload
+//! buffer. Tuples that arrive strictly ascending, as this encoder sends
+//! them, are taken as sent: [`StructureBuilder::finish`] neither sorts
+//! nor copies them. Every count a frame claims reserves at most what the
+//! payload bytes left can back. Decoding **never panics** on malformed input:
 //! truncated buffers, oversized length prefixes, wrong versions, unknown
 //! kinds, hostile universe claims (a tiny frame declaring billions of
 //! elements, or a batch of instances whose universes add up to that —
