@@ -597,7 +597,12 @@ fn e12(_: &mut Gates) {
     println!(
         "MAC runs on the incremental propagator (assign/undo trail + support \
          indexes); `deletions` is its propagation effort. A MAC wipeout counts \
-         as a backtrack.\n"
+         as a backtrack. Every configuration tries one value per class of \
+         K3's interchangeable values (all three: the first unused colour \
+         stands for the others); the last row runs the plain search on each \
+         instance's twin with the values pinned apart \
+         (`generators::pin_values`), which has no interchangeable values and \
+         the same witnesses.\n"
     );
     header(&[
         "config",
@@ -608,32 +613,17 @@ fn e12(_: &mut Gates) {
     ]);
     let k3 = generators::complete_graph(3);
     let trials: u64 = 10;
-    for (name, opts) in [
-        (
-            "plain",
-            SearchOptions {
-                mrv: false,
-                mac: false,
-                ac_preprocess: false,
-            },
-        ),
-        (
-            "MRV",
-            SearchOptions {
-                mrv: true,
-                mac: false,
-                ac_preprocess: false,
-            },
-        ),
-        (
-            "MAC",
-            SearchOptions {
-                mrv: false,
-                mac: true,
-                ac_preprocess: false,
-            },
-        ),
-        ("MRV+MAC+AC", SearchOptions::default()),
+    let plain = SearchOptions {
+        mrv: false,
+        mac: false,
+        ac_preprocess: false,
+    };
+    for (name, opts, pinned) in [
+        ("plain", plain, false),
+        ("MRV", SearchOptions { mrv: true, ..plain }, false),
+        ("MAC", SearchOptions { mac: true, ..plain }, false),
+        ("MRV+MAC+AC", SearchOptions::default(), false),
+        ("plain, values pinned apart", plain, true),
     ] {
         let mut nodes = 0u64;
         let mut backs = 0u64;
@@ -641,7 +631,12 @@ fn e12(_: &mut Gates) {
         let mut ms = 0.0f64;
         for seed in 0..trials {
             let g = generators::random_graph_nm(12, 22, seed);
-            let (stats, t) = cqcs_bench::time_ms(|| backtracking_search(&g, &k3, opts).1);
+            let (a, b) = if pinned {
+                generators::pin_values(&g, &k3)
+            } else {
+                (g, k3.clone())
+            };
+            let (stats, t) = cqcs_bench::time_ms(|| backtracking_search(&a, &b, opts).1);
             nodes += stats.nodes;
             backs += stats.backtracks;
             dels += stats.deletions;

@@ -110,7 +110,7 @@ std::thread_local! {
 /// template at a time; handing it instances against a different
 /// template transparently rebuilds the engine (recycling the arena
 /// allocation).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct WorkerScratch<'s> {
     /// The compiled engine, for every route that propagates or
     /// searches: executes the template's shared [`PropProgram`] over
@@ -123,11 +123,6 @@ pub(crate) struct WorkerScratch<'s> {
 }
 
 impl<'s> WorkerScratch<'s> {
-    /// Creates an empty scratch (all pools start unallocated).
-    pub(crate) fn new() -> Self {
-        WorkerScratch::default()
-    }
-
     /// A scratch on this thread's pooled buffers (empty ones if the
     /// pool is empty). Hand it back with
     /// [`release`](WorkerScratch::release).

@@ -309,23 +309,25 @@ impl Session {
 /// The one-shot entry behind [`solve`](crate::solve): a fresh
 /// stack-local [`TemplateFacts`] next to the caller's borrowed `b` —
 /// no clone of the template, the facts built lazily per call, and the
-/// exact routing a [`Session`] runs.
+/// exact routing a [`Session`] runs, on the calling thread's pooled
+/// scratch as [`Session::solve_with`] takes it.
 pub(crate) fn solve_one_shot(
     a: &Structure,
     b: &Structure,
     strategy: Strategy,
 ) -> Result<Solution, SolveError> {
     let facts = TemplateFacts::default();
-    let mut scratch = WorkerScratch::new();
-    solve_on(b, &facts, a, strategy, &mut scratch)
+    let mut scratch = WorkerScratch::pooled();
+    let result = solve_on(b, &facts, a, strategy, &mut scratch);
+    scratch.release();
+    result
 }
 
 /// Routing core shared by [`Session`], the one-shot wrapper, and the
 /// batch workers. All per-solve mutable state comes from `scratch`; a
-/// fresh scratch (the one-shot wrapper, a parallel batch's spawned
-/// workers) allocates per call or per batch, a pooled or long-lived one
-/// amortizes that across a stream — the results are bit-identical
-/// either way.
+/// fresh scratch (a parallel batch's spawned workers, the first solve
+/// on a thread) allocates, a pooled or long-lived one amortizes that
+/// across a stream — the results are bit-identical either way.
 ///
 /// # Panics
 /// Panics if the structures are over different vocabularies.

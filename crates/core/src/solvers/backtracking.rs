@@ -18,6 +18,43 @@
 //! (`mac = ac_preprocess = false`) never establishes: it reads the full
 //! domains the engine binds and checks fully assigned tuples directly.
 //!
+//! A third improvement is always on, because it cannot change an
+//! answer: **interchangeable values** (Van Hentenryck, Flener, Pearson
+//! and Ågren, IJCAI 2003; for `B = K_n` the "try one new colour" rule).
+//! The template's program records which values of `B` are
+//! interchangeable ([`PropProgram::value_classes`]). Among a node's
+//! candidates that no assigned element uses, the search tries only the
+//! first of each class; a skipped value is not a node. The used values
+//! are one word, read off the assignment at each node beside MRV's own
+//! pass over it.
+//!
+//! *Soundness.* Let the node assign `x` under the prefix `P`, let `u` be
+//! the first unused candidate of a class, tried and refuted, and `v` a
+//! later unused candidate of the same class. The swap `σ = (u v)` is an
+//! automorphism of `B` that fixes every value `P` uses, and it maps the
+//! root domains onto themselves: full domains trivially, and their
+//! arc-consistent fixpoint because `σ` maps arc-consistent domains to
+//! arc-consistent domains. If some homomorphism `h` extended
+//! `P ∪ {x ↦ v}` inside the root domains, `σ ∘ h` would extend
+//! `P ∪ {x ↦ u}` inside them, and the complete search below `u` would
+//! have found it. So the subtree below `v` holds no solution.
+//!
+//! *Witnesses cannot move.* Every skipped subtree is one the unpruned
+//! search would have explored and failed, so the pruned search visits
+//! the unpruned search's nodes in the same order minus those subtrees,
+//! each in the same engine state: the same verdict, the same first
+//! witness, and nodes, backtracks and deletions each at most the
+//! unpruned counts. `tests/property_based.rs` pins this against the
+//! instance's twin with every value pinned apart
+//! (`generators::pin_values`), and `crates/core/tests/search_pin.rs`
+//! against committed witness hashes.
+//!
+//! *The exception.* Root domains that a caller narrowed with
+//! [`ProgramPropagator::restrict_domains`] need not be mapped onto
+//! themselves by `σ`, so on a
+//! [restricted](ProgramPropagator::domains_restricted) engine the search
+//! treats every value as its own class.
+//!
 //! The dispatcher hands the search its worker's engine, running the
 //! template's shared [`PropProgram`]; the standalone
 //! [`backtracking_search`] compiles `B` for the one call.
@@ -167,6 +204,12 @@ pub fn backtracking_search_scratch(
     if scratch.candidate_pool.len() < a.universe() {
         scratch.candidate_pool.resize_with(a.universe(), Vec::new);
     }
+    // Interchangeable values, on root domains B's automorphisms map onto
+    // themselves only (see the module docs).
+    let program = Arc::clone(prop.program());
+    let classes = program
+        .value_classes()
+        .filter(|_| !prop.domains_restricted());
     let found = descend(
         a,
         b,
@@ -175,6 +218,7 @@ pub fn backtracking_search_scratch(
         prop,
         &mut scratch.assigned,
         &mut scratch.candidate_pool,
+        classes,
         0,
     );
     stats.deletions = prop.deletions() as u64 - deletions_at_entry;
@@ -204,6 +248,7 @@ fn descend(
     prop: &mut ProgramPropagator<'_>,
     assigned: &mut Vec<Option<Element>>,
     candidate_pool: &mut Vec<Vec<usize>>,
+    classes: Option<&[u32]>,
     depth: usize,
 ) -> bool {
     // Pick the next variable (MRV reads live domain sizes in O(1)).
@@ -220,8 +265,24 @@ fn descend(
     // mutates the live domain below).
     let mut candidates = std::mem::take(&mut candidate_pool[depth]);
     prop.domain_values_into(Element::new(x), &mut candidates);
+    // With classes (so |B| ≤ 64): the values the assignment uses, and
+    // the classes (by least member) whose first unused candidate this
+    // node has tried.
+    let used = classes.map_or(0u64, |_| {
+        assigned.iter().flatten().fold(0, |m, e| m | 1 << e.index())
+    });
+    let mut tried = 0u64;
     let mut found = false;
     for &v in &candidates {
+        if let Some(classes) = classes {
+            if used & 1 << v == 0 {
+                let class = 1u64 << classes[v];
+                if tried & class != 0 {
+                    continue;
+                }
+                tried |= class;
+            }
+        }
         stats.nodes += 1;
         assigned[x] = Some(Element(v as u32));
         if opts.mac {
@@ -229,7 +290,17 @@ fn descend(
             // tuple checks: every assigned element has a singleton
             // domain, so a violated tuple wipes a domain out.
             if prop.assign(Element::new(x), v) {
-                if descend(a, b, opts, stats, prop, assigned, candidate_pool, depth + 1) {
+                if descend(
+                    a,
+                    b,
+                    opts,
+                    stats,
+                    prop,
+                    assigned,
+                    candidate_pool,
+                    classes,
+                    depth + 1,
+                ) {
                     found = true;
                 }
             } else {
@@ -245,7 +316,17 @@ fn descend(
                 assigned[x] = None;
                 continue;
             }
-            if descend(a, b, opts, stats, prop, assigned, candidate_pool, depth + 1) {
+            if descend(
+                a,
+                b,
+                opts,
+                stats,
+                prop,
+                assigned,
+                candidate_pool,
+                classes,
+                depth + 1,
+            ) {
                 candidate_pool[depth] = candidates;
                 return true;
             }
@@ -508,6 +589,52 @@ mod tests {
                 );
                 assert_eq!(pooled.1, fresh.1, "seed {seed} opts {opts:?}");
             }
+        }
+    }
+
+    #[test]
+    fn restricted_root_domains_treat_every_value_as_its_own_class() {
+        // A = one edge x0–x1 with dom(x1) = {0}. x0 := 0 fails; K3's
+        // values 1 and 2 are interchangeable with 0, but not on these
+        // root domains, so the search must still try them.
+        let k3 = generators::complete_graph(3);
+        let edge = generators::undirected_path(2);
+        let mut prop = ProgramPropagator::new(&edge, &k3, compile_for(&k3));
+        let mut zero = cqcs_structures::BitSet::new(3);
+        zero.insert(0);
+        prop.restrict_domains(&[cqcs_structures::BitSet::full(3), zero]);
+        assert!(prop.domains_restricted());
+        let plain = SearchOptions {
+            mrv: false,
+            mac: false,
+            ac_preprocess: false,
+        };
+        let (h, _) = backtracking_search_with(plain, &mut prop);
+        assert_eq!(
+            h.as_ref().map(Homomorphism::as_slice),
+            Some(&[Element(1), Element(0)][..])
+        );
+        // Rebinding clears the mark.
+        prop.reset_for_instance(&edge);
+        assert!(!prop.domains_restricted());
+    }
+
+    #[test]
+    fn interchangeable_values_prune_only_refuted_siblings() {
+        // K4 → K3 is refuted; the pinned twin searches every value.
+        let k3 = generators::complete_graph(3);
+        let k4 = generators::complete_graph(4);
+        let (k4_pinned, k3_pinned) = generators::pin_values(&k4, &k3);
+        for opts in all_option_combos() {
+            let (h, pruned) = backtracking_search(&k4, &k3, opts);
+            let (twin_h, twin) = backtracking_search(&k4_pinned, &k3_pinned, opts);
+            assert!(h.is_none() && twin_h.is_none(), "{opts:?}");
+            assert!(
+                pruned.nodes < twin.nodes,
+                "{opts:?}: {pruned:?} vs {twin:?}"
+            );
+            assert!(pruned.backtracks <= twin.backtracks, "{opts:?}");
+            assert!(pruned.deletions <= twin.deletions, "{opts:?}");
         }
     }
 

@@ -7,7 +7,10 @@
 //! ordering reads, and so the nodes, backtracks, witnesses and routes a
 //! solve reports. This test sums those counters and hashes those
 //! outputs over seeded binary families, under Auto and two MAC
-//! configurations, and compares them with committed values.
+//! configurations, and compares them with committed values. A change
+//! that may only prune failed subtrees (such as the search's
+//! interchangeable-values rule) may lower the counters but must leave
+//! every hash as committed.
 //!
 //! The families sit on both sides of the engine's kernel choice:
 //! binary relations over templates of at most 64 elements (K3, K32 with
@@ -156,13 +159,19 @@ fn digests() -> Vec<Digest> {
     out
 }
 
-/// Values computed before the binary neighbour-row kernel existed,
-/// when these families ran the live-tuple kernels.
+/// Output hashes computed before the binary neighbour-row kernel
+/// existed, when these families ran the live-tuple kernels. The counters
+/// are those values too, except on G(12,24)->K3: K3's three values are
+/// interchangeable, so the search skips the siblings of a refuted value
+/// there (1050/851/5648 and 1201/1002/8036 before), while its output
+/// hashes, and so every witness and route, stayed as committed. Nothing
+/// else moved: K32's searches never backtrack, D(64,640) has no two
+/// interchangeable values, and D(65,650) is past the 64-value check.
 #[rustfmt::skip]
 const PINNED: [Digest; 11] = [
-    ("G(12,24)->K3",                  "Auto",       1050, 851,  5648,  0x84d781aaf8752df8),
-    ("G(12,24)->K3",                  "MRV+MAC+AC", 1050, 851,  5648,  0x84d781aaf8752df8),
-    ("G(12,24)->K3",                  "MAC",        1201, 1002, 8036,  0x01dafb221e6986eb),
+    ("G(12,24)->K3",                  "Auto",       382,  183,  1425,  0x84d781aaf8752df8),
+    ("G(12,24)->K3",                  "MRV+MAC+AC", 382,  183,  1425,  0x84d781aaf8752df8),
+    ("G(12,24)->K3",                  "MAC",        435,  236,  1960,  0x01dafb221e6986eb),
     ("G(8,12)->K32",                  "MRV+MAC+AC", 128,  0,    3968,  0x6dab03dab052e867),
     ("G(8,12)->K32",                  "MAC",        128,  0,    3968,  0x1b695c4e87908bd4),
     ("looped D(10,30)+K5->D(64,640)", "Auto",       525,  205,  46771, 0x7c549cf4676a069d),

@@ -50,6 +50,19 @@
 //! deletions counted on the way) reaches MAC's nodes, backtracks and
 //! witnesses, which `cqcs-core`'s `search_pin` test pins.
 //!
+//! A program also records which values of `B` are **interchangeable**:
+//! `u` and `v` share a class when swapping them, and fixing every other
+//! value, maps every relation of `B` onto itself. Such transpositions
+//! form an equivalence relation (`(u w) = (u v)(v w)(u v)`), so one
+//! check of each value against each class's least member finds the
+//! classes. Each check reads the binary relations' neighbour rows and
+//! the unary relations' projections, so the classes are computed when
+//! `2 ≤ |B| ≤ 64` and every relation has arity at most 2; every other
+//! template, and any template without two interchangeable values, has
+//! only singleton classes ([`PropProgram::value_classes`] is `None`).
+//! `cqcs-core`'s search uses the classes to skip values that an earlier,
+//! refuted sibling already stands for.
+//!
 //! [`reset_for_instance`]: ProgramPropagator::reset_for_instance
 
 use cqcs_structures::arena::{
@@ -86,11 +99,15 @@ pub struct PropProgram {
     /// word per value, `2 * universe` words per relation (only when
     /// `1 ≤ universe ≤ 64`).
     neighbour_words: Vec<u64>,
+    /// Each value's interchangeable class, named by its least member;
+    /// empty when every class is a singleton.
+    value_class: Vec<u32>,
 }
 
 impl PropProgram {
     /// Compiles `b`: builds its support index and, when `|B| ≤ 64`,
-    /// each binary relation's neighbour rows.
+    /// each binary relation's neighbour rows and `B`'s interchangeable
+    /// values.
     pub fn compile(b: &Structure) -> PropProgram {
         let support = SupportIndex::build(b);
         let universe = b.universe();
@@ -113,7 +130,7 @@ impl PropProgram {
                 rows_base,
             });
         }
-        PropProgram {
+        let mut program = PropProgram {
             max_arity: b.vocabulary().max_arity(),
             max_tuple_words: b
                 .vocabulary()
@@ -124,7 +141,79 @@ impl PropProgram {
             support,
             rels,
             neighbour_words,
+            value_class: Vec::new(),
+        };
+        program.value_class = program.interchangeable_classes();
+        program
+    }
+
+    /// Each value's interchangeable class as its least member, or an
+    /// empty vector when every class is a singleton or the template is
+    /// outside the check (`|B| < 2`, `|B| > 64`, or an arity above 2).
+    fn interchangeable_classes(&self) -> Vec<u32> {
+        let universe = self.universe();
+        if !(2..=64).contains(&universe) || self.rels.iter().any(|m| m.arity > 2) {
+            return Vec::new();
         }
+        let mut class = Vec::with_capacity(universe);
+        let mut leaders: Vec<usize> = Vec::new();
+        for v in 0..universe {
+            match leaders.iter().find(|&&u| self.swap_is_automorphism(u, v)) {
+                Some(&u) => class.push(u as u32),
+                None => {
+                    leaders.push(v);
+                    class.push(v as u32);
+                }
+            }
+        }
+        if leaders.len() == universe {
+            Vec::new()
+        } else {
+            class
+        }
+    }
+
+    /// Whether swapping values `u` and `v` maps every relation onto
+    /// itself, for a template of at most 64 values and arity at most 2.
+    /// A unary relation needs `u` and `v` both in it or both out. A
+    /// binary relation needs every other value to relate to `u` as it
+    /// relates to `v` (their backward rows agree off `{u, v}`), and `v`'s
+    /// forward row to be `u`'s with bits `u` and `v` swapped.
+    fn swap_is_automorphism(&self, u: usize, v: usize) -> bool {
+        let universe = self.universe();
+        let pair = (1u64 << u) | (1u64 << v);
+        let swapped = |w: u64| {
+            let differ = ((w >> u) ^ (w >> v)) & 1;
+            w ^ (differ * pair)
+        };
+        self.rels
+            .iter()
+            .enumerate()
+            .all(|(i, meta)| match meta.arity {
+                0 => true,
+                1 => {
+                    let members = self.support.projection_word(RelId::from_index(i), 0);
+                    ((members >> u) ^ (members >> v)) & 1 == 0
+                }
+                _ => {
+                    let rows = meta
+                        .rows_base
+                        .expect("binary relations over at most 64 values have rows");
+                    let forward = &self.neighbour_words[rows..rows + universe];
+                    let backward = &self.neighbour_words[rows + universe..rows + 2 * universe];
+                    (backward[u] ^ backward[v]) & !pair == 0 && forward[v] == swapped(forward[u])
+                }
+            })
+    }
+
+    /// `B`'s interchangeable values: each value's class, named by its
+    /// least member, where `u` and `v` share a class exactly when
+    /// swapping them maps every relation of `B` onto itself. `None` when
+    /// every class is a singleton, which includes every template with
+    /// more than 64 values or a relation of arity above 2 (see the
+    /// [module docs](self)).
+    pub fn value_classes(&self) -> Option<&[u32]> {
+        (!self.value_class.is_empty()).then_some(self.value_class.as_slice())
     }
 
     /// Universe size of the template this program was compiled for.
@@ -218,6 +307,9 @@ pub struct ProgramPropagator<'s> {
     queue_head: usize,
     queue_len: usize,
     established: bool,
+    /// Set by [`restrict_domains`](ProgramPropagator::restrict_domains),
+    /// cleared by every bind.
+    restricted: bool,
 }
 
 impl<'s> ProgramPropagator<'s> {
@@ -261,6 +353,7 @@ impl<'s> ProgramPropagator<'s> {
             queue_head: 0,
             queue_len: 0,
             established: false,
+            restricted: false,
         };
         p.bind(a);
         p
@@ -270,7 +363,8 @@ impl<'s> ProgramPropagator<'s> {
     /// compiled template, reusing the arena allocation, so batch loops
     /// keep a flat per-instance allocation profile. After the call the
     /// engine is observably identical to a freshly constructed one: full
-    /// domains, empty trail, zero deletions, not yet established.
+    /// domains (not restricted), empty trail, zero deletions, not yet
+    /// established.
     ///
     /// # Panics
     /// Panics if `a` is over a different vocabulary than the template.
@@ -288,9 +382,9 @@ impl<'s> ProgramPropagator<'s> {
     /// Fills `a_bases` with the prefix sums of `a`'s relation-major
     /// tuple counts plus the total sentinel (the worklist's capacity),
     /// computes the instance layout and initialises the arena regions
-    /// that start non-zero (full domains, domain sizes). Everything
-    /// else (trail, ring, scratch) is written before it is read; the
-    /// queued bitset starts all-zero from
+    /// that start non-zero (full domains, domain sizes), clearing the
+    /// restriction mark. Everything else (trail, ring, scratch) is
+    /// written before it is read; the queued bitset starts all-zero from
     /// [`PropArena::reset_zeroed`]. O(arena words).
     ///
     /// # Panics
@@ -346,6 +440,7 @@ impl<'s> ProgramPropagator<'s> {
             fill_ones(&mut words[domains + e * wb..domains + (e + 1) * wb], d);
         }
         words[sizes..sizes + n].fill(d as u64);
+        self.restricted = false;
     }
 
     /// The shared program this engine executes.
@@ -435,7 +530,9 @@ impl<'s> ProgramPropagator<'s> {
     /// so [`establish`](ProgramPropagator::establish) refines from a
     /// caller-given start (the one-shot
     /// [`refine_domains`](crate::consistency::refine_domains)). Values
-    /// at or past `|B|` are ignored.
+    /// at or past `|B|` are ignored. The engine stays
+    /// [restricted](ProgramPropagator::domains_restricted) until it is
+    /// next bound.
     ///
     /// # Panics
     /// Panics if the engine is already established, or if `domains`
@@ -457,6 +554,17 @@ impl<'s> ProgramPropagator<'s> {
             let size = count_ones(dom);
             words[l.sizes + e] = size as u64;
         }
+        self.restricted = true;
+    }
+
+    /// Whether [`restrict_domains`](ProgramPropagator::restrict_domains)
+    /// narrowed the domains since the engine was last bound. Full root
+    /// domains, and their arc-consistent fixpoint, are mapped onto
+    /// themselves by every automorphism of `B`; caller-chosen ones need
+    /// not be, so the search treats no values as interchangeable on a
+    /// restricted engine.
+    pub fn domains_restricted(&self) -> bool {
+        self.restricted
     }
 
     /// All current domains, materialised (parity tests).
@@ -1206,6 +1314,47 @@ mod tests {
             p.restrict_domains(&one_too_many)
         }));
         assert!(caught.is_err(), "restrict_domains accepted a set past |A|");
+    }
+
+    #[test]
+    fn value_classes_are_the_transposition_automorphisms() {
+        use cqcs_structures::{StructureBuilder, Vocabulary};
+        let classes = |b: &Structure| compile_for(b).value_classes().map(<[u32]>::to_vec);
+        assert_eq!(classes(&generators::complete_graph(3)), Some(vec![0, 0, 0]));
+        // K_{2,2}: the two sides.
+        assert_eq!(
+            classes(&generators::undirected_cycle(4)),
+            Some(vec![0, 1, 0, 1])
+        );
+        // Rotations are automorphisms of a directed cycle, but no swap is.
+        assert_eq!(classes(&generators::directed_cycle(4)), None);
+        assert_eq!(classes(&generators::transitive_tournament(4)), None);
+        // A unary relation splits K3; loops must match.
+        let voc = Vocabulary::from_symbols([("E", 2), ("U", 1)])
+            .unwrap()
+            .into_shared();
+        let mut kb = StructureBuilder::new(Arc::clone(&voc), 3);
+        for (x, y) in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)] {
+            kb.add_fact("E", &[x, y]).unwrap();
+        }
+        kb.add_fact("U", &[0]).unwrap();
+        assert_eq!(classes(&kb.finish()), Some(vec![0, 1, 1]));
+        let mut looped = StructureBuilder::new(generators::digraph_vocabulary(), 3);
+        for (x, y) in [(0, 0), (1, 1), (0, 2), (1, 2)] {
+            looped.add_fact("E", &[x, y]).unwrap();
+        }
+        assert_eq!(classes(&looped.finish()), Some(vec![0, 0, 2]));
+        let mut one_loop = StructureBuilder::new(generators::digraph_vocabulary(), 3);
+        for (x, y) in [(0, 0), (0, 2), (1, 2)] {
+            one_loop.add_fact("E", &[x, y]).unwrap();
+        }
+        assert_eq!(classes(&one_loop.finish()), None);
+        // Outside the check: one value, more than 64, a ternary relation.
+        assert_eq!(classes(&generators::complete_graph(1)), None);
+        assert_eq!(classes(&generators::complete_graph(65)), None);
+        assert_eq!(classes(&generators::complete_graph(64)), Some(vec![0; 64]));
+        let ternary = generators::random_structure(3, &[3], 0, 0);
+        assert_eq!(classes(&ternary), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! generators take an explicit seed so every experiment is reproducible.
 
 use crate::structure::{Element, Structure, StructureBuilder};
-use crate::vocabulary::Vocabulary;
+use crate::vocabulary::{RelId, Vocabulary};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -250,6 +250,57 @@ pub fn random_structure_over(
     b.finish()
 }
 
+/// The instance `(a, b)` with `b`'s values pinned apart: `B⁺` is `b`
+/// plus one fresh unary relation `{v}` per value `v`, so no two values
+/// of `B⁺` are interchangeable, and `A⁺` is `a` plus the same relations,
+/// left empty. The homomorphisms `A⁺ → B⁺` are exactly those `A → B`,
+/// and the fresh relations come last and hold no tuple of `A⁺`, so a
+/// propagation engine revises the same tuples in the same order on both
+/// instances. A search that exploits `B`'s interchangeable values is
+/// checked against this twin, which has none.
+///
+/// # Panics
+/// Panics if `a` and `b` are over different vocabularies.
+pub fn pin_values(a: &Structure, b: &Structure) -> (Structure, Structure) {
+    assert!(
+        a.same_vocabulary(b),
+        "pin_values across different vocabularies"
+    );
+    let base = b.vocabulary();
+    // A prefix no symbol starts with, so every pin name is fresh.
+    let mut prefix = String::from("pin");
+    while base.symbols().any(|(_, name, _)| name.starts_with(&prefix)) {
+        prefix.insert(0, '_');
+    }
+    let mut voc = Vocabulary::new();
+    for (_, name, arity) in base.symbols() {
+        voc.add(name, arity).expect("copied symbols are distinct");
+    }
+    let pins: Vec<RelId> = (0..b.universe())
+        .map(|v| {
+            voc.add(&format!("{prefix}{v}"), 1)
+                .expect("pin names are fresh")
+        })
+        .collect();
+    let voc = voc.into_shared();
+    let copy = |s: &Structure| {
+        let mut builder = StructureBuilder::new(Arc::clone(&voc), s.universe());
+        for r in base.iter() {
+            for t in s.relation(r).iter() {
+                builder.add_tuple(r, t).expect("copied tuple is in range");
+            }
+        }
+        builder
+    };
+    let mut b_plus = copy(b);
+    for (v, &pin) in pins.iter().enumerate() {
+        b_plus
+            .add_tuple(pin, &[Element(v as u32)])
+            .expect("value is in range");
+    }
+    (copy(a).finish(), b_plus.finish())
+}
+
 /// The transitive tournament on `n` vertices: edges `i → j` for `i < j`.
 /// Homomorphisms from a directed path `P_m` into it exist iff `m ≤ n`.
 pub fn transitive_tournament(n: usize) -> Structure {
@@ -363,6 +414,39 @@ mod tests {
         let t = transitive_tournament(4);
         assert!(homomorphism_exists(&directed_path(4), &t));
         assert!(!homomorphism_exists(&directed_path(5), &t));
+    }
+
+    #[test]
+    fn pin_values_keeps_the_instance_and_pins_every_value() {
+        let a = random_graph_nm(6, 7, 3);
+        let b = complete_graph(3);
+        let (a_plus, b_plus) = pin_values(&a, &b);
+        let voc = b_plus.vocabulary();
+        assert_eq!(voc.len(), 1 + 3);
+        assert_eq!(voc.name(RelId::from_index(0)), "E");
+        assert_eq!(a_plus.universe(), 6);
+        assert_eq!(a_plus.total_tuples(), a.total_tuples());
+        assert_eq!(b_plus.total_tuples(), b.total_tuples() + 3);
+        for v in 0..3 {
+            let pin = RelId::from_index(1 + v);
+            assert!(a_plus.relation(pin).is_empty());
+            assert_eq!(
+                b_plus.relation(pin).iter().collect::<Vec<_>>(),
+                vec![&[Element(v as u32)][..]]
+            );
+        }
+        assert_eq!(
+            homomorphism_exists(&a_plus, &b_plus),
+            homomorphism_exists(&a, &b)
+        );
+        // A symbol that already starts with the prefix pushes it aside.
+        let voc = Vocabulary::from_symbols([("pin0", 1), ("E", 2)])
+            .unwrap()
+            .into_shared();
+        let b = random_structure_over(&voc, 2, 2, 1);
+        let (_, b_plus) = pin_values(&b, &b);
+        assert_eq!(b_plus.vocabulary().len(), 2 + 2);
+        assert!(b_plus.vocabulary().lookup("_pin0").is_some());
     }
 
     #[test]

@@ -1344,6 +1344,124 @@ impl Mix {
     }
 }
 
+/// `base` with each vertex `i` blown up into 1–3 copies that relate to
+/// every other vertex's copies as `i` does (so any two copies are
+/// interchangeable), capped at `max` vertices. Copies of a looped vertex
+/// are all joined, loops included; with `twins_joined`, the copies of
+/// any other vertex are joined (true twins) or not (false twins) at
+/// random, and without it never.
+fn blow_up(
+    base: &[(usize, usize)],
+    n: usize,
+    max: usize,
+    twins_joined: bool,
+    rng: &mut Mix,
+) -> cqcs::structures::Structure {
+    let mut owner = Vec::new();
+    let mut joined = Vec::new();
+    for i in 0..n {
+        // Leave room for one copy of every later vertex.
+        let room = max - owner.len() - (n - 1 - i);
+        owner.extend(std::iter::repeat_n(i, (1 + rng.below(3)).min(room)));
+        joined.push(twins_joined && rng.below(2) == 0);
+    }
+    let has = |i: usize, j: usize| base.contains(&(i, j));
+    let mut b =
+        cqcs::structures::StructureBuilder::new(generators::digraph_vocabulary(), owner.len());
+    for (x, &i) in owner.iter().enumerate() {
+        for (y, &j) in owner.iter().enumerate() {
+            let arc = if i != j {
+                has(i, j)
+            } else {
+                has(i, i) || (x != y && joined[i])
+            };
+            if arc {
+                b.add_fact("E", &[x as u32, y as u32]).unwrap();
+            }
+        }
+    }
+    b.finish()
+}
+
+/// A template with interchangeable values: K2–K6, a complete
+/// multipartite graph, a K_n with a unary relation over some of its
+/// values, a graph with twin vertices, or a looped digraph with twins.
+fn symmetric_template(rng: &mut Mix) -> cqcs::structures::Structure {
+    match rng.below(5) {
+        0 => generators::complete_graph(2 + rng.below(5)),
+        1 => {
+            let k = 2 + rng.below(2);
+            let parts: Vec<(usize, usize)> = (0..k)
+                .flat_map(|i| (0..k).filter(move |&j| j != i).map(move |j| (i, j)))
+                .collect();
+            blow_up(&parts, k, 7, false, rng)
+        }
+        2 => {
+            let n = 2 + rng.below(4);
+            let voc = cqcs::structures::Vocabulary::from_symbols([("E", 2), ("U", 1)])
+                .unwrap()
+                .into_shared();
+            let mut b = cqcs::structures::StructureBuilder::new(voc, n);
+            for x in 0..n as u32 {
+                for y in 0..n as u32 {
+                    if x != y {
+                        b.add_fact("E", &[x, y]).unwrap();
+                    }
+                }
+                if rng.below(2) == 0 {
+                    b.add_fact("U", &[x]).unwrap();
+                }
+            }
+            b.finish()
+        }
+        kind => {
+            // A random base graph (symmetric, loop-free) or digraph
+            // (loops allowed) on 2–4 vertices, blown up into twins.
+            let n = 2 + rng.below(3);
+            let mut base = Vec::new();
+            for i in 0..n {
+                for j in 0..n {
+                    let take = if kind == 3 { i < j } else { true };
+                    if take && rng.below(2) == 0 {
+                        base.push((i, j));
+                        if kind == 3 {
+                            base.push((j, i));
+                        }
+                    }
+                }
+            }
+            blow_up(&base, n, 7, true, rng)
+        }
+    }
+}
+
+/// A random instance over `b`'s vocabulary on 1–6 elements: a few unary
+/// facts, and binary facts between distinct elements plus a rare loop.
+fn instance_over(b: &cqcs::structures::Structure, rng: &mut Mix) -> cqcs::structures::Structure {
+    let n = 1 + rng.below(6);
+    let voc = b.vocabulary();
+    let mut a = cqcs::structures::StructureBuilder::new(std::sync::Arc::clone(voc), n);
+    for r in voc.iter() {
+        match voc.arity(r) {
+            1 => {
+                for _ in 0..rng.below(3) {
+                    a.add_tuple(r, &[Element(rng.below(n) as u32)]).unwrap();
+                }
+            }
+            _ => {
+                for _ in 0..rng.below(2 * n + 2) {
+                    let (x, y) = (rng.below(n), rng.below(n));
+                    if x != y || rng.below(8) == 0 {
+                        a.add_tuple(r, &[Element(x as u32), Element(y as u32)])
+                            .unwrap();
+                    }
+                }
+            }
+        }
+    }
+    a.finish()
+}
+
 /// `{P/0, U/1, E/2, W/4}`: the acyclic families' vocabulary.
 fn acyclic_vocabulary() -> std::sync::Arc<cqcs::structures::Vocabulary> {
     cqcs::structures::Vocabulary::from_symbols([("P", 0), ("U", 1), ("E", 2), ("W", 4)])
@@ -1512,6 +1630,41 @@ fn same_model(plan: &cqcs::boolean::SchaeferPlan) -> bool {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Trying one value per interchangeable class changes no answer:
+    /// on templates with interchangeable values, every `SearchOptions`
+    /// combination returns the same verdict and witness as on the
+    /// instance's twin with every value pinned apart
+    /// (`generators::pin_values`), which has none, and its nodes,
+    /// backtracks and deletions are each at most the twin's.
+    /// Stress-runnable via `PROPTEST_CASES`.
+    #[test]
+    fn interchangeable_values_match_the_pinned_twin(seed in any::<u64>()) {
+        let mut rng = Mix(seed);
+        let b = symmetric_template(&mut rng);
+        let a = instance_over(&b, &mut rng);
+        let (a_pinned, b_pinned) = generators::pin_values(&a, &b);
+        for mrv in [false, true] {
+            for mac in [false, true] {
+                for ac_preprocess in [false, true] {
+                    let opts = SearchOptions { mrv, mac, ac_preprocess };
+                    let (h, stats) = backtracking_search(&a, &b, opts);
+                    let (twin_h, twin) = backtracking_search(&a_pinned, &b_pinned, opts);
+                    prop_assert_eq!(
+                        h.as_ref().map(|h| h.as_slice().to_vec()),
+                        twin_h.as_ref().map(|h| h.as_slice().to_vec()),
+                        "witness, {:?}", opts
+                    );
+                    prop_assert!(
+                        stats.nodes <= twin.nodes
+                            && stats.backtracks <= twin.backtracks
+                            && stats.deletions <= twin.deletions,
+                        "{:?}: {:?} against the twin's {:?}", opts, stats, twin
+                    );
+                }
+            }
+        }
+    }
 
     /// The tuple-index Yannakakis evaluation returns exactly the
     /// hash-map reference's answer — acyclicity, verdict and witness —
